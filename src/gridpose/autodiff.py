@@ -4,6 +4,12 @@ Just enough operations for a strided convolutional backbone, the grid
 loss, an MLP and an LSTM: elementwise arithmetic, matmul, conv2d,
 activations, reshape/transpose/indexing, sum and log-softmax. All data
 is float64; gradients accumulate into leaf tensors on backward().
+
+conv2d, where training spends its time, is im2col + GEMM over the whole
+batch (Chellapilla et al. 2006): the padded input is unrolled once into a
+channel-major (c·k², n·L) column matrix, L = oh·ow output positions per
+image, and the forward, the weight gradient and the input gradient are
+one BLAS GEMM each against it.
 """
 
 from __future__ import annotations
@@ -280,7 +286,26 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
-    """2D convolution, NCHW layout, square kernel, single stride/pad value."""
+    """2D convolution, NCHW layout, square kernel, single stride/pad value.
+
+    im2col + GEMM over the whole batch. The columns matrix is channel-major,
+    cols[(ci, i, j), (m, oy, ox)] = xpad[m, ci, oy * stride + i, ox * stride + j],
+    shape (c·k², n·L) with L = oh·ow, built from k² strided copies of the
+    padded input held as (c, n, h + 2p, w + 2p). Each pass is one GEMM:
+
+      forward          out (f, n·L) = w2 (f, c·k²) @ cols, bias added in place
+      weight gradient  gw  (f, c·k²) = gT (f, n·L) @ cols.T
+      input gradient   gc  (c·k², n·L) = w2.T @ gT, then k² strided col2im adds
+
+    where gT is the output gradient as (f, n·L). The backward reuses cols.
+    A 1x1 kernel at stride 1 without padding skips the pad and the k² copies:
+    its cols is the input itself as (c, n·L).
+
+    The output is an (n, f, oh, ow) view of the (f, n·L) product, not a copy.
+    Elementwise ops keep that channel-major memory order, so the next layer
+    fills its padded input with contiguous reads, and gT is a free reshape
+    of a gradient that comes back in the same order.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, c, h, wd = x.data.shape
     f, c2, k, k2 = w.data.shape
@@ -288,31 +313,41 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"kernel {w.data.shape} does not match input {x.data.shape}")
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
+    pointwise = k == 1 and stride == 1 and padding == 0
+    hp, wp = h + 2 * padding, wd + 2 * padding
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, k, k, oh, ow))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride]
-    cols2 = cols.reshape(n, c * k * k, oh * ow)
+    if pointwise:
+        cols = x.data.transpose(1, 0, 2, 3).reshape(c, n * oh * ow)
+    else:
+        xp = np.zeros((c, n, hp, wp))
+        xp[:, :, padding: padding + h, padding: padding + wd] = x.data.transpose(1, 0, 2, 3)
+        cols = np.empty((c, k, k, n, oh, ow))
+        for i in range(k):
+            for j in range(k):
+                cols[:, i, j] = xp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride]
+        cols = cols.reshape(c * k * k, n * oh * ow)
     w2 = w.data.reshape(f, c * k * k)
-    out_data = (w2 @ cols2).reshape(n, f, oh, ow) + b.data[None, :, None, None]
+    out = w2 @ cols
+    out += b.data[:, None]
+    out_data = out.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
 
     def backward(g):
-        gflat = g.reshape(n, f, oh * ow)
+        gT = g.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
         if b.requires_grad:
-            b._accumulate(g.sum(axis=(0, 2, 3)))
+            b._accumulate(gT.sum(axis=1))
         if w.requires_grad:
-            gw = np.einsum("nfl,ncl->fc", gflat, cols2)
-            w._accumulate(gw.reshape(w.data.shape))
+            w._accumulate((gT @ cols.T).reshape(w.data.shape))
         if x.requires_grad:
-            gcols = (w2.T @ gflat).reshape(n, c, k, k, oh, ow)
-            gxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride] += gcols[:, :, i, j]
-            if padding:
-                gxp = gxp[:, :, padding:-padding, padding:-padding]
-            x._accumulate(gxp)
+            gcols = w2.T @ gT
+            if pointwise:
+                gx = gcols.reshape(c, n, h, wd)
+            else:
+                gcols = gcols.reshape(c, k, k, n, oh, ow)
+                gxp = np.zeros((c, n, hp, wp))
+                for i in range(k):
+                    for j in range(k):
+                        gxp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride] += gcols[:, i, j]
+                gx = gxp[:, :, padding: padding + h, padding: padding + wd]
+            x._accumulate(gx.transpose(1, 0, 2, 3))
 
     return Tensor._make(out_data, (x, w, b), backward)

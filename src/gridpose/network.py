@@ -30,7 +30,7 @@ from . import autodiff as ad
 from . import codec
 from .codec import LabelSpec, confidence_from_grid_coords, frame_targets
 from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
-from .geometry import CameraIntrinsics, GridSpec
+from .geometry import HAND, OBJECT, CameraIntrinsics, GridSpec, root_index
 
 CHECKPOINT_FORMAT = 1
 
@@ -221,13 +221,6 @@ class BatchTargets:
         )
 
 
-def _predicted_coords(slot_raw: np.ndarray, cells: np.ndarray, root: int, n_c: int) -> np.ndarray:
-    """Decode raw coord channels at responsible cells to grid coordinates."""
-    off = slot_raw[:, : 3 * n_c].reshape(-1, n_c, 3).copy()
-    off[:, root, :] = codec.sigmoid(off[:, root, :])
-    return off + cells[:, None, :].astype(float)
-
-
 def loss_graph(
     raw: ad.Tensor,
     targets: BatchTargets,
@@ -250,10 +243,11 @@ def loss_graph(
     bidx = np.arange(b)
     scale = 1.0 / b
 
-    def slot_terms(cells, offsets, coords, class_ids, base, slot_len, root, n_classes):
+    def slot_terms(cells, offsets, coords, class_ids, base, slot_len, role, n_classes):
         idx = (bidx, cells[:, 1], cells[:, 0], cells[:, 2])
         resp = raw[idx][:, base: base + slot_len]
 
+        root = root_index(role, n_c)
         root_sl = slice(3 * root, 3 * root + 3)
         pose_root = ad.sigmoid(resp[:, root_sl]) - offsets[:, root, :]
         rest_target = np.delete(offsets.reshape(b, -1), np.r_[3 * root: 3 * root + 3], axis=1)
@@ -270,8 +264,7 @@ def loss_graph(
         conf_logit = raw[..., base + slot_len - 1]
         conf = ad.sigmoid(conf_logit)
         if conf_targets == "online":
-            pred_w = _predicted_coords(np.array(raw.data[idx][:, base: base + slot_len]),
-                                       cells, root, n_c)
+            pred_w = codec.decode_offsets(resp.data[:, : 3 * n_c], role, n_c) + cells[:, None, :]
             resp_target = confidence_from_grid_coords(pred_w, coords, grid)
         else:
             resp_target = np.ones(b)
@@ -285,10 +278,10 @@ def loss_graph(
 
     pose_h, ce_a, conf_h = slot_terms(
         targets.hand_cells, targets.hand_offsets, targets.hand_coords,
-        targets.action_ids, 0, labels.hand_slot, 0, labels.n_actions)
+        targets.action_ids, 0, labels.hand_slot, HAND, labels.n_actions)
     pose_o, ce_o, conf_o = slot_terms(
         targets.object_cells, targets.object_offsets, targets.object_coords,
-        targets.object_ids, labels.hand_slot, labels.object_slot, n_c - 1, labels.n_objects)
+        targets.object_ids, labels.hand_slot, labels.object_slot, OBJECT, labels.n_objects)
 
     pose = ad.mul(pose_h + pose_o, weights.pose * scale)
     conf = ad.mul(conf_h + conf_o, scale)
@@ -443,18 +436,29 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; a malformed header or body raises ConfigError."""
     with open(path, "rb") as f:
-        header = json.loads(f.readline().decode())
+        try:
+            header = json.loads(f.readline().decode())
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+            raise ConfigError(f"checkpoint header is not JSON: {e}") from e
+        if not isinstance(header, dict):
+            raise ConfigError("checkpoint header is not a JSON object")
         if header.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {header.get('format')}")
+        if not isinstance(header.get("tensors"), list):
+            raise ConfigError("checkpoint header has no tensors list")
         tensors = {}
         for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
+            try:
+                name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
+            except (KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"malformed checkpoint tensor entry {entry!r}") from e
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(count * 4)
             if len(buf) != count * 4:
-                raise ConfigError(f"checkpoint truncated at tensor {entry['name']}")
-            tensors[entry["name"]] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float64)
+                raise ConfigError(f"checkpoint truncated at tensor {name}")
+            tensors[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float64)
     return tensors, header
 
 

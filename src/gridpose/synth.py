@@ -539,6 +539,7 @@ def write_raster(path, raster: np.ndarray) -> None:
 
 
 def read_raster(path) -> np.ndarray:
+    """Read an 8-bit binary PGM/PPM; a malformed or truncated file raises ConfigError."""
     data = Path(path).read_bytes()
     fields_out = []
     pos = 0
@@ -554,14 +555,20 @@ def read_raster(path) -> np.ndarray:
             pos += 1
         fields_out.append(data[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, w, h = fields_out[0], int(fields_out[1]), int(fields_out[2])
-    raw = np.frombuffer(data[pos:], dtype=np.uint8)
-    if magic == b"P5":
-        img = raw[: h * w].reshape(1, h, w)
-    elif magic == b"P6":
-        img = raw[: h * w * 3].reshape(h, w, 3).transpose(2, 0, 1)
-    else:
-        raise ConfigError(f"unsupported raster magic {magic!r}")
+    magic, dims = fields_out[0], fields_out[1:]
+    if magic not in (b"P5", b"P6"):
+        raise ConfigError(f"{path}: unsupported raster magic {magic!r}")
+    if not all(t.isdigit() for t in dims):
+        raise ConfigError(f"{path}: malformed raster header {b' '.join(fields_out)!r}")
+    w, h, maxval = (int(t) for t in dims)
+    if maxval != 255:
+        raise ConfigError(f"{path}: only 8-bit rasters are supported, maxval is {maxval}")
+    channels = 1 if magic == b"P5" else 3
+    body = data[pos: pos + h * w * channels]
+    if len(body) != h * w * channels:
+        raise ConfigError(f"{path}: raster body has {len(body)} bytes, "
+                          f"a {w}x{h}x{channels} image needs {h * w * channels}")
+    img = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels).transpose(2, 0, 1)
     return img.astype(float) / 255.0
 
 

@@ -1,0 +1,121 @@
+"""conv2d against a reference implementation, on the toy backbone's shapes.
+
+The reference is the per-image formulation: an (n, c·k², L) column tensor,
+a batched matmul per image for the forward and an einsum for the weight
+gradient. It shares no code with autodiff.conv2d, so agreement to 1e-10
+checks the batched GEMMs, the channel-major column layout and the col2im
+adds of the production version. The finite-difference tests in
+test_autodiff.py check both against calculus.
+"""
+
+import numpy as np
+import pytest
+
+from gridpose import autodiff as ad
+
+
+def reference_conv2d(x, w, b, stride, padding, g):
+    """Forward output and the (x, w, b) gradients for upstream gradient g."""
+    n, c, h, wd = x.shape
+    f, _, k, _ = w.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, k, k, oh, ow))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride]
+    cols = cols.reshape(n, c * k * k, oh * ow)
+    w2 = w.reshape(f, c * k * k)
+    out = (w2 @ cols).reshape(n, f, oh, ow) + b[None, :, None, None]
+
+    gflat = g.reshape(n, f, oh * ow)
+    gb = g.sum(axis=(0, 2, 3))
+    gw = np.einsum("nfl,ncl->fc", gflat, cols).reshape(w.shape)
+    gcols = (w2.T @ gflat).reshape(n, c, k, k, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride] += gcols[:, :, i, j]
+    gx = gxp[:, :, padding: padding + h, padding: padding + wd]
+    return out, gx, gw, gb
+
+
+def assert_matches(actual, expected):
+    # atol only guards entries that cancel to ~0 against terms of size ~max
+    np.testing.assert_allclose(actual, expected, rtol=1e-10,
+                               atol=1e-13 * np.abs(expected).max())
+
+
+def run_both(n, c, f, hw, k, stride, padding, x_grad=True, seed=0):
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(n, c) + hw)
+    w0 = rng.normal(size=(f, c, k, k))
+    b0 = rng.normal(size=(f,))
+    x = ad.Tensor(x0, requires_grad=x_grad)
+    w = ad.Tensor(w0, requires_grad=True)
+    b = ad.Tensor(b0, requires_grad=True)
+    out = ad.conv2d(x, w, b, stride, padding)
+    g = rng.normal(size=out.shape)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return (x, w, b, out), reference_conv2d(x0, w0, b0, stride, padding, g)
+
+
+# (c_in, c_out, (h, w), kernel, stride, padding): the toy preset's layers
+# (56 px input, channels (16, 32, 64, 64, 96), strides (2, 2, 2, 1, 1), and
+# the 1x1 head onto 3 depth bins x 135 cell channels), then odd sizes.
+LAYERS = {
+    "conv1_28_to_14": (16, 32, (28, 28), 3, 2, 1),
+    "conv0_56_to_28": (3, 16, (56, 56), 3, 2, 1),
+    "conv2_14_to_7": (32, 64, (14, 14), 3, 2, 1),
+    "conv3_7_to_7": (64, 64, (7, 7), 3, 1, 1),
+    "conv4_7_to_7": (64, 96, (7, 7), 3, 1, 1),
+    "head_1x1": (96, 405, (7, 7), 1, 1, 0),
+    "odd_stride2": (5, 4, (9, 11), 3, 2, 1),
+    "odd_stride3": (4, 3, (11, 10), 3, 3, 1),
+}
+
+
+class TestConv2dMatchesReference:
+    @pytest.mark.parametrize("batch", [1, 16])
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_output_and_gradients(self, layer, batch):
+        c, f, hw, k, stride, padding = LAYERS[layer]
+        (x, w, b, out), (ref_out, ref_gx, ref_gw, ref_gb) = run_both(
+            batch, c, f, hw, k, stride, padding)
+        assert out.shape == ref_out.shape
+        assert_matches(out.data, ref_out)
+        assert_matches(x.grad, ref_gx)
+        assert_matches(w.grad, ref_gw)
+        assert_matches(b.grad, ref_gb)
+
+    def test_input_without_grad_gets_none(self):
+        # conv0 reads the images, which never require a gradient
+        (x, w, b, out), (ref_out, _, ref_gw, ref_gb) = run_both(
+            16, 3, 16, (56, 56), 3, 2, 1, x_grad=False)
+        assert x.grad is None
+        assert_matches(out.data, ref_out)
+        assert_matches(w.grad, ref_gw)
+        assert_matches(b.grad, ref_gb)
+
+    def test_chained_layers(self):
+        # a conv output feeds the next conv, as in the backbone
+        rng = np.random.default_rng(1)
+        x0 = rng.normal(size=(4, 3, 12, 12))
+        w0, b0 = rng.normal(size=(6, 3, 3, 3)), rng.normal(size=(6,))
+        w1, b1 = rng.normal(size=(5, 6, 3, 3)), rng.normal(size=(5,))
+        x = ad.Tensor(x0, requires_grad=True)
+        ws = [ad.Tensor(v, requires_grad=True) for v in (w0, b0, w1, b1)]
+        mid = ad.conv2d(x, ws[0], ws[1], stride=2, padding=1)
+        out = ad.conv2d(ad.leaky_relu(mid, 0.1), ws[2], ws[3], stride=1, padding=1)
+        g = rng.normal(size=out.shape)
+        ad.mul(out, ad.Tensor(g)).sum().backward()
+
+        ref_mid, _, _, _ = reference_conv2d(x0, w0, b0, 2, 1, np.zeros(mid.shape))
+        act = np.where(ref_mid > 0, ref_mid, 0.1 * ref_mid)
+        ref_out, g_act, ref_gw1, ref_gb1 = reference_conv2d(act, w1, b1, 1, 1, g)
+        g_mid = g_act * np.where(ref_mid > 0, 1.0, 0.1)
+        _, ref_gx, ref_gw0, ref_gb0 = reference_conv2d(x0, w0, b0, 2, 1, g_mid)
+        assert_matches(out.data, ref_out)
+        for t, ref in zip([x] + ws, (ref_gx, ref_gw0, ref_gb0, ref_gw1, ref_gb1)):
+            assert_matches(t.grad, ref)

@@ -7,7 +7,7 @@ from gridpose import autodiff as ad
 from gridpose import codec
 from gridpose import geometry as geo
 from gridpose import network as net
-from gridpose.errors import NonFiniteLoss, ShapeMismatch
+from gridpose.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
 from conftest import random_scene
 
@@ -284,3 +284,15 @@ class TestCheckpoint:
         net.save_checkpoint(tmp_path / "b.ckpt", params.tensors, meta)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         assert net.file_hash(tmp_path / "a.ckpt") == net.file_hash(tmp_path / "b.ckpt")
+
+    def test_garbage_header_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"not json\n")
+        with pytest.raises(ConfigError, match="not JSON"):
+            net.load_checkpoint(path)
+
+    def test_header_without_tensor_list_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b'{"format": 1, "kind": "backbone"}\n')
+        with pytest.raises(ConfigError, match="no tensors list"):
+            net.load_checkpoint(path)

@@ -8,7 +8,7 @@ from gridpose import codec
 from gridpose import geometry as geo
 from gridpose import synth
 from gridpose.codec import LabelSpec
-from gridpose.errors import ConfigOutOfRange, OutOfVolume
+from gridpose.errors import ConfigError, ConfigOutOfRange, OutOfVolume
 
 
 GRID = geo.GridSpec(h=7, w=7, d=3, cell_u_px=8.0, cell_v_px=8.0, cell_z_m=0.15,
@@ -228,6 +228,29 @@ class TestDatasetFiles:
         back = synth.read_raster(tmp_path / "g.pgm")
         assert back.shape == (1, 20, 30)
         assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
+
+    def test_raster_rewrite_is_byte_identical(self, tmp_path):
+        frame = synth.sample_scene(2, PARAMS)
+        synth.write_raster(tmp_path / "a.ppm", frame.raster)
+        synth.write_raster(tmp_path / "b.ppm", synth.read_raster(tmp_path / "a.ppm"))
+        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
+
+    def test_truncated_raster_body_is_config_error(self, tmp_path):
+        synth.write_raster(tmp_path / "f.ppm", np.full((3, 4, 5), 0.5))
+        data = (tmp_path / "f.ppm").read_bytes()
+        (tmp_path / "f.ppm").write_bytes(data[:-31])
+        with pytest.raises(ConfigError, match="body"):
+            synth.read_raster(tmp_path / "f.ppm")
+
+    def test_truncated_raster_header_is_config_error(self, tmp_path):
+        (tmp_path / "f.pgm").write_bytes(b"P5\n5 4\n")
+        with pytest.raises(ConfigError, match="header"):
+            synth.read_raster(tmp_path / "f.pgm")
+
+    def test_16_bit_raster_is_config_error(self, tmp_path):
+        (tmp_path / "f.pgm").write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        with pytest.raises(ConfigError, match="maxval"):
+            synth.read_raster(tmp_path / "f.pgm")
 
     def test_frames_round_trip(self, tmp_path):
         frames = [synth.sample_scene(s, PARAMS) for s in range(4)]
