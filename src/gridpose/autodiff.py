@@ -10,6 +10,15 @@ batch (Chellapilla et al. 2006): the padded input is unrolled once into a
 channel-major (c·k², n·L) column matrix, L = oh·ow output positions per
 image, and the forward, the weight gradient and the input gradient are
 one BLAS GEMM each against it.
+
+lstm runs a whole LSTM layer over a sequence as one node (Appleyard et al.
+2016). The input projection of all B·T frames is one (B·T, in) @ (in, 4h)
+GEMM before the recurrence, so each step does one (B, h) @ (h, 4h) GEMM
+for the hidden state and elementwise gate work into preallocated
+time-major (T, B, ·) buffers. Its backward is written by hand: a reverse
+loop fills the (T, B, 4h) gate gradient with one (B, 4h) @ (4h, h) GEMM per
+step, then the gradients of wx, wh, b and x are one GEMM or reduction each
+over all B·T rows.
 """
 
 from __future__ import annotations
@@ -247,14 +256,21 @@ def relu(a) -> Tensor:
     return leaky_relu(a, slope=0.0)
 
 
+def logistic(x) -> np.ndarray:
+    """Numerically stable logistic function on an array, without masks.
+
+    With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    the same operations per element as the branch form, so the values are
+    the same bits; exp never overflows. NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out_data = np.empty_like(x)
-    p = x >= 0
-    out_data[p] = 1.0 / (1.0 + np.exp(-x[p]))
-    e = np.exp(x[~p])
-    out_data[~p] = e / (1.0 + e)
+    out_data = logistic(a.data)
 
     def backward(g):
         a._accumulate(g * out_data * (1.0 - out_data))
@@ -270,6 +286,82 @@ def tanh(a) -> Tensor:
         a._accumulate(g * (1.0 - out_data * out_data))
 
     return Tensor._make(out_data, (a,), backward)
+
+
+def lstm(x, wx, wh, b) -> Tensor:
+    """One LSTM layer over a whole sequence as a single node.
+
+    x (B, T, in), wx (in, 4h), wh (h, 4h), b (4h,) -> hidden states (B, T, h),
+    starting from zero hidden and cell states. The gate blocks of the 4h
+    axis are input, forget, cell candidate and output, in that order:
+
+      gates_t = (x_t @ wx + h_{t-1} @ wh) + b
+      c_t = f * c_{t-1} + i * g,   h_t = o * tanh(c_t)
+
+    The input projection of every step is one GEMM over B·T rows before the
+    recurrence (Appleyard et al. 2016), so a step costs one (B, h) @ (h, 4h)
+    GEMM and a few elementwise passes. The backward walks the steps in
+    reverse, filling a (T, B, 4h) gate gradient dG with one GEMM per step
+    (dh_{t-1} = dG_t @ wh.T); then each of dwx = X.T @ dG, dwh = Hprev.T @ dG,
+    db = sum(dG) and dx = dG @ wx.T is one GEMM or reduction over B·T rows.
+    Buffers are time-major, so a step reads and writes contiguous blocks.
+    """
+    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
+    n, t, width_in = x.data.shape
+    h = wh.data.shape[0]
+    if wx.data.shape != (width_in, 4 * h) or wh.data.shape != (h, 4 * h) or b.data.shape != (4 * h,):
+        raise ValueError(f"LSTM weights {wx.data.shape}, {wh.data.shape}, {b.data.shape} "
+                         f"do not match input {x.data.shape}")
+    xs = x.data.transpose(1, 0, 2).reshape(t * n, width_in)
+    xg = (xs @ wx.data).reshape(t, n, 4 * h)
+    act = np.empty((t, n, 4 * h))        # i, f, g, o after their nonlinearities
+    cs = np.zeros((t + 1, n, h))         # cs[s + 1] = c_s, cs[0] = 0
+    hs = np.zeros((t + 1, n, h))         # hs[s + 1] = h_s, hs[0] = 0
+    tcs = np.empty((t, n, h))            # tanh(c_s)
+    for s in range(t):
+        gates = xg[s] + hs[s] @ wh.data
+        gates += b.data
+        act[s] = logistic(gates)
+        np.tanh(gates[:, 2 * h: 3 * h], out=act[s, :, 2 * h: 3 * h])
+        i, f, g, o = act[s, :, :h], act[s, :, h: 2 * h], act[s, :, 2 * h: 3 * h], act[s, :, 3 * h:]
+        c = cs[s + 1]
+        np.multiply(f, cs[s], out=c)
+        c += i * g
+        np.tanh(c, out=tcs[s])
+        np.multiply(o, tcs[s], out=hs[s + 1])
+    out_data = hs[1:].transpose(1, 0, 2)
+
+    def backward(gout):
+        gh = gout.transpose(1, 0, 2)
+        i, f, g, o = act[..., :h], act[..., h: 2 * h], act[..., 2 * h: 3 * h], act[..., 3 * h:]
+        # Per-step factors that turn dc_t (for i, f, g) and dh_t (for o)
+        # into the pre-activation gate gradients, for all steps at once.
+        dc_to_gates = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
+                                      i * (1.0 - g * g)], axis=-1).reshape(t, n, 3, h)
+        dh_to_o = tcs * o * (1.0 - o)
+        dh_to_dc = o * (1.0 - tcs * tcs)
+        dG = np.empty((t, n, 4, h))
+        dh = np.zeros((n, h))
+        dc = np.zeros((n, h))
+        for s in range(t - 1, -1, -1):
+            dh += gh[s]
+            dc += dh * dh_to_dc[s]
+            np.multiply(dc[:, None, :], dc_to_gates[s], out=dG[s, :, :3])
+            np.multiply(dh, dh_to_o[s], out=dG[s, :, 3])
+            if s:
+                dc *= f[s]
+                dh = dG[s].reshape(n, 4 * h) @ wh.data.T
+        dG2 = dG.reshape(t * n, 4 * h)
+        if b.requires_grad:
+            b._accumulate(dG2.sum(axis=0))
+        if wx.requires_grad:
+            wx._accumulate(xs.T @ dG2)
+        if wh.requires_grad:
+            wh._accumulate(hs[:-1].reshape(t * n, h).T @ dG2)
+        if x.requires_grad:
+            x._accumulate((dG2 @ wx.data.T).reshape(t, n, width_in).transpose(1, 0, 2))
+
+    return Tensor._make(out_data, (x, wx, wh, b), backward)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:

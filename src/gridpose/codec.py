@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import logistic as sigmoid
 from .errors import ConfigError, ConfigOutOfRange, LengthMismatch, OutOfVolume, RoleMismatch
 from .geometry import (
     HAND,
@@ -139,17 +140,6 @@ class FramePrediction:
 
     def interaction_id(self, labels: LabelSpec) -> int:
         return labels.interaction_index(self.action_id, self.object_id)
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def logit(p: np.ndarray) -> np.ndarray:

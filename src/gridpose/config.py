@@ -58,6 +58,14 @@ class InteractionTrainConfig:
     schedule_epochs: tuple[int, ...] = (100,)
     schedule_factor: float = 0.1
 
+    def __post_init__(self):
+        if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("interaction training settings out of range")
+        if any(e >= self.epochs for e in self.schedule_epochs):
+            raise ConfigError("interaction schedule epochs must be < total epochs")
+        if self.feature_width < 1 or self.lstm_width < 1 or self.lstm_layers < 1:
+            raise ConfigError("interaction widths and layer counts must be >= 1")
+
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for e in self.schedule_epochs if epoch >= e)
         return self.lr * self.schedule_factor ** drops

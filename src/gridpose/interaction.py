@@ -7,6 +7,10 @@ features and the final hidden state feeds an affine + softmax over
 interaction classes. Disabling the interaction map yields the plain
 recurrent baseline that consumes pose vectors directly.
 
+The map runs once over all B·T frames of a batch, and each LSTM layer is
+one autodiff node over the whole sequence (autodiff.lstm), not a graph
+built step by step.
+
 Per-frame inputs are camera-frame meters, by default centered on the
 hand root so the classifier sees relative geometry, optionally extended
 with the per-frame action/object class probabilities.
@@ -143,17 +147,6 @@ def _features_graph(pt: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
     return hidden @ pt["g.w2"] + pt["g.b2"]
 
 
-def _lstm_step(pt, layer: int, x: ad.Tensor, h: ad.Tensor, c: ad.Tensor, width: int):
-    gates = x @ pt[f"lstm{layer}.wx"] + h @ pt[f"lstm{layer}.wh"] + pt[f"lstm{layer}.b"]
-    i = ad.sigmoid(gates[:, 0 * width: 1 * width])
-    f = ad.sigmoid(gates[:, 1 * width: 2 * width])
-    g = ad.tanh(gates[:, 2 * width: 3 * width])
-    o = ad.sigmoid(gates[:, 3 * width: 4 * width])
-    c_new = ad.mul(f, c) + ad.mul(i, g)
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
 def logits_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig,
                  batch: np.ndarray) -> ad.Tensor:
     """(B, T, input_width) constant batch -> (B, n_classes) logits."""
@@ -165,18 +158,15 @@ def logits_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig,
     b, t, _ = batch.shape
     if t < 1:
         raise EmptySequence("cannot classify an empty sequence")
-    width = cfg.lstm_width
-    hs = [ad.Tensor(np.zeros((b, width))) for _ in range(cfg.lstm_layers)]
-    cs = [ad.Tensor(np.zeros((b, width))) for _ in range(cfg.lstm_layers)]
-    for step in range(t):
-        x = ad.Tensor(batch[:, step])
-        if cfg.use_pair_map:
-            x = _features_graph(pt, x)
-        for layer in range(cfg.lstm_layers):
-            hs[layer], cs[layer] = _lstm_step(pt, layer, x, hs[layer], cs[layer], width)
-            x = hs[layer]
-        # the last hidden state of the top layer feeds the classifier
-    return hs[-1] @ pt["out.w"] + pt["out.b"]
+    if cfg.use_pair_map:
+        frames = ad.Tensor(batch.reshape(b * t, cfg.input_width))
+        x = _features_graph(pt, frames).reshape(b, t, cfg.feature_width)
+    else:
+        x = ad.Tensor(batch)
+    for layer in range(cfg.lstm_layers):
+        x = ad.lstm(x, pt[f"lstm{layer}.wx"], pt[f"lstm{layer}.wh"], pt[f"lstm{layer}.b"])
+    # the last hidden state of the top layer feeds the classifier
+    return x[:, -1] @ pt["out.w"] + pt["out.b"]
 
 
 def interaction_features(model: InteractionModel, hand_points, object_points=None,
@@ -234,6 +224,8 @@ def sgd_epoch_sequences(model: InteractionModel, inputs: np.ndarray,
                         labels: np.ndarray, lr: float,
                         rng: np.random.Generator, batch_size: int = 16) -> float:
     """One SGD epoch over (N, T, input_width) sequences; returns mean loss."""
+    if lr < 0:
+        raise ConfigError("learning rate must be >= 0")
     order = rng.permutation(inputs.shape[0])
     losses = []
     for start in range(0, len(order), batch_size):

@@ -65,9 +65,28 @@ class TestElementwise:
         check_op(lambda t: (other - t).sum(), RNG.normal(size=(4,)))
 
 
+def masked_sigmoid(x):
+    """Reference: the branch form, each side of 0 through its own mask."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 class TestActivations:
     def test_sigmoid(self):
         check_op(lambda t: ad.sigmoid(t).sum(), RNG.normal(scale=3, size=(10,)))
+
+    def test_logistic_equals_masked_form(self):
+        rng = np.random.default_rng(1)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, 1000.0, -1000.0, np.nan,
+                            745.0, -745.0, 1e-300, -1e-300])
+        for x in (rng.normal(scale=8.0, size=(300, 1000)), special):
+            ref = masked_sigmoid(x)
+            assert np.array_equal(ad.logistic(x), ref, equal_nan=True)
+            assert np.array_equal(ad.sigmoid(ad.Tensor(x)).data, ref, equal_nan=True)
 
     def test_tanh(self):
         check_op(lambda t: ad.tanh(t).sum(), RNG.normal(scale=2, size=(10,)))
@@ -111,6 +130,22 @@ class TestLinearAlgebra:
         numeric = fd_grad(lambda x: float((a @ x).sum()), x0.copy(), eps=1e-4)
         rel = np.abs(t.grad - numeric) / np.maximum(np.abs(t.grad), 1e-12)
         assert rel.max() < 1e-8
+
+
+class TestLstm:
+    SHAPES = {"x": (2, 3, 4), "wx": (4, 12), "wh": (3, 12), "b": (12,)}
+
+    @pytest.mark.parametrize("arg", ["x", "wx", "wh", "b"])
+    def test_grad(self, arg):
+        rng = np.random.default_rng(2)
+        values = {k: rng.uniform(-0.8, 0.8, size=shape) for k, shape in self.SHAPES.items()}
+        proj = ad.Tensor(rng.normal(size=(2, 3, 3)))
+
+        def build(t):
+            args = {k: t if k == arg else ad.Tensor(v) for k, v in values.items()}
+            return ad.mul(ad.lstm(args["x"], args["wx"], args["wh"], args["b"]), proj).sum()
+
+        check_op(build, values[arg])
 
 
 class TestShapeOps:

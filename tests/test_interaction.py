@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gridpose import autodiff as ad
 from gridpose import interaction as ia
 from gridpose.errors import EmptySequence, WidthMismatch
 from gridpose.geometry import HAND_PARTS
@@ -12,6 +13,56 @@ CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
                            lstm_layers=2, input_scale=1.0)
 BASELINE = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
                                 lstm_layers=2, use_pair_map=False, input_scale=1.0)
+
+
+# -- reference: the LSTM composed step by step from elementwise graph ops ------
+
+def lstm_step(pt, layer: int, x, h, c, width: int):
+    gates = x @ pt[f"lstm{layer}.wx"] + h @ pt[f"lstm{layer}.wh"] + pt[f"lstm{layer}.b"]
+    i = ad.sigmoid(gates[:, 0 * width: 1 * width])
+    f = ad.sigmoid(gates[:, 1 * width: 2 * width])
+    g = ad.tanh(gates[:, 2 * width: 3 * width])
+    o = ad.sigmoid(gates[:, 3 * width: 4 * width])
+    c_new = ad.mul(f, c) + ad.mul(i, g)
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def stepwise_lstm(pt, layers: int, steps):
+    """Top-layer hidden states, one (B, h) Tensor per (B, in) input step."""
+    n = steps[0].shape[0]
+    width = pt["lstm0.wh"].shape[0]
+    hs = [ad.Tensor(np.zeros((n, width))) for _ in range(layers)]
+    cs = [ad.Tensor(np.zeros((n, width))) for _ in range(layers)]
+    top = []
+    for x in steps:
+        for layer in range(layers):
+            hs[layer], cs[layer] = lstm_step(pt, layer, x, hs[layer], cs[layer], width)
+            x = hs[layer]
+        top.append(x)
+    return top
+
+
+def stepwise_logits(pt, cfg, batch):
+    steps = [ad.Tensor(batch[:, s]) for s in range(batch.shape[1])]
+    if cfg.use_pair_map:
+        steps = [ia._features_graph(pt, x) for x in steps]
+    top = stepwise_lstm(pt, cfg.lstm_layers, steps)
+    return top[-1] @ pt["out.w"] + pt["out.b"]
+
+
+def stepwise_loss(model, batch, labels):
+    """sequence_loss through the stepwise graph: (loss, grads)."""
+    pt = {k: ad.Tensor(v, requires_grad=True) for k, v in model.params.items()}
+    logp = ad.log_softmax(stepwise_logits(pt, model.cfg, batch), axis=-1)
+    loss = ad.mul(logp[(np.arange(len(labels)), labels)].sum(), -1.0 / len(labels))
+    loss.backward()
+    return float(loss.data), {k: t.grad for k, t in pt.items()}
+
+
+def assert_close(actual, expected, name):
+    np.testing.assert_allclose(actual, expected, rtol=1e-10,
+                               atol=1e-13 * np.abs(expected).max(), err_msg=name)
 
 
 def rnd_points(rng, n=21):
@@ -118,14 +169,31 @@ class TestClassify:
         x = np.random.default_rng(9).normal(size=(1, CFG.input_width))
         probs = ia.classify_sequence(model, x)
         # manual single recurrent step
-        pt = {k: ia.ad.Tensor(v) for k, v in model.params.items()}
-        feat = ia._features_graph(pt, ia.ad.Tensor(x))
-        h = c = ia.ad.Tensor(np.zeros((1, CFG.lstm_width)))
-        h, c = ia._lstm_step(pt, 0, feat, h, c, CFG.lstm_width)
-        h2 = c2 = ia.ad.Tensor(np.zeros((1, CFG.lstm_width)))
-        h2, _ = ia._lstm_step(pt, 1, h, h2, c2, CFG.lstm_width)
+        pt = {k: ad.Tensor(v) for k, v in model.params.items()}
+        feat = ia._features_graph(pt, ad.Tensor(x))
+        h = c = ad.Tensor(np.zeros((1, CFG.lstm_width)))
+        h, c = lstm_step(pt, 0, feat, h, c, CFG.lstm_width)
+        h2 = c2 = ad.Tensor(np.zeros((1, CFG.lstm_width)))
+        h2, _ = lstm_step(pt, 1, h, h2, c2, CFG.lstm_width)
         logits = (h2 @ pt["out.w"] + pt["out.b"]).data[0]
         np.testing.assert_allclose(probs, ia.softmax(logits), atol=1e-12)
+
+    @pytest.mark.parametrize("cfg", [CFG, BASELINE], ids=["pair_map", "baseline"])
+    def test_matches_stepwise_graph(self, cfg):
+        model = ia.init_interaction(cfg, seed=13)
+        rng = np.random.default_rng(14)
+        batch = rng.normal(size=(5, 7, cfg.input_width))
+        labels = rng.integers(0, cfg.n_classes, size=5)
+        loss, grads = ia.sequence_loss(model, batch, labels)
+        ref_loss, ref_grads = stepwise_loss(model, batch, labels)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        assert sorted(grads) == sorted(ref_grads)
+        for name in grads:
+            assert_close(grads[name], ref_grads[name], name)
+        pt = {k: ad.Tensor(v) for k, v in model.params.items()}
+        for seq in batch[:2]:
+            ref = ia.softmax(stepwise_logits(pt, cfg, seq[None]).data[0])
+            np.testing.assert_allclose(ia.classify_sequence(model, seq), ref, rtol=1e-10)
 
     def test_empty_sequence_rejected(self):
         model = ia.init_interaction(CFG, seed=0)
@@ -138,6 +206,75 @@ class TestClassify:
         model = ia.init_interaction(CFG, seed=0)
         with pytest.raises(WidthMismatch):
             ia.classify_sequence(model, np.zeros((3, 40)))
+
+
+def fused_vs_stepwise(n, t, layers, x_grad, seed):
+    """Hidden states and gradients of ad.lstm and of the stepwise graph,
+    under the same random projection of every top-layer hidden state."""
+    width_in, width = 10, 6
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(n, t, width_in))
+    params = {}
+    for layer in range(layers):
+        fan_in = width_in if layer == 0 else width
+        params[f"lstm{layer}.wx"] = rng.uniform(-0.6, 0.6, size=(fan_in, 4 * width))
+        params[f"lstm{layer}.wh"] = rng.uniform(-0.6, 0.6, size=(width, 4 * width))
+        params[f"lstm{layer}.b"] = rng.uniform(-0.5, 0.5, size=4 * width)
+    proj = rng.normal(size=(n, t, width))
+
+    sides = []
+    for fused in (True, False):
+        pt = {k: ad.Tensor(v.copy(), requires_grad=True) for k, v in params.items()}
+        x = ad.Tensor(x0.copy(), requires_grad=x_grad)
+        if fused:
+            out = x
+            for layer in range(layers):
+                out = ad.lstm(out, pt[f"lstm{layer}.wx"], pt[f"lstm{layer}.wh"],
+                              pt[f"lstm{layer}.b"])
+            ad.mul(out, ad.Tensor(proj)).sum().backward()
+            hidden = out.data
+        else:
+            top = stepwise_lstm(pt, layers, [x[:, s] for s in range(t)])
+            loss = ad.mul(top[0], ad.Tensor(proj[:, 0])).sum()
+            for s in range(1, t):
+                loss = loss + ad.mul(top[s], ad.Tensor(proj[:, s])).sum()
+            loss.backward()
+            hidden = np.stack([h.data for h in top], axis=1)
+        grads = {k: v.grad for k, v in pt.items()}
+        grads["x"] = x.grad
+        sides.append((hidden, grads))
+    return sides
+
+
+class TestFusedLstm:
+    @pytest.mark.parametrize("n,t", [(1, 1), (1, 16), (16, 1), (16, 16), (3, 5)])
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_one_layer_matches_stepwise_graph(self, n, t, x_grad):
+        (hidden, grads), (ref_hidden, ref_grads) = fused_vs_stepwise(n, t, 1, x_grad, seed=n + t)
+        assert hidden.shape == (n, t, 6)
+        assert_close(hidden, ref_hidden, "hidden")
+        if not x_grad:
+            assert grads.pop("x") is None and ref_grads.pop("x") is None
+        for name in ref_grads:
+            assert_close(grads[name], ref_grads[name], name)
+
+    @pytest.mark.parametrize("x_grad", [True, False])
+    def test_two_stacked_layers_match_stepwise_graph(self, x_grad):
+        (hidden, grads), (ref_hidden, ref_grads) = fused_vs_stepwise(4, 6, 2, x_grad, seed=21)
+        assert_close(hidden, ref_hidden, "hidden")
+        assert sorted(grads) == ["lstm0.b", "lstm0.wh", "lstm0.wx",
+                                 "lstm1.b", "lstm1.wh", "lstm1.wx", "x"]
+        for name in ref_grads:
+            if ref_grads[name] is None:
+                assert grads[name] is None
+            else:
+                assert_close(grads[name], ref_grads[name], name)
+
+    def test_weight_shapes_checked(self):
+        x = ad.Tensor(np.zeros((2, 3, 5)))
+        with pytest.raises(ValueError):
+            ad.lstm(x, ad.Tensor(np.zeros((4, 8))), ad.Tensor(np.zeros((2, 8))),
+                    ad.Tensor(np.zeros(8)))
 
 
 class TestGradients:

@@ -15,6 +15,7 @@ def tiny_config():
         cfg,
         scene=replace(cfg.scene, sequence_length=4),
         optim=replace(cfg.optim, epochs=1, schedule_epochs=()),
+        interaction=replace(cfg.interaction, epochs=2, schedule_epochs=()),
         data=replace(cfg.data, train_frames=16, val_frames=4,
                      train_sequences=2, val_sequences=2),
     )
@@ -26,17 +27,21 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 class TestDeterminism:
-    def test_gen_data_and_stage1_are_byte_identical(self, tmp_path, monkeypatch):
+    def test_every_stage_is_byte_identical(self, tmp_path, monkeypatch):
         trees = []
         for side in ("a", "b"):
             (tmp_path / side).mkdir()
             monkeypatch.chdir(tmp_path / side)
             cfg = tiny_config()
             pipeline.gen_data(cfg)
-            pipeline.train_stage1(cfg)
+            stage1 = pipeline.train_stage1(cfg)
+            stage2, baseline = pipeline.train_stage2(cfg, stage1)
+            pipeline.evaluate(cfg, stage1, "report", stage2, baseline, noise_trials=8)
             trees.append(tree_bytes(tmp_path / side))
         a, b = trees
-        assert {"run/stage1.ckpt", "run/stage1_log.csv", "data/train/frames.txt"} <= set(a)
+        assert {"run/stage1.ckpt", "run/stage1_log.csv", "data/train/frames.txt",
+                "run/stage2.ckpt", "run/stage2_baseline.ckpt", "run/stage2_log.csv",
+                "report/summary.json", "report/importance.csv"} <= set(a)
         assert sorted(a) == sorted(b)
         for name in a:
             assert a[name] == b[name], f"{name} differs between identical runs"
