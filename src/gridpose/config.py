@@ -6,7 +6,8 @@ Keys are dotted paths (e.g. `grid.h = 7`); lists are comma-separated
 triples with semicolons (`synth.object_sizes = 0.02,0.03,0.04;...`).
 The config hash is the SHA-256 of the canonicalized serialization
 (sorted keys, normalized spacing), so formatting and comments never
-change identity.
+change identity. It leaves out RUN_LOCATION_KEYS, on which no checkpoint
+depends, so a run directory can be moved or re-split and still load.
 """
 
 from __future__ import annotations
@@ -420,6 +421,11 @@ def save_config(path, cfg: RunConfig) -> None:
         f.write(config_to_text(cfg))
 
 
+RUN_LOCATION_KEYS = ("out_dir", "data.dir", "data.val_frames", "data.val_sequences")
+
+
 def config_hash(cfg: RunConfig) -> str:
-    """Digest of the canonical serialization; ignores file formatting."""
-    return hashlib.sha256(config_to_text(cfg).encode()).hexdigest()
+    """Digest of the canonical serialization without RUN_LOCATION_KEYS; ignores formatting."""
+    flat = sorted(config_to_flat(cfg).items())
+    text = "".join(f"{k} = {v}\n" for k, v in flat if k not in RUN_LOCATION_KEYS)
+    return hashlib.sha256(text.encode()).hexdigest()

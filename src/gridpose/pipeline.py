@@ -353,9 +353,9 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
     if stage2_ckpt is not None:
         model = load_interaction(cfg, stage2_ckpt, backbone_ckpt)
         inputs, seq_labels = _sequence_dataset(cfg, params, "seq_val")
-        pred_ids = [int(np.argmax(ia.classify_sequence(model, x))) for x in inputs]
+        logits = ia.logits_graph(ia._wrap(model, False), model.cfg, inputs).data
         summary["interaction_accuracy"] = metrics.classification_accuracy(
-            pred_ids, seq_labels)
+            logits.argmax(axis=1), seq_labels)
         per_joint, parts = ia.weight_importance(model)
         with open(report / "importance.csv", "w") as f:
             f.write("joint,importance\n")
@@ -365,9 +365,9 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
                 f.write(f"{name},{v:.10g}\n")
         if baseline_ckpt is not None:
             base = load_interaction(cfg, baseline_ckpt, backbone_ckpt)
-            base_ids = [int(np.argmax(ia.classify_sequence(base, x))) for x in inputs]
+            logits = ia.logits_graph(ia._wrap(base, False), base.cfg, inputs).data
             summary["baseline_interaction_accuracy"] = metrics.classification_accuracy(
-                base_ids, seq_labels)
+                logits.argmax(axis=1), seq_labels)
 
     metrics.write_json_summary(report / "summary.json", summary)
     _write_manifest(report, cfg, {"backbone_ckpt_hash": net.file_hash(backbone_ckpt)})

@@ -3,13 +3,15 @@
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from gridpose import config, pipeline
+from gridpose.errors import HashMismatch
 
 
 def tiny_config():
-    # Relative directories: the config hash, written into every checkpoint,
-    # covers data.dir and out_dir, so both runs use the same relative paths
-    # from different working directories.
+    # Relative directories, so two runs from different working directories
+    # also write the same config.txt (it records data.dir and out_dir).
     cfg = config.toy_preset(seed=5, out_dir="run", data_dir="data")
     return replace(
         cfg,
@@ -45,3 +47,25 @@ class TestDeterminism:
         assert sorted(a) == sorted(b)
         for name in a:
             assert a[name] == b[name], f"{name} differs between identical runs"
+
+
+class TestRunLocation:
+    def test_checkpoint_does_not_depend_on_run_location(self, tmp_path):
+        cfg = tiny_config()
+        cfg = replace(cfg, data=replace(cfg.data, dir=str(tmp_path / "data")))
+        pipeline.gen_data(cfg)
+        a, b = (pipeline.train_stage1(replace(cfg, out_dir=str(tmp_path / side / "run")))
+                for side in ("a", "b"))
+        assert a.read_bytes() == b.read_bytes()
+
+        # move the run and its data, re-point the config, change the held-out sizes
+        (tmp_path / "a").rename(tmp_path / "moved")
+        (tmp_path / "data").rename(tmp_path / "data_moved")
+        moved = replace(cfg, out_dir=str(tmp_path / "moved" / "run"),
+                        data=replace(cfg.data, dir=str(tmp_path / "data_moved"),
+                                     val_frames=3, val_sequences=1))
+        ckpt = tmp_path / "moved" / "run" / "stage1.ckpt"
+        params = pipeline.load_backbone(moved, ckpt)
+        assert set(params.tensors) and params.signature
+        with pytest.raises(HashMismatch):
+            pipeline.load_backbone(replace(moved, data=replace(moved.data, train_frames=8)), ckpt)

@@ -1,10 +1,12 @@
 """Scene/sequence generators, renderer and dataset file round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from gridpose import codec
+from gridpose import codec, config
 from gridpose import geometry as geo
 from gridpose import synth
 from gridpose.codec import LabelSpec
@@ -16,6 +18,99 @@ GRID = geo.GridSpec(h=7, w=7, d=3, cell_u_px=8.0, cell_v_px=8.0, cell_z_m=0.15,
 CAM = geo.CameraIntrinsics(fx=80.0, fy=80.0, cx=28.0, cy=28.0)
 LABELS = LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
 PARAMS = synth.SceneParams(grid=GRID, cam=CAM, labels=LABELS)
+
+# sha256 of np.round(raster * 255) as uint8 for toy_preset().scene frames
+# sample_scene((2024, i)), i = 0..7, recorded from the per-window loop renderer.
+PINNED_RASTER_SHA256 = (
+    "7b9764c50ec26c8f9dfb0c14bdc466a26abffa295e393ff47ed280f497afb6ee",
+    "f27507b949087a9c27249ff65590da33b0c3fd24160427d5ada5b4c455a342cf",
+    "b45979eec3a85b06593b0d1e6c05a51645a9fa1329eed510107ae642f1909b75",
+    "d615e39f5d6b93b6348da6c9dc8fe38733a3af967e0cf09daa81d695e5b5457a",
+    "2ccce49e197b18c922c4935e6c36af93ae7ca5f94f7e63b305a0af2ad0126966",
+    "6b4f725240a95ce75787ff2ba3ddec1dda180f3f6adeed4389e17a42f69ddd7e",
+    "17ce8abc61da9c552503b3efc291f98d417a38978fd784f322573753ee41e4ff",
+    "46884fc65d96201cc3a28e4bc09799c7655d1a600252d9ce9b97a27f5ac51251",
+)
+
+
+# -- reference renderer: one Gaussian window per call, in a Python loop --------
+
+def ref_splat(img, u, v, sigma, amp):
+    """Max-composite one Gaussian blob; window clipped to the image."""
+    h, w = img.shape
+    r = max(1, int(np.ceil(3 * sigma)))
+    x0, x1 = int(np.floor(u)) - r, int(np.floor(u)) + r + 1
+    y0, y1 = int(np.floor(v)) - r, int(np.floor(v)) + r + 1
+    x0c, x1c = max(0, x0), min(w, x1)
+    y0c, y1c = max(0, y0), min(h, y1)
+    if x0c >= x1c or y0c >= y1c:
+        return
+    xs = np.arange(x0c, x1c) - u
+    ys = np.arange(y0c, y1c) - v
+    g = amp * np.exp(-(ys[:, None] ** 2 + xs[None, :] ** 2) / (2 * sigma ** 2))
+    np.maximum(img[y0c:y1c, x0c:x1c], g, out=img[y0c:y1c, x0c:x1c])
+
+
+def ref_stroke(img, p_a, p_b, cam, grid, spec, gain):
+    """Line segment between two camera-frame points as dense small blobs."""
+    if p_a[2] <= 0 or p_b[2] <= 0:
+        return
+    px_a, px_b = geo.project(p_a, cam), geo.project(p_b, cam)
+    steps = max(2, int(np.ceil(np.linalg.norm(px_b - px_a))))
+    for t in np.linspace(0.0, 1.0, steps):
+        p = (1 - t) * p_a + t * p_b
+        px = (1 - t) * px_a + t * px_b
+        amp = gain * synth._depth_code(p[2], grid, spec.depth_floor)
+        ref_splat(img, px[0], px[1], 0.6, float(amp))
+
+
+def ref_render_entities(cam, grid, spec, hand_points=None, object_points=None):
+    h, w = grid.image_h, grid.image_w
+    planes = np.zeros((3, h, w))
+
+    def blob_sigma(z):
+        return max(spec.min_sigma_px, cam.fx * spec.blob_radius_m / z)
+
+    if hand_points is not None:
+        pts = np.asarray(hand_points, dtype=float)
+        if pts.shape[0] == 21:
+            for a, b in geo.HAND_BONES:
+                ref_stroke(planes[0], pts[a], pts[b], cam, grid, spec, spec.bone_gain)
+        for j, p in enumerate(pts):
+            if p[2] <= 0:
+                continue
+            u, v = geo.project(p, cam)
+            amp = synth._depth_code(p[2], grid, spec.depth_floor)
+            ref_splat(planes[0], u, v, blob_sigma(p[2]), float(amp))
+            ref_splat(planes[2], u, v, blob_sigma(p[2]), 0.25 + 0.75 * (j + 1) / len(pts))
+
+    if object_points is not None:
+        pts = np.asarray(object_points, dtype=float)
+        if pts.shape[0] >= 8:
+            for a, b in geo._CUBOID_EDGES:
+                ref_stroke(planes[1], pts[a], pts[b], cam, grid, spec, spec.bone_gain)
+        for k, p in enumerate(pts[:8]):
+            if p[2] <= 0:
+                continue
+            u, v = geo.project(p, cam)
+            amp = synth._depth_code(p[2], grid, spec.depth_floor)
+            ref_splat(planes[1], u, v, blob_sigma(p[2]), float(amp))
+            ref_splat(planes[2], u, v, blob_sigma(p[2]), 0.25 + 0.75 * (k + 1) / 8.0)
+
+    if spec.channels == 1:
+        return planes.max(axis=0, keepdims=True)
+    return planes
+
+
+def assert_matches_reference(hand=None, obj=None, spec=PARAMS.render):
+    """The batched renderer against the loop: 1e-12 in float, equal as uint8."""
+    new = synth.render_entities(CAM, GRID, spec, hand_points=hand, object_points=obj)
+    ref = ref_render_entities(CAM, GRID, spec, hand_points=hand, object_points=obj)
+    assert new.shape == ref.shape
+    assert np.abs(new - ref).max() <= 1e-12
+    np.testing.assert_array_equal(np.round(new * 255).astype(np.uint8),
+                                  np.round(ref * 255).astype(np.uint8))
+    return new
 
 
 class TestSampleScene:
@@ -122,6 +217,94 @@ class TestRender:
         frame = synth.sample_scene(3, params)
         assert frame.raster.shape == (1, 56, 56)
         assert frame.raster.max() <= 1.0
+
+
+class TestRenderMatchesReference:
+    def test_seeded_scenes(self):
+        for seed in range(60):
+            frame = synth.sample_scene((seed, 0xe9), PARAMS, with_raster=False)
+            assert_matches_reference(frame.hand_points, frame.object_points)
+
+    def test_sequences(self):
+        for action in range(4):
+            seq = synth.sample_sequence(41, action, action % 3, PARAMS, with_raster=False)
+            for f in seq.frames:
+                assert_matches_reference(f.hand_points, f.object_points)
+
+    def test_stroke_samples_are_placed_as_linspace(self):
+        # A stroke's end samples lie under its endpoint blobs, which outshine
+        # them, so the sample placement is checked on the windows themselves.
+        # edge (0, 1) spans 49.5 px: 50 samples, and 49 * (1 / 49) != 1.0
+        pts = np.array([[-0.15, 0.0, 0.5], [0.159375, 0.0, 0.5], [0.0, 0.05, 0.55]])
+        edges = ((0, 1), (1, 2), (2, 0))
+        u, v, sigma, _, plane = synth._windows(pts, 1, edges, 3, CAM, GRID, PARAMS.render)
+        stroke = sigma == 0.6   # blobs have sigma >= min_sigma_px = 0.8
+        px = geo.project(pts, CAM)
+        expect = [(1 - t) * px[a] + t * px[b] for a, b in edges
+                  for t in np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(px[b] - px[a]))))]
+        np.testing.assert_array_equal(np.stack([u[stroke], v[stroke]], axis=1), expect)
+        assert np.all(plane[stroke] == 1)
+
+    @pytest.mark.parametrize("du,dv", [(-30, 0), (30, 0), (0, -30), (0, 30)])
+    def test_clipped_at_each_border(self, du, dv):
+        frame = synth.translate_frame(synth.sample_scene(5, PARAMS, with_raster=False),
+                                      du, dv, CAM)
+        uv = geo.project(np.concatenate([frame.hand_points, frame.object_points]), CAM)
+        axis, size = (0, GRID.image_w) if du else (1, GRID.image_h)
+        outside = (uv[:, axis] < 0) | (uv[:, axis] >= size)
+        assert outside.any() and not outside.all()
+        raster = assert_matches_reference(frame.hand_points, frame.object_points)
+        assert raster.max() > 0
+
+    @pytest.mark.parametrize("du,dv", [(-200, 0), (200, 0), (0, -200), (0, 200)])
+    def test_wholly_outside_image(self, du, dv):
+        frame = synth.translate_frame(synth.sample_scene(5, PARAMS, with_raster=False),
+                                      du, dv, CAM)
+        raster = assert_matches_reference(frame.hand_points, frame.object_points)
+        assert np.all(raster == 0.0)
+
+    def test_near_point_uses_a_second_window_radius(self):
+        hand = synth.sample_scene(8, PARAMS, with_raster=False).hand_points.copy()
+        hand[6] = [0.01, -0.01, 0.12]   # blob sigma 0.8 / 0.12 px: radius 20, strokes 2
+        radii = {max(1, int(np.ceil(3 * max(PARAMS.render.min_sigma_px,
+                                                CAM.fx * PARAMS.render.blob_radius_m / z))))
+                 for z in hand[:, 2]}
+        assert len(radii | {2}) >= 3
+        assert_matches_reference(hand)
+
+    def test_points_behind_camera_are_skipped(self):
+        frame = synth.sample_scene(9, PARAMS, with_raster=False)
+        hand, obj = frame.hand_points.copy(), frame.object_points.copy()
+        hand[2, 2] = -0.05   # bone endpoint and blob
+        hand[20, 2] = 0.0    # fingertip: last bone endpoint and blob
+        obj[3, 2] = -0.2     # box corner: three edges and a blob
+        assert_matches_reference(hand, obj)
+
+    def test_partial_entities(self):
+        frame = synth.sample_scene(10, PARAMS, with_raster=False)
+        hand, obj = frame.hand_points, frame.object_points
+        assert_matches_reference(hand[:20], obj[:7])   # no strokes on either
+        assert_matches_reference(hand[:5])
+        assert_matches_reference(hand=hand)
+        assert_matches_reference(obj=obj)
+        assert_matches_reference(obj=obj[:8])
+
+    def test_grayscale_and_empty(self):
+        gray = synth.RenderSpec(channels=1)
+        for seed in range(5):
+            frame = synth.sample_scene(seed, PARAMS, with_raster=False)
+            assert assert_matches_reference(frame.hand_points, frame.object_points,
+                                            spec=gray).shape == (1, 56, 56)
+        assert_matches_reference()
+        assert_matches_reference(spec=gray)
+        assert_matches_reference(np.zeros((0, 3)), np.zeros((0, 3)))
+
+    def test_pinned_raster_bytes(self):
+        scene = config.toy_preset().scene
+        for i, digest in enumerate(PINNED_RASTER_SHA256):
+            raster = synth.sample_scene((2024, i), scene).raster
+            quantised = np.clip(np.round(raster * 255.0), 0, 255).astype(np.uint8)
+            assert hashlib.sha256(quantised.tobytes()).hexdigest() == digest, f"frame {i}"
 
 
 class TestSequences:
