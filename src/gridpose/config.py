@@ -1,9 +1,14 @@
 """Run configuration: presets, the flat key=value config format, hashing.
 
 Config files are plain text, one `key = value` per line, `#` comments.
-Keys are dotted paths (e.g. `grid.h = 7`); lists are comma-separated
+Each key is a section prefix from _SECTIONS, a dot and a dataclass field
+name (`grid.h = 7` sets RunConfig.scene.grid.h); the empty prefix stands
+for RunConfig's own fields, which take no dot (`seed = 0`). A value is
+read by its field's type hint: lists are comma-separated
 (`backbone.channels = 16,32,64`) and the object size table separates
 triples with semicolons (`synth.object_sizes = 0.02,0.03,0.04;...`).
+A string holding `#`, a line break or outer spaces cannot be read back,
+so config_to_text raises ConfigError for one; the hash does not.
 The config hash is the SHA-256 of the canonicalized serialization
 (sorted keys, normalized spacing), so formatting and comments never
 change identity. It leaves out RUN_LOCATION_KEYS, on which no checkpoint
@@ -13,18 +18,35 @@ depends, so a run directory can be moved or re-split and still load.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import reduce
+from typing import get_args, get_origin, get_type_hints
 
 from .codec import LabelSpec
 from .errors import ConfigError
 from .geometry import CameraIntrinsics, GridSpec
 from .interaction import InteractionConfig
 from .network import BackboneConfig, LossWeights
-from .synth import RenderSpec, SceneParams
+from .synth import SceneParams
+
+
+class _StepSchedule:
+    """Range checks and the step learning-rate schedule shared by both
+    training stages: lr drops by schedule_factor at each schedule epoch."""
+
+    def _check_schedule(self, what: str) -> None:
+        if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError(f"{what} settings out of range")
+        if any(e >= self.epochs for e in self.schedule_epochs):
+            raise ConfigError(f"{what} schedule epochs must be < total epochs")
+
+    def lr_at(self, epoch: int) -> float:
+        drops = sum(1 for e in self.schedule_epochs if epoch >= e)
+        return self.lr * self.schedule_factor ** drops
 
 
 @dataclass(frozen=True)
-class OptimConfig:
+class OptimConfig(_StepSchedule):
     lr: float = 1e-4
     epochs: int = 200
     batch_size: int = 16
@@ -33,20 +55,13 @@ class OptimConfig:
     conf_targets: str = "online"
 
     def __post_init__(self):
-        if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("optimizer settings out of range")
-        if any(e >= self.epochs for e in self.schedule_epochs):
-            raise ConfigError("schedule epochs must be < total epochs")
+        self._check_schedule("optimizer")
         if self.conf_targets not in ("online", "fixed"):
             raise ConfigError("conf_targets must be 'online' or 'fixed'")
 
-    def lr_at(self, epoch: int) -> float:
-        drops = sum(1 for e in self.schedule_epochs if epoch >= e)
-        return self.lr * self.schedule_factor ** drops
-
 
 @dataclass(frozen=True)
-class InteractionTrainConfig:
+class InteractionTrainConfig(_StepSchedule):
     feature_width: int = 512
     lstm_width: int = 512
     lstm_layers: int = 2
@@ -60,16 +75,9 @@ class InteractionTrainConfig:
     schedule_factor: float = 0.1
 
     def __post_init__(self):
-        if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("interaction training settings out of range")
-        if any(e >= self.epochs for e in self.schedule_epochs):
-            raise ConfigError("interaction schedule epochs must be < total epochs")
+        self._check_schedule("interaction training")
         if self.feature_width < 1 or self.lstm_width < 1 or self.lstm_layers < 1:
             raise ConfigError("interaction widths and layer counts must be >= 1")
-
-    def lr_at(self, epoch: int) -> float:
-        drops = sum(1 for e in self.schedule_epochs if epoch >= e)
-        return self.lr * self.schedule_factor ** drops
 
 
 @dataclass(frozen=True)
@@ -190,83 +198,69 @@ PRESETS = {"toy": toy_preset, "paper": paper_preset}
 
 # -- flat text form -------------------------------------------------------------
 
+# Attribute path of each section's dataclass in RunConfig -> its flat key prefix.
+_SECTIONS = {
+    ("scene", "grid"): "grid", ("scene", "cam"): "camera",
+    ("scene", "labels"): "labels", ("scene", "render"): "render", ("scene",): "synth",
+    ("backbone",): "backbone", ("loss",): "loss", ("optim",): "optim",
+    ("interaction",): "interaction", ("aug",): "aug", ("data",): "data", (): "",
+}
+
+
+def _build_schema():
+    """Sections deepest first as (attribute path, dataclass), and every leaf
+    field as (flat key, attribute path, type hint)."""
+    sections, leaves = [], []
+    for path in sorted(_SECTIONS, key=len, reverse=True):
+        cls = reduce(lambda c, name: get_type_hints(c)[name], path, RunConfig)
+        hints = get_type_hints(cls)
+        sections.append((path, cls))
+        leaves += [(f"{_SECTIONS[path]}.{f.name}".lstrip("."), path + (f.name,), hints[f.name])
+                   for f in fields(cls) if path + (f.name,) not in _SECTIONS]
+    return tuple(sections), tuple(leaves)
+
+
+_SCHEMA_SECTIONS, _SCHEMA_LEAVES = _build_schema()
+_KEYS = frozenset(key for key, _, _ in _SCHEMA_LEAVES)
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):
+        sep = ";" if value and isinstance(value[0], tuple) else ","
+        return sep.join(_fmt(v) for v in value)
     return str(value)
 
 
-def _fmt_list(values) -> str:
-    return ",".join(_fmt(v) for v in values)
+def _parse(raw: str, hint):
+    if hint is bool:
+        if raw not in ("true", "false"):
+            raise ValueError(raw)
+        return raw == "true"
+    if get_origin(hint) is not tuple:
+        return hint(raw)
+    args = get_args(hint)
+    sep = ";" if get_origin(args[0]) is tuple else ","
+    items = tuple(_parse(part, args[0]) for part in raw.split(sep)) if raw else ()
+    if ... not in args and len(items) != len(args):
+        raise ValueError(raw)
+    return items
 
 
 def config_to_flat(cfg: RunConfig) -> dict[str, str]:
-    g, c, l = cfg.grid, cfg.camera, cfg.labels
-    s, r = cfg.scene, cfg.scene.render
-    bb, lw, op, it = cfg.backbone, cfg.loss, cfg.optim, cfg.interaction
-    a, d = cfg.aug, cfg.data
-    return {
-        "grid.h": _fmt(g.h), "grid.w": _fmt(g.w), "grid.d": _fmt(g.d),
-        "grid.cell_u_px": _fmt(g.cell_u_px), "grid.cell_v_px": _fmt(g.cell_v_px),
-        "grid.cell_z_m": _fmt(g.cell_z_m), "grid.z_min": _fmt(g.z_min),
-        "grid.sharpness": _fmt(g.sharpness),
-        "grid.cutoff_px": _fmt(g.cutoff_px), "grid.cutoff_m": _fmt(g.cutoff_m),
-        "camera.fx": _fmt(c.fx), "camera.fy": _fmt(c.fy),
-        "camera.cx": _fmt(c.cx), "camera.cy": _fmt(c.cy),
-        "labels.n_objects": _fmt(l.n_objects), "labels.n_actions": _fmt(l.n_actions),
-        "labels.n_interactions": _fmt(l.n_interactions),
-        "labels.n_control": _fmt(l.n_control),
-        "synth.hand_scale_range": _fmt_list(s.hand_scale_range),
-        "synth.curl_max": _fmt(s.curl_max), "synth.abduct_max": _fmt(s.abduct_max),
-        "synth.tilt_max": _fmt(s.tilt_max),
-        "synth.margin_uv_cells": _fmt(s.margin_uv_cells),
-        "synth.margin_z_cells": _fmt(s.margin_z_cells),
-        "synth.object_sizes": ";".join(_fmt_list(t) for t in s.object_sizes),
-        "synth.object_angle_max": _fmt(s.object_angle_max),
-        "synth.sequence_length": _fmt(s.sequence_length),
-        "render.channels": _fmt(r.channels),
-        "render.blob_radius_m": _fmt(r.blob_radius_m),
-        "render.min_sigma_px": _fmt(r.min_sigma_px),
-        "render.bone_gain": _fmt(r.bone_gain),
-        "render.depth_floor": _fmt(r.depth_floor),
-        "backbone.channels": _fmt_list(bb.channels),
-        "backbone.strides": _fmt_list(bb.strides),
-        "backbone.in_channels": _fmt(bb.in_channels),
-        "backbone.kernel": _fmt(bb.kernel), "backbone.leak": _fmt(bb.leak),
-        "loss.pose": _fmt(lw.pose), "loss.action_class": _fmt(lw.action_class),
-        "loss.object_class": _fmt(lw.object_class),
-        "loss.conf_obj": _fmt(lw.conf_obj), "loss.conf_noobj": _fmt(lw.conf_noobj),
-        "optim.lr": _fmt(op.lr), "optim.epochs": _fmt(op.epochs),
-        "optim.batch_size": _fmt(op.batch_size),
-        "optim.schedule_epochs": _fmt_list(op.schedule_epochs),
-        "optim.schedule_factor": _fmt(op.schedule_factor),
-        "optim.conf_targets": op.conf_targets,
-        "interaction.feature_width": _fmt(it.feature_width),
-        "interaction.lstm_width": _fmt(it.lstm_width),
-        "interaction.lstm_layers": _fmt(it.lstm_layers),
-        "interaction.include_class_probs": _fmt(it.include_class_probs),
-        "interaction.root_relative": _fmt(it.root_relative),
-        "interaction.input_scale": _fmt(it.input_scale),
-        "interaction.lr": _fmt(it.lr), "interaction.epochs": _fmt(it.epochs),
-        "interaction.batch_size": _fmt(it.batch_size),
-        "interaction.schedule_epochs": _fmt_list(it.schedule_epochs),
-        "interaction.schedule_factor": _fmt(it.schedule_factor),
-        "aug.enabled": _fmt(a.enabled), "aug.photometric": _fmt(a.photometric),
-        "aug.translate_frac": _fmt(a.translate_frac),
-        "data.dir": d.dir,
-        "data.train_frames": _fmt(d.train_frames),
-        "data.val_frames": _fmt(d.val_frames),
-        "data.train_sequences": _fmt(d.train_sequences),
-        "data.val_sequences": _fmt(d.val_sequences),
-        "seed": _fmt(cfg.seed),
-        "out_dir": cfg.out_dir,
-    }
+    return {key: _fmt(reduce(getattr, path, cfg)) for key, path, _ in _SCHEMA_LEAVES}
 
 
 def config_to_text(cfg: RunConfig) -> str:
     flat = config_to_flat(cfg)
+    for key, value in flat.items():
+        # parse_flat_text cuts at '#', strips spaces and splits lines
+        if "#" in value or value != value.strip() or len(value.splitlines()) > 1:
+            raise ConfigError(f"config key {key!r} has value {value!r}, "
+                              "which the text form cannot hold")
     return "".join(f"{k} = {flat[k]}\n" for k in sorted(flat))
 
 
@@ -286,129 +280,24 @@ def parse_flat_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get(flat: dict[str, str], key: str, kind, default=None):
+def _get(flat: dict[str, str], key: str, hint):
     if key not in flat:
-        if default is not None:
-            return default
         raise ConfigError(f"missing config key {key!r}")
     raw = flat[key]
     try:
-        if kind is bool:
-            if raw not in ("true", "false"):
-                raise ValueError(raw)
-            return raw == "true"
-        if kind in (int, float, str):
-            return kind(raw)
-        if kind == "ints":
-            return tuple(int(x) for x in raw.split(",") if x != "")
-        if kind == "floats":
-            return tuple(float(x) for x in raw.split(",") if x != "")
-        if kind == "triples":
-            return tuple(tuple(float(x) for x in part.split(","))
-                         for part in raw.split(";") if part != "")
+        return _parse(raw, hint)
     except ValueError as e:
         raise ConfigError(f"config key {key!r} has malformed value {raw!r}") from e
-    raise ConfigError(f"unknown kind for key {key!r}")
 
 
 def config_from_flat(flat: dict[str, str]) -> RunConfig:
-    known = set(config_to_flat(toy_preset()))
-    unknown = set(flat) - known
+    unknown = set(flat) - _KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    grid = GridSpec(
-        h=_get(flat, "grid.h", int), w=_get(flat, "grid.w", int),
-        d=_get(flat, "grid.d", int),
-        cell_u_px=_get(flat, "grid.cell_u_px", float),
-        cell_v_px=_get(flat, "grid.cell_v_px", float),
-        cell_z_m=_get(flat, "grid.cell_z_m", float),
-        z_min=_get(flat, "grid.z_min", float),
-        sharpness=_get(flat, "grid.sharpness", float),
-        cutoff_px=_get(flat, "grid.cutoff_px", float),
-        cutoff_m=_get(flat, "grid.cutoff_m", float),
-    )
-    cam = CameraIntrinsics(
-        fx=_get(flat, "camera.fx", float), fy=_get(flat, "camera.fy", float),
-        cx=_get(flat, "camera.cx", float), cy=_get(flat, "camera.cy", float),
-    )
-    labels = LabelSpec(
-        n_objects=_get(flat, "labels.n_objects", int),
-        n_actions=_get(flat, "labels.n_actions", int),
-        n_interactions=_get(flat, "labels.n_interactions", int),
-        n_control=_get(flat, "labels.n_control", int),
-    )
-    render = RenderSpec(
-        channels=_get(flat, "render.channels", int),
-        blob_radius_m=_get(flat, "render.blob_radius_m", float),
-        min_sigma_px=_get(flat, "render.min_sigma_px", float),
-        bone_gain=_get(flat, "render.bone_gain", float),
-        depth_floor=_get(flat, "render.depth_floor", float),
-    )
-    scene = SceneParams(
-        grid=grid, cam=cam, labels=labels,
-        hand_scale_range=_get(flat, "synth.hand_scale_range", "floats"),
-        curl_max=_get(flat, "synth.curl_max", float),
-        abduct_max=_get(flat, "synth.abduct_max", float),
-        tilt_max=_get(flat, "synth.tilt_max", float),
-        margin_uv_cells=_get(flat, "synth.margin_uv_cells", float),
-        margin_z_cells=_get(flat, "synth.margin_z_cells", float),
-        object_sizes=_get(flat, "synth.object_sizes", "triples"),
-        object_angle_max=_get(flat, "synth.object_angle_max", float),
-        sequence_length=_get(flat, "synth.sequence_length", int),
-        render=render,
-    )
-    return RunConfig(
-        scene=scene,
-        backbone=BackboneConfig(
-            channels=_get(flat, "backbone.channels", "ints"),
-            strides=_get(flat, "backbone.strides", "ints"),
-            in_channels=_get(flat, "backbone.in_channels", int),
-            kernel=_get(flat, "backbone.kernel", int),
-            leak=_get(flat, "backbone.leak", float),
-        ),
-        loss=LossWeights(
-            pose=_get(flat, "loss.pose", float),
-            action_class=_get(flat, "loss.action_class", float),
-            object_class=_get(flat, "loss.object_class", float),
-            conf_obj=_get(flat, "loss.conf_obj", float),
-            conf_noobj=_get(flat, "loss.conf_noobj", float),
-        ),
-        optim=OptimConfig(
-            lr=_get(flat, "optim.lr", float),
-            epochs=_get(flat, "optim.epochs", int),
-            batch_size=_get(flat, "optim.batch_size", int),
-            schedule_epochs=_get(flat, "optim.schedule_epochs", "ints"),
-            schedule_factor=_get(flat, "optim.schedule_factor", float),
-            conf_targets=_get(flat, "optim.conf_targets", str),
-        ),
-        interaction=InteractionTrainConfig(
-            feature_width=_get(flat, "interaction.feature_width", int),
-            lstm_width=_get(flat, "interaction.lstm_width", int),
-            lstm_layers=_get(flat, "interaction.lstm_layers", int),
-            include_class_probs=_get(flat, "interaction.include_class_probs", bool),
-            root_relative=_get(flat, "interaction.root_relative", bool),
-            input_scale=_get(flat, "interaction.input_scale", float),
-            lr=_get(flat, "interaction.lr", float),
-            epochs=_get(flat, "interaction.epochs", int),
-            batch_size=_get(flat, "interaction.batch_size", int),
-            schedule_epochs=_get(flat, "interaction.schedule_epochs", "ints"),
-            schedule_factor=_get(flat, "interaction.schedule_factor", float),
-        ),
-        aug=AugConfig(
-            enabled=_get(flat, "aug.enabled", bool),
-            photometric=_get(flat, "aug.photometric", bool),
-            translate_frac=_get(flat, "aug.translate_frac", float),
-        ),
-        data=DataConfig(
-            dir=_get(flat, "data.dir", str),
-            train_frames=_get(flat, "data.train_frames", int),
-            val_frames=_get(flat, "data.val_frames", int),
-            train_sequences=_get(flat, "data.train_sequences", int),
-            val_sequences=_get(flat, "data.val_sequences", int),
-        ),
-        seed=_get(flat, "seed", int),
-        out_dir=_get(flat, "out_dir", str),
-    )
+    values = {path: _get(flat, key, hint) for key, path, hint in _SCHEMA_LEAVES}
+    for path, cls in _SCHEMA_SECTIONS:
+        values[path] = cls(**{f.name: values.pop(path + (f.name,)) for f in fields(cls)})
+    return values[()]
 
 
 def load_config(path) -> RunConfig:
@@ -417,8 +306,9 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(path, cfg: RunConfig) -> None:
+    text = config_to_text(cfg)
     with open(path, "w") as f:
-        f.write(config_to_text(cfg))
+        f.write(text)
 
 
 RUN_LOCATION_KEYS = ("out_dir", "data.dir", "data.val_frames", "data.val_sequences")

@@ -49,6 +49,7 @@ def _write_manifest(directory: Path, cfg: RunConfig, extra: dict | None = None) 
 
 def gen_data(cfg: RunConfig) -> Path:
     """Write the four dataset splits plus the resolved config and manifest."""
+    config_text = config_to_text(cfg)  # raises before any split is written
     root = Path(cfg.data.dir)
     root.mkdir(parents=True, exist_ok=True)
 
@@ -71,8 +72,7 @@ def gen_data(cfg: RunConfig) -> Path:
             ids.extend([i] * len(seq.frames))
         synth.save_frames(root / name, frames, ids)
 
-    with open(root / "config.txt", "w") as f:
-        f.write(config_to_text(cfg))
+    (root / "config.txt").write_text(config_text)
     _write_manifest(root, cfg, {
         "counts": {"train": cfg.data.train_frames, "val": cfg.data.val_frames,
                    "seq_train": cfg.data.train_sequences,

@@ -1,5 +1,8 @@
 """Run configuration: the flat text form, the config hash and validation."""
 
+import dataclasses
+import hashlib
+import typing
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +32,25 @@ def variant_config():
 
 CONFIGS = {"toy": config.toy_preset, "variant": variant_config}
 
+# (config_hash, sha256 of config_to_text). Checkpoints record the config hash,
+# so a change here stops every saved checkpoint from loading.
+PINNED = {
+    "toy": ("b75bc6c60bc2ef2ad9d6cd7968ffc1060efa34d0d982ec943b46788b408b72f5",
+            "9678dcabe9b62f9a8160fbfe9522e9cec7241961a54c5669e1000abc9913fd36"),
+    "variant": ("41bdc071fbd237522afbc0399a99dbf18a1324bc0e91c7851704316608a62c87",
+                "24bb6b533fab18aea5327070e006090ad42849852712885e7c710145acff9ca0"),
+}
+
+
+def toy_text():
+    return config.config_to_text(config.toy_preset())
+
+
+def with_value(key, value):
+    """The toy preset's text with one key's value replaced."""
+    return "".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line
+                   for line in toy_text().splitlines(keepends=True))
+
 
 class TestFlatText:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -49,6 +71,75 @@ class TestFlatText:
         reparsed = config.config_from_flat(config.parse_flat_text(text))
         assert config.config_hash(reparsed) == config.config_hash(cfg)
 
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_hash_and_text_are_pinned(self, name):
+        cfg = CONFIGS[name]()
+        text = config.config_to_text(cfg)
+        assert (config.config_hash(cfg), hashlib.sha256(text.encode()).hexdigest()) == PINNED[name]
+
+    def test_save_load_round_trip(self, tmp_path):
+        cfg = variant_config()
+        config.save_config(tmp_path / "config.txt", cfg)
+        assert config.load_config(tmp_path / "config.txt") == cfg
+
+    @pytest.mark.parametrize("value", [
+        pytest.param("runs/#1", id="comment"), pytest.param(" runs/x ", id="outer-spaces"),
+        pytest.param("runs/x ", id="trailing-space"), pytest.param("runs\nx", id="newline"),
+        pytest.param("runs\rx", id="carriage-return"),
+    ])
+    def test_string_that_cannot_round_trip_rejected(self, value, tmp_path):
+        cfg = config.toy_preset()
+        for bad in (replace(cfg, out_dir=value), replace(cfg, data=replace(cfg.data, dir=value))):
+            with pytest.raises(ConfigError, match="cannot hold"):
+                config.save_config(tmp_path / "config.txt", bad)
+        assert not (tmp_path / "config.txt").exists()
+
+    @pytest.mark.parametrize("text,match", [
+        pytest.param(toy_text() + "grid.q = 1\n", "unknown config keys", id="unknown"),
+        pytest.param(toy_text().replace("grid.h = 7\n", ""), "missing config key 'grid.h'",
+                     id="missing"),
+        pytest.param(toy_text() + "grid.h = 7\n", "duplicate key 'grid.h'", id="duplicate"),
+        pytest.param(toy_text() + "grid.h 7\n", "expected 'key = value'", id="no-equals"),
+    ])
+    def test_malformed_text_rejected(self, text, match):
+        with pytest.raises(ConfigError, match=match):
+            config.config_from_flat(config.parse_flat_text(text))
+
+    @pytest.mark.parametrize("key,value", [
+        ("aug.enabled", "yes"), ("grid.h", "1.5"),
+        ("backbone.channels", "16,x,64,64,96"), ("backbone.channels", "16,,64,64,96"),
+        ("synth.hand_scale_range", "0.9"),
+        ("synth.object_sizes", "0.02,0.03,0.04;0.05,0.06;0.07,0.08,0.09"),
+        ("synth.object_sizes", "0.02,0.03,0.04;0.05,x,0.06;0.07,0.08,0.09"),
+    ])
+    def test_malformed_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key!r} has malformed value"):
+            config.config_from_flat(config.parse_flat_text(with_value(key, value)))
+
+    def test_schema_covers_every_field(self):
+        leaves, sections = [], []
+
+        def walk(cls, path):
+            sections.append(path)
+            hints = typing.get_type_hints(cls)
+            for f in dataclasses.fields(cls):
+                if dataclasses.is_dataclass(hints[f.name]):
+                    walk(hints[f.name], path + (f.name,))
+                else:
+                    leaves.append(path + (f.name,))
+
+        walk(config.RunConfig, ())
+        keys = [key for key, _, _ in config._SCHEMA_LEAVES]
+        assert sorted(path for _, path, _ in config._SCHEMA_LEAVES) == sorted(leaves)
+        assert len(set(keys)) == len(keys) == len(leaves)
+        assert sorted(path for path, _ in config._SCHEMA_SECTIONS) == sorted(sections)
+        assert sorted(config.config_to_flat(config.toy_preset())) == sorted(keys)
+
+    def test_hash_accepts_run_location_outside_text_form(self):
+        cfg = variant_config()
+        moved = replace(cfg, out_dir="runs/exp#3", data=replace(cfg.data, dir="data #1 "))
+        assert config.config_hash(moved) == config.config_hash(cfg)
+
     def test_hash_leaves_out_run_location(self):
         cfg = variant_config()
         moved = replace(cfg, out_dir="/elsewhere/run",
@@ -68,6 +159,9 @@ class TestFlatText:
 
 
 class TestInteractionTrainConfig:
+    """Stage-2 training settings; `optim.` cases check the stage-1 OptimConfig,
+    which shares the range and schedule checks."""
+
     def test_presets_construct(self):
         assert config.toy_preset().interaction.epochs == 120
         # paper_preset's stage-2 settings are the defaults with 512 wide layers
@@ -76,10 +170,14 @@ class TestInteractionTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("lr", -0.1), ("epochs", 0), ("batch_size", 0),
         ("feature_width", 0), ("lstm_width", 0), ("lstm_layers", 0),
+        ("optim.lr", -0.1), ("optim.epochs", 0), ("optim.batch_size", 0),
+        ("optim.conf_targets", "x"),
+        pytest.param("optim.schedule_epochs", (12, 30), id="optim.schedule_epochs-12,30"),
     ])
     def test_out_of_range_setting_rejected(self, field, value):
+        section, _, name = field.rpartition(".")
         with pytest.raises(ConfigError):
-            replace(config.toy_preset().interaction, **{field: value})
+            replace(getattr(config.toy_preset(), section or "interaction"), **{name: value})
 
     @pytest.mark.parametrize("schedule", [(120,), (10, 200)])
     def test_schedule_past_last_epoch_rejected(self, schedule):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from gridpose import config, pipeline
-from gridpose.errors import HashMismatch
+from gridpose.errors import ConfigError, HashMismatch
 
 
 def tiny_config():
@@ -69,3 +69,21 @@ class TestRunLocation:
         assert set(params.tensors) and params.signature
         with pytest.raises(HashMismatch):
             pipeline.load_backbone(replace(moved, data=replace(moved.data, train_frames=8)), ckpt)
+
+    def test_run_directory_outside_text_form_trains_and_loads(self, tmp_path):
+        # out_dir is neither hashed nor written by training, so a path the
+        # config text cannot hold is still a valid run directory
+        cfg = tiny_config()
+        cfg = replace(cfg, data=replace(cfg.data, dir=str(tmp_path / "data")))
+        pipeline.gen_data(cfg)
+        run = replace(cfg, out_dir=str(tmp_path / "exp#3 "))
+        ckpt = pipeline.train_stage1(run)
+        assert ckpt.parent == tmp_path / "exp#3 "
+        assert set(pipeline.load_backbone(run, ckpt).tensors)
+
+    def test_data_directory_outside_text_form_rejected_before_writing(self, tmp_path):
+        cfg = tiny_config()
+        cfg = replace(cfg, data=replace(cfg.data, dir=str(tmp_path / "data #1")))
+        with pytest.raises(ConfigError, match="cannot hold"):
+            pipeline.gen_data(cfg)
+        assert list(tmp_path.iterdir()) == []
