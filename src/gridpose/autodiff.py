@@ -19,11 +19,17 @@ time-major (T, B, ·) buffers. Its backward is written by hand: a reverse
 loop fills the (T, B, 4h) gate gradient with one (B, 4h) @ (4h, h) GEMM per
 step, then the gradients of wx, wh, b and x are one GEMM or reduction each
 over all B·T rows.
+
+The training core at the end (wrap, value_and_grads, the minibatch loop
+sgd_epoch and the finite-difference checker grad_check) serves both
+training stages: it takes named parameter arrays and a loss closure.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError, NonFiniteLoss
 
 
 class Tensor:
@@ -443,3 +449,83 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
             x._accumulate(gx.transpose(1, 0, 2, 3))
 
     return Tensor._make(out_data, (x, w, b), backward)
+
+
+# -- training core shared by both stages ----------------------------------------
+
+def wrap(arrays: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
+    """Leaf tensors over named float64 arrays; the data is shared, not copied."""
+    return {k: Tensor(v, requires_grad=requires_grad) for k, v in arrays.items()}
+
+
+def value_and_grads(arrays: dict[str, np.ndarray], loss_fn):
+    """(loss, grads, aux) where loss_fn(wrap(arrays)) gives (scalar Tensor, aux);
+    an array the loss does not reach gets a zero gradient."""
+    pt = wrap(arrays)
+    loss, aux = loss_fn(pt)
+    loss.backward()
+    grads = {k: t.grad if t.grad is not None else np.zeros_like(t.data)
+             for k, t in pt.items()}
+    return float(loss.data), grads, aux
+
+
+def sgd_epoch(arrays: dict[str, np.ndarray], n: int, batch_grads, lr: float,
+              rng: np.random.Generator, batch_size: int) -> float:
+    """One epoch of minibatch SGD over n items, updating arrays in place.
+
+    batch_grads(idx) gives (mean loss, grads) over the items idx of each batch
+    of a permutation. Returns the mean loss per item.
+    """
+    if lr < 0:
+        raise ConfigError("learning rate must be >= 0")
+    order = rng.permutation(n)
+    losses = []
+    for start in range(0, n, batch_size):
+        idx = order[start: start + batch_size]
+        try:
+            value, grads = batch_grads(idx)
+        except NonFiniteLoss as e:
+            raise NonFiniteLoss(f"epoch aborted at batch {start // batch_size}: {e}") from e
+        for name, g in grads.items():
+            arrays[name] -= lr * g
+        losses.append((value, len(idx)))
+    total = sum(k for _, k in losses)
+    return sum(v * k for v, k in losses) / total
+
+
+def grad_check(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], value,
+               eps: float, n_samples: int, seed: int) -> float:
+    """Max relative error of grads against central finite differences.
+
+    Checks up to n_samples entries drawn without replacement. value()
+    gives (loss, kinks) at the current arrays, kinks a list of arrays such as
+    rectifier sign patterns; an entry whose +-eps sides differ in kinks is
+    redrawn, since the loss is only piecewise smooth. The denominator is
+    max(|analytic|, |numeric|, 1e-6), so vanishing gradients do not fail.
+    """
+    rng = np.random.default_rng(seed)
+    names = sorted(arrays)
+    offsets = np.concatenate([[0], np.cumsum([arrays[k].size for k in names])])
+    picks = list(rng.permutation(int(offsets[-1])))
+    worst = 0.0
+    checked = 0
+    while checked < n_samples and picks:
+        flat_idx = picks.pop()
+        t_i = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
+        name = names[t_i]
+        local = int(flat_idx - offsets[t_i])
+        arr = arrays[name].ravel()
+        orig = arr[local]
+        arr[local] = orig + eps
+        hi, kinks_hi = value()
+        arr[local] = orig - eps
+        lo, kinks_lo = value()
+        arr[local] = orig
+        if any(not np.array_equal(a, b) for a, b in zip(kinks_hi, kinks_lo)):
+            continue
+        numeric = (hi - lo) / (2 * eps)
+        analytic = grads[name].ravel()[local]
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+        worst = max(worst, rel)
+        checked += 1
+    return worst

@@ -18,7 +18,6 @@ target of 0. Points on a cell boundary belong to the lower-index cell.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,76 +384,3 @@ def confidence_target(
         d_px = float("inf")
     d_m = float(np.abs(pred.points[:, 2] - gt.points[:, 2]).mean())
     return float(confidence_from_distances(d_px, d_m, grid))
-
-
-# ---------------------------------------------------------------------------
-# Target tensor file format: flat little-endian float32 values in
-# (u, v, z, slot, channel) order plus a JSON sidecar with the grid, label
-# and camera parameters and the responsible cells.
-
-TENSOR_FORMAT_VERSION = 1
-
-
-def target_tensor_to_flat(t: TargetTensor) -> np.ndarray:
-    """Flatten to the documented (u, v, z, slot, channel) order as float32."""
-    hand_t = t.hand.transpose(1, 0, 2, 3)    # (w, h, d, hand_slot)
-    obj_t = t.object.transpose(1, 0, 2, 3)
-    return np.concatenate([hand_t, obj_t], axis=3).ravel().astype("<f4")
-
-
-def save_target_tensor(
-    tensor_path,
-    sidecar_path,
-    t: TargetTensor,
-    grid: GridSpec,
-    labels: LabelSpec,
-    cam: CameraIntrinsics,
-) -> None:
-    with open(tensor_path, "wb") as f:
-        f.write(target_tensor_to_flat(t).tobytes())
-    sidecar = {
-        "format": TENSOR_FORMAT_VERSION,
-        "order": "u,v,z,slot,channel",
-        "dtype": "<f4",
-        "grid": {
-            "h": grid.h, "w": grid.w, "d": grid.d,
-            "cell_u_px": grid.cell_u_px, "cell_v_px": grid.cell_v_px,
-            "cell_z_m": grid.cell_z_m, "z_min": grid.z_min,
-            "sharpness": grid.sharpness,
-            "cutoff_px": grid.cutoff_px, "cutoff_m": grid.cutoff_m,
-        },
-        "labels": {
-            "n_control": labels.n_control, "n_objects": labels.n_objects,
-            "n_actions": labels.n_actions, "n_interactions": labels.n_interactions,
-        },
-        "camera": {"fx": cam.fx, "fy": cam.fy, "cx": cam.cx, "cy": cam.cy},
-        "responsible": {"hand": list(t.hand_cell), "object": list(t.object_cell)},
-    }
-    with open(sidecar_path, "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_target_tensor(tensor_path, sidecar_path):
-    """Returns (TargetTensor, GridSpec, LabelSpec, CameraIntrinsics)."""
-    with open(sidecar_path) as f:
-        meta = json.load(f)
-    if meta.get("format") != TENSOR_FORMAT_VERSION:
-        raise ConfigError(f"unsupported tensor format {meta.get('format')}")
-    grid = GridSpec(**meta["grid"])
-    labels = LabelSpec(**meta["labels"])
-    cam = CameraIntrinsics(**meta["camera"])
-    flat = np.fromfile(tensor_path, dtype="<f4").astype(float)
-    expect = grid.w * grid.h * grid.d * labels.cell_channels
-    if flat.size != expect:
-        raise LengthMismatch(f"tensor file holds {flat.size} values, expected {expect}")
-    block = flat.reshape(grid.w, grid.h, grid.d, labels.cell_channels)
-    hand = block[..., : labels.hand_slot].transpose(1, 0, 2, 3).copy()
-    obj = block[..., labels.hand_slot:].transpose(1, 0, 2, 3).copy()
-    t = TargetTensor(
-        hand=hand,
-        object=obj,
-        hand_cell=tuple(meta["responsible"]["hand"]),
-        object_cell=tuple(meta["responsible"]["object"]),
-    )
-    return t, grid, labels, cam

@@ -95,6 +95,10 @@ class DataConfig:
     train_sequences: int = 200
     val_sequences: int = 60
 
+    def __post_init__(self):
+        if min(self.train_frames, self.val_frames, self.train_sequences, self.val_sequences) < 0:
+            raise ConfigError("data split sizes must be >= 0")
+
 
 @dataclass(frozen=True)
 class RunConfig:

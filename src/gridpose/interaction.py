@@ -14,6 +14,8 @@ built step by step.
 Per-frame inputs are camera-frame meters, by default centered on the
 hand root so the classifier sees relative geometry, optionally extended
 with the per-frame action/object class probabilities.
+
+Training uses the minibatch loop and the gradient checker in autodiff.
 """
 
 from __future__ import annotations
@@ -71,9 +73,6 @@ class InteractionModel:
     def __init__(self, cfg: InteractionConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    def copy(self) -> "InteractionModel":
-        return InteractionModel(self.cfg, {k: v.copy() for k, v in self.params.items()})
 
 
 def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
@@ -138,10 +137,6 @@ def sequence_inputs(cfg: InteractionConfig, preds: list[FramePrediction]) -> np.
     ])
 
 
-def _wrap(model: InteractionModel, requires_grad: bool) -> dict[str, ad.Tensor]:
-    return {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in model.params.items()}
-
-
 def _features_graph(pt: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
     hidden = ad.relu(x @ pt["g.w1"] + pt["g.b1"])
     return hidden @ pt["g.w2"] + pt["g.b2"]
@@ -179,7 +174,7 @@ def interaction_features(model: InteractionModel, hand_points, object_points=Non
     x = frame_input(model.cfg, hand_points, object_points, action_probs, object_probs)
     if not model.cfg.use_pair_map:
         return x
-    pt = _wrap(model, requires_grad=False)
+    pt = ad.wrap(model.params, requires_grad=False)
     return _features_graph(pt, ad.Tensor(x[None, :])).data[0]
 
 
@@ -197,75 +192,47 @@ def classify_sequence(model: InteractionModel, seq) -> np.ndarray:
         inputs = sequence_inputs(model.cfg, seq)
     if inputs.shape[0] == 0:
         raise EmptySequence("cannot classify an empty sequence")
-    pt = _wrap(model, requires_grad=False)
+    pt = ad.wrap(model.params, requires_grad=False)
     logits = logits_graph(pt, model.cfg, inputs[None, ...])
     return softmax(logits.data[0])
 
 
-def sequence_loss(model: InteractionModel, batch: np.ndarray, labels: np.ndarray,
-                  with_grads: bool = True):
-    """Mean cross-entropy over a batch of equal-length sequences."""
-    pt = _wrap(model, requires_grad=with_grads)
-    logits = logits_graph(pt, model.cfg, batch)
-    logp = ad.log_softmax(logits, axis=-1)
+def _loss_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig, batch: np.ndarray,
+                labels: np.ndarray) -> ad.Tensor:
+    logp = ad.log_softmax(logits_graph(pt, cfg, batch), axis=-1)
     picked = logp[(np.arange(len(labels)), np.asarray(labels, dtype=int))]
     loss = ad.mul(picked.sum(), -1.0 / len(labels))
     if not np.isfinite(loss.data):
         raise NonFiniteLoss(f"sequence loss is not finite: {loss.data}")
-    if not with_grads:
-        return float(loss.data), None
-    loss.backward()
-    grads = {k: t.grad if t.grad is not None else np.zeros_like(t.data)
-             for k, t in pt.items()}
-    return float(loss.data), grads
+    return loss
+
+
+def sequence_loss(model: InteractionModel, batch: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy over a batch of equal-length sequences, and its grads."""
+    value, grads, _ = ad.value_and_grads(
+        model.params, lambda pt: (_loss_graph(pt, model.cfg, batch, labels), None))
+    return value, grads
 
 
 def sgd_epoch_sequences(model: InteractionModel, inputs: np.ndarray,
                         labels: np.ndarray, lr: float,
                         rng: np.random.Generator, batch_size: int = 16) -> float:
     """One SGD epoch over (N, T, input_width) sequences; returns mean loss."""
-    if lr < 0:
-        raise ConfigError("learning rate must be >= 0")
-    order = rng.permutation(inputs.shape[0])
-    losses = []
-    for start in range(0, len(order), batch_size):
-        idx = order[start: start + batch_size]
-        value, grads = sequence_loss(model, inputs[idx], labels[idx])
-        for name, g in grads.items():
-            model.params[name] -= lr * g
-        losses.append((value, len(idx)))
-    total = sum(n for _, n in losses)
-    return sum(v * n for v, n in losses) / total
+    return ad.sgd_epoch(model.params, inputs.shape[0],
+                        lambda idx: sequence_loss(model, inputs[idx], labels[idx]),
+                        lr, rng, batch_size)
 
 
 def grad_check_sequences(model: InteractionModel, batch: np.ndarray,
                          labels: np.ndarray, eps: float = 1e-5,
                          n_samples: int = 150, seed: int = 0) -> float:
     """Analytic vs central-FD gradients through the map and the LSTM."""
+    def value() -> tuple[float, list]:
+        pt = ad.wrap(model.params, requires_grad=False)
+        return float(_loss_graph(pt, model.cfg, batch, labels).data), []
+
     _, grads = sequence_loss(model, batch, labels)
-    rng = np.random.default_rng(seed)
-    names = sorted(model.params.keys())
-    sizes = np.array([model.params[n].size for n in names])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    picks = rng.choice(int(sizes.sum()), size=min(n_samples, int(sizes.sum())),
-                       replace=False)
-    worst = 0.0
-    for flat in picks:
-        t_i = int(np.searchsorted(offsets, flat, side="right") - 1)
-        name = names[t_i]
-        local = int(flat - offsets[t_i])
-        arr = model.params[name].ravel()
-        orig = arr[local]
-        arr[local] = orig + eps
-        hi, _ = sequence_loss(model, batch, labels, with_grads=False)
-        arr[local] = orig - eps
-        lo, _ = sequence_loss(model, batch, labels, with_grads=False)
-        arr[local] = orig
-        numeric = (hi - lo) / (2 * eps)
-        analytic = grads[name].ravel()[local]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, rel)
-    return worst
+    return ad.grad_check(model.params, grads, value, eps, n_samples, seed)
 
 
 def weight_importance(model: InteractionModel) -> tuple[np.ndarray, dict[str, float]]:

@@ -1,4 +1,4 @@
-"""Convolutional backbone, multi-task grid loss and SGD training.
+"""Convolutional backbone and multi-task grid loss, with their SGD training.
 
 The backbone is a small strided conv stack with leaky-rectifier
 activations and a final 1x1 projection: a single feed-forward pass maps
@@ -16,6 +16,8 @@ The loss combines, per frame:
 Confidence targets are recomputed from the current predictions through
 the distance law by default ("online"); "fixed" uses the encoded 0/1
 targets instead.
+
+Training uses the minibatch loop and the gradient checker in autodiff.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.signature)
 
-    def n_values(self) -> int:
-        return sum(v.size for v in self.tensors.values())
-
 
 def init_params(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec, seed: int) -> ModelParams:
     """Fan-in scaled uniform init, fully determined by the seed."""
@@ -120,7 +119,7 @@ def init_params(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec, seed: int
 
 
 def wrap_params(params: ModelParams, requires_grad: bool = True) -> dict[str, ad.Tensor]:
-    return {k: ad.Tensor(v, requires_grad=requires_grad) for k, v in params.tensors.items()}
+    return ad.wrap(params.tensors, requires_grad)
 
 
 def _check_image_shape(images: np.ndarray, bb: BackboneConfig, grid: GridSpec) -> None:
@@ -311,14 +310,10 @@ def multitask_loss(
     labels: LabelSpec,
     conf_targets: str = "online",
 ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-    """Loss value and exact per-parameter gradients for a batch."""
-    pt = wrap_params(params)
-    raw = forward_graph(pt, targets.images, bb, grid, labels)
-    loss, parts = loss_graph(raw, targets, weights, grid, labels, conf_targets)
-    loss.backward()
-    grads = {k: t.grad if t.grad is not None else np.zeros_like(t.data)
-             for k, t in pt.items()}
-    return float(loss.data), grads, parts
+    """Loss value, exact per-parameter gradients and loss parts for a batch."""
+    return ad.value_and_grads(params.tensors, lambda pt: loss_graph(
+        forward_graph(pt, targets.images, bb, grid, labels),
+        targets, weights, grid, labels, conf_targets))
 
 
 def grad_check(
@@ -333,14 +328,8 @@ def grad_check(
     seed: int = 0,
     conf_targets: str = "fixed",
 ) -> float:
-    """Max relative error of analytic vs central finite-difference gradients.
-
-    Samples at least n_samples random parameter entries. The relative error
-    uses max(|analytic|, |numeric|, 1e-6) as denominator so entries with
-    vanishing gradient do not produce spurious failures. Perturbations whose
-    two-sided interval flips a rectifier input sign are resampled: the loss
-    is piecewise smooth and the difference quotient estimates nothing at a
-    kink.
+    """Max relative error of analytic vs central finite-difference gradients;
+    entries whose two-sided interval flips a rectifier input are resampled.
 
     Online confidence targets are a function of the prediction that the
     loss deliberately treats as constant, so grad_check defaults to the
@@ -355,37 +344,7 @@ def grad_check(
         return float(loss.data), signs
 
     _, grads, _ = multitask_loss(params, targets, weights, bb, grid, labels, conf_targets)
-
-    rng = np.random.default_rng(seed)
-    names = sorted(params.tensors.keys())
-    sizes = np.array([params.tensors[n].size for n in names])
-    total = int(sizes.sum())
-    want = min(n_samples, total)
-    picks = list(rng.permutation(total))
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    worst = 0.0
-    checked = 0
-    while checked < want and picks:
-        flat_idx = picks.pop()
-        t_i = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        name = names[t_i]
-        local = int(flat_idx - offsets[t_i])
-        arr = params.tensors[name].ravel()
-        orig = arr[local]
-        arr[local] = orig + eps
-        hi, signs_hi = value()
-        arr[local] = orig - eps
-        lo, signs_lo = value()
-        arr[local] = orig
-        if any(not np.array_equal(a, b) for a, b in zip(signs_hi, signs_lo)):
-            continue  # kink crossed; quotient invalid for this entry
-        numeric = (hi - lo) / (2 * eps)
-        analytic = grads[name].ravel()[local]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, rel)
-        checked += 1
-    return worst
+    return ad.grad_check(params.tensors, grads, value, eps, n_samples, seed)
 
 
 def sgd_epoch(
@@ -401,24 +360,9 @@ def sgd_epoch(
     conf_targets: str = "online",
 ) -> float:
     """One epoch of minibatch SGD, mutating params in place; returns mean loss."""
-    if lr < 0:
-        raise ConfigError("learning rate must be >= 0")
-    order = rng.permutation(len(dataset))
-    losses = []
-    for start in range(0, len(order), batch_size):
-        batch = dataset.take(order[start: start + batch_size])
-        try:
-            value, grads, _ = multitask_loss(params, batch, weights, bb, grid,
-                                             labels, conf_targets)
-        except NonFiniteLoss as e:
-            raise NonFiniteLoss(
-                f"epoch aborted at batch {start // batch_size}: {e}"
-            ) from e
-        for name, g in grads.items():
-            params.tensors[name] -= lr * g
-        losses.append((value, len(batch)))
-    total = sum(n for _, n in losses)
-    return sum(v * n for v, n in losses) / total
+    return ad.sgd_epoch(params.tensors, len(dataset), lambda idx: multitask_loss(
+        params, dataset.take(idx), weights, bb, grid, labels, conf_targets)[:2],
+        lr, rng, batch_size)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, codec, interaction as ia, metrics, network as net, synth
+from . import __version__, autodiff as ad, codec, interaction as ia, metrics, network as net, synth
 from .config import RunConfig, config_hash, config_to_text
-from .errors import HashMismatch, NumericError
+from .errors import ConfigError, HashMismatch, NumericError
 from .geometry import cell_diagonal_m, cuboid_control_points, project
 from .rigidpose import Pose6D, pnp_dlt, procrustes_align, random_rotation
 
@@ -81,8 +81,16 @@ def gen_data(cfg: RunConfig) -> Path:
     return root
 
 
+def _load_split(cfg: RunConfig, split: str):
+    """Frames and sequence ids of one dataset split; an empty one is a ConfigError."""
+    frames, seq_ids = synth.load_frames(Path(cfg.data.dir) / split)
+    if not frames:
+        raise ConfigError(f"dataset split {split!r} in {cfg.data.dir} holds no frames")
+    return frames, seq_ids
+
+
 def _frames_dataset(cfg: RunConfig, split: str):
-    frames, _ = synth.load_frames(Path(cfg.data.dir) / split)
+    frames, _ = _load_split(cfg, split)
     images = np.stack([f.raster for f in frames])
     return frames, net.BatchTargets.from_scenes(frames, cfg.grid, cfg.labels,
                                                 cfg.camera, images)
@@ -160,7 +168,7 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
 
 def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
     """Pruned per-frame predictions grouped into (N, T, width) inputs."""
-    frames, seq_ids = synth.load_frames(Path(cfg.data.dir) / split)
+    frames, seq_ids = _load_split(cfg, split)
     seqs = synth.group_sequences(frames, seq_ids, cfg.labels)
     preds = predict_frames(cfg, params, frames)
     by_seq: dict[int, list] = {}
@@ -282,7 +290,7 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
     report.mkdir(parents=True, exist_ok=True)
     params = load_backbone(cfg, backbone_ckpt)
 
-    frames, _ = synth.load_frames(Path(cfg.data.dir) / "val")
+    frames, _ = _load_split(cfg, "val")
     preds = predict_frames(cfg, params, frames)
 
     pred_hand = np.stack([p.hand_points for p in preds])
@@ -353,7 +361,7 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
     if stage2_ckpt is not None:
         model = load_interaction(cfg, stage2_ckpt, backbone_ckpt)
         inputs, seq_labels = _sequence_dataset(cfg, params, "seq_val")
-        logits = ia.logits_graph(ia._wrap(model, False), model.cfg, inputs).data
+        logits = ia.logits_graph(ad.wrap(model.params, False), model.cfg, inputs).data
         summary["interaction_accuracy"] = metrics.classification_accuracy(
             logits.argmax(axis=1), seq_labels)
         per_joint, parts = ia.weight_importance(model)
@@ -365,7 +373,7 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
                 f.write(f"{name},{v:.10g}\n")
         if baseline_ckpt is not None:
             base = load_interaction(cfg, baseline_ckpt, backbone_ckpt)
-            logits = ia.logits_graph(ia._wrap(base, False), base.cfg, inputs).data
+            logits = ia.logits_graph(ad.wrap(base.params, False), base.cfg, inputs).data
             summary["baseline_interaction_accuracy"] = metrics.classification_accuracy(
                 logits.argmax(axis=1), seq_labels)
 

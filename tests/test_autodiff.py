@@ -247,3 +247,41 @@ class TestGraph:
             out = out + 0.001
         out.sum().backward()
         assert t.grad.item() == pytest.approx(1.0)
+
+
+class TestTrainingCore:
+    def test_value_and_grads_zero_fills_unused_arrays(self):
+        arrays = {"a": RNG.normal(size=(3,)), "b": RNG.normal(size=(2, 2))}
+        value, grads, aux = ad.value_and_grads(
+            arrays, lambda pt: (ad.mul(pt["a"], pt["a"]).sum(), "aux"))
+        assert value == pytest.approx(float((arrays["a"] ** 2).sum()), rel=1e-15)
+        np.testing.assert_array_equal(grads["a"], 2 * arrays["a"])
+        np.testing.assert_array_equal(grads["b"], np.zeros((2, 2)))
+        assert aux == "aux"
+
+    def test_sgd_epoch_returns_mean_loss_per_item(self):
+        # batches of 2, 2 and 1 items: the short batch weighs half as much
+        per_item = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        arrays = {"w": np.zeros(1)}
+        mean = ad.sgd_epoch(arrays, 5, lambda idx: (per_item[idx].mean(), {"w": np.ones(1)}),
+                            0.5, np.random.default_rng(0), batch_size=2)
+        assert mean == pytest.approx(per_item.mean(), rel=1e-15)
+        np.testing.assert_array_equal(arrays["w"], [-1.5])  # three steps of lr * 1
+
+    @staticmethod
+    def abs_sum_check(report_kinks: bool) -> float:
+        # sum(|w|) with one entry 1e-6 from the kink at 0, inside eps = 1e-4:
+        # its difference quotient is 0.01 against an analytic slope of 1
+        w = np.array([0.8, -0.5, 1e-6, 1.3, -2.0])
+
+        def value():
+            return float(np.abs(w).sum()), [w > 0] if report_kinks else []
+
+        return ad.grad_check({"w": w}, {"w": np.sign(w)}, value, eps=1e-4,
+                             n_samples=w.size, seed=0)
+
+    def test_grad_check_resamples_kink_crossing_entries(self):
+        assert self.abs_sum_check(report_kinks=True) < 1e-9
+
+    def test_grad_check_without_kinks_sees_the_kink(self):
+        assert self.abs_sum_check(report_kinks=False) > 0.9

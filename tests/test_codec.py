@@ -255,34 +255,3 @@ class TestPrune:
                         best, best_conf = (u, v, z), c
         assert pred.object_cell == best
         assert pred.object_confidence == pytest.approx(best_conf)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        scene, _, _ = random_scene(rng)
-        t = codec.encode_frame(scene, PAPER_GRID, LABELS, PAPER_CAM)
-        codec.save_target_tensor(tmp_path / "t.f32", tmp_path / "t.json",
-                                 t, PAPER_GRID, LABELS, PAPER_CAM)
-        t2, grid2, labels2, cam2 = codec.load_target_tensor(tmp_path / "t.f32", tmp_path / "t.json")
-        assert grid2 == PAPER_GRID
-        assert labels2 == LABELS
-        assert cam2 == PAPER_CAM
-        assert t2.hand_cell == t.hand_cell
-        np.testing.assert_allclose(t2.hand, t.hand.astype(np.float32))
-        np.testing.assert_allclose(t2.object, t.object.astype(np.float32))
-
-    def test_flat_order_is_u_major(self):
-        # distinct constants per slot let us check the documented layout
-        t = codec.TargetTensor(
-            hand=np.full((2, 3, 2, LABELS.hand_slot), 1.0),
-            object=np.full((2, 3, 2, LABELS.object_slot), 2.0),
-            hand_cell=(0, 0, 0), object_cell=(0, 0, 0),
-        )
-        grid = geo.GridSpec(h=2, w=3, d=2, cell_u_px=8, cell_v_px=8, cell_z_m=0.1)
-        flat = codec.target_tensor_to_flat(t)
-        assert flat.size == 3 * 2 * 2 * LABELS.cell_channels
-        # first cell_channels entries: hand slot then object slot of (u=0,v=0,z=0)
-        np.testing.assert_array_equal(flat[:LABELS.hand_slot], 1.0)
-        np.testing.assert_array_equal(flat[LABELS.hand_slot:LABELS.cell_channels], 2.0)
-        assert flat.dtype == np.dtype("<f4")

@@ -158,6 +158,25 @@ class TestFlatText:
             config.paper_preset()
 
 
+class TestDataConfig:
+    FIELDS = ["train_frames", "val_frames", "train_sequences", "val_sequences"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_negative_count_rejected(self, field):
+        cfg = config.toy_preset()
+        with pytest.raises(ConfigError, match="split sizes"):
+            replace(cfg.data, **{field: -3})
+        flat = config.config_to_flat(cfg)
+        flat[f"data.{field}"] = "-3"
+        with pytest.raises(ConfigError, match="split sizes"):
+            config.config_from_flat(flat)
+
+    def test_zero_counts_allowed(self):
+        data = replace(config.toy_preset().data, **dict.fromkeys(self.FIELDS, 0))
+        assert config.config_from_flat(config.config_to_flat(
+            replace(config.toy_preset(), data=data))).data == data
+
+
 class TestInteractionTrainConfig:
     """Stage-2 training settings; `optim.` cases check the stage-1 OptimConfig,
     which shares the range and schedule checks."""

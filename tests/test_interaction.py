@@ -5,7 +5,7 @@ import pytest
 
 from gridpose import autodiff as ad
 from gridpose import interaction as ia
-from gridpose.errors import EmptySequence, WidthMismatch
+from gridpose.errors import EmptySequence, NonFiniteLoss, WidthMismatch
 from gridpose.geometry import HAND_PARTS
 
 
@@ -317,6 +317,32 @@ class TestGradients:
             for i in range(n)
         )
         assert correct == n
+
+
+class TestSequenceSgd:
+    def test_update_rule_is_exact_gradient_step(self):
+        # one batch of all N sequences, in the order the epoch permutes them
+        model = ia.init_interaction(CFG, seed=3)
+        rng = np.random.default_rng(4)
+        inputs = rng.normal(size=(4, 5, CFG.input_width))
+        labels = rng.integers(0, CFG.n_classes, size=4)
+        order = np.random.default_rng(0).permutation(4)
+        _, grads = ia.sequence_loss(model, inputs[order], labels[order])
+        expected = {k: model.params[k] - 0.05 * grads[k] for k in grads}
+        ia.sgd_epoch_sequences(model, inputs, labels, 0.05, np.random.default_rng(0),
+                               batch_size=4)
+        assert sorted(model.params) == sorted(expected)
+        for k in expected:
+            np.testing.assert_array_equal(model.params[k], expected[k])
+
+    def test_nonfinite_loss_names_the_batch(self):
+        model = ia.init_interaction(CFG, seed=0)
+        inputs = np.random.default_rng(1).normal(size=(4, 3, CFG.input_width))
+        order = np.random.default_rng(2).permutation(4)
+        inputs[order[3]] = np.nan  # batches of 2: the second is order[2:]
+        with pytest.raises(NonFiniteLoss, match="epoch aborted at batch 1"):
+            ia.sgd_epoch_sequences(model, inputs, np.arange(4), 0.1,
+                                   np.random.default_rng(2), batch_size=2)
 
 
 class TestWeightImportance:

@@ -49,6 +49,38 @@ class TestDeterminism:
             assert a[name] == b[name], f"{name} differs between identical runs"
 
 
+class TestEmptySplit:
+    def test_empty_training_splits_rejected(self, tmp_path):
+        cfg = tiny_config()
+        cfg = replace(cfg, out_dir=str(tmp_path / "run"), data=replace(
+            cfg.data, dir=str(tmp_path / "data"), train_frames=0))
+        pipeline.gen_data(cfg)
+        with pytest.raises(ConfigError, match="'train'"):
+            pipeline.train_stage1(cfg)
+
+        cfg = replace(cfg, data=replace(cfg.data, train_frames=4, train_sequences=0))
+        pipeline.gen_data(cfg)
+        stage1 = pipeline.train_stage1(cfg)
+        with pytest.raises(ConfigError, match="'seq_train'"):
+            pipeline.train_stage2(cfg, stage1)
+
+    def test_empty_validation_splits_rejected(self, tmp_path):
+        cfg = tiny_config()
+        cfg = replace(cfg, out_dir=str(tmp_path / "run"), data=replace(
+            cfg.data, dir=str(tmp_path / "data"), train_frames=4, val_sequences=0))
+        pipeline.gen_data(cfg)
+        stage1 = pipeline.train_stage1(cfg)
+        stage2, _ = pipeline.train_stage2(cfg, stage1)
+        report = tmp_path / "report"
+        with pytest.raises(ConfigError, match="'seq_val'"):
+            pipeline.evaluate(cfg, stage1, report, stage2, noise_trials=2)
+        # held-out sizes are not hashed, so the same checkpoints still load
+        cfg = replace(cfg, data=replace(cfg.data, val_frames=0))
+        pipeline.gen_data(cfg)
+        with pytest.raises(ConfigError, match="'val'"):
+            pipeline.evaluate(cfg, stage1, report, noise_trials=2)
+
+
 class TestRunLocation:
     def test_checkpoint_does_not_depend_on_run_location(self, tmp_path):
         cfg = tiny_config()
