@@ -2,15 +2,16 @@
 
 Submodules:
     geometry     camera model, grid discretization, cuboid control points
-    codec        target tensor encode/decode, confidence law, pruning
+    codec        sparse responsible-cell targets, grid decoding, pruning,
+                 confidence law
     rigidpose    Procrustes alignment and the DLT PnP baseline
     autodiff     minimal reverse-mode automatic differentiation on ndarrays
     network      convolutional backbone, multi-task loss, SGD training
     interaction  hand-object feature map + recurrent sequence classifier
     synth        deterministic synthetic scene/sequence generator + renderer
     metrics      PCK / ADD / projection-error / accuracy measures
-    pipeline     run configs, two-stage training, evaluation reports
-    cli          command-line interface
+    pipeline     two-stage training, evaluation reports
+    config       run configs, their flat text form and hash
 """
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss
+from .errors import ConfigError, NonFiniteLoss, NumericError
 
 
 class Tensor:
@@ -237,14 +237,6 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return Tensor._make(out_data, (a,), backward)
-
-
-def mean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / float(n))
 
 
 def leaky_relu(a, slope: float = 0.1) -> Tensor:
@@ -478,6 +470,8 @@ def sgd_epoch(arrays: dict[str, np.ndarray], n: int, batch_grads, lr: float,
     """
     if lr < 0:
         raise ConfigError("learning rate must be >= 0")
+    if n < 1:
+        raise ConfigError(f"an epoch needs at least one item, got {n}")
     order = rng.permutation(n)
     losses = []
     for start in range(0, n, batch_size):
@@ -502,6 +496,8 @@ def grad_check(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], valu
     rectifier sign patterns; an entry whose +-eps sides differ in kinks is
     redrawn, since the loss is only piecewise smooth. The denominator is
     max(|analytic|, |numeric|, 1e-6), so vanishing gradients do not fail.
+    Raises NumericError when every drawn entry was redrawn: a check that
+    compared nothing must not pass.
     """
     rng = np.random.default_rng(seed)
     names = sorted(arrays)
@@ -528,4 +524,6 @@ def grad_check(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], valu
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
         worst = max(worst, rel)
         checked += 1
+    if checked == 0:
+        raise NumericError("grad_check compared no entry: every drawn entry crossed a kink")
     return worst

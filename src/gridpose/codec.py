@@ -1,6 +1,6 @@
-"""Grid target encoding and decoding.
+"""Sparse grid targets, grid decoding, pruning and the confidence law.
 
-Each grid cell stores two slots:
+The network predicts two slots per grid cell:
 
     hand slot   [3*n_control coord values | n_actions class values | confidence]
     object slot [3*n_control coord values | n_objects class values | confidence]
@@ -11,9 +11,14 @@ point (wrist for hands, box centroid for objects) is constrained to lie
 inside its cell, so its raw value passes through a sigmoid at decode time;
 all other points decode with the identity and may land outside the cell.
 
-A frame's targets live in the cell containing the root point (the
-"responsible" cell); every other cell carries zeros and a confidence
-target of 0. Points on a cell boundary belong to the lower-index cell.
+Targets are sparse: frame_targets gives, per entity, the one cell that
+contains the root point (the "responsible" cell) and the control points'
+offsets from that cell's corner. The loss reads these at the responsible
+cells only; every other cell is trained towards confidence 0. Points on a
+cell boundary belong to the lower-index cell.
+
+At inference decode_grid decodes every cell of a raw grid at once, and
+prune keeps the most confident cell per entity.
 """
 
 from __future__ import annotations
@@ -23,16 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import logistic as sigmoid
-from .errors import ConfigError, ConfigOutOfRange, LengthMismatch, OutOfVolume, RoleMismatch
+from .errors import ConfigError, ConfigOutOfRange, LengthMismatch, OutOfVolume
 from .geometry import (
     HAND,
     OBJECT,
     CameraIntrinsics,
-    ControlPointSet,
     GridSpec,
     camera_to_grid,
     grid_to_camera_unchecked,
-    project,
     root_index,
 )
 
@@ -75,36 +78,6 @@ class LabelSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class TargetTensor:
-    """Per-frame grid of target cell vectors plus the responsible cells.
-
-    hand/object arrays are indexed [v, u, z, channel]; the responsible
-    cells are (u, v, z) integer triples.
-    """
-
-    hand: np.ndarray
-    object: np.ndarray
-    hand_cell: tuple[int, int, int]
-    object_cell: tuple[int, int, int]
-
-
-@dataclass(frozen=True, eq=False)
-class DecodedSlot:
-    """One entity decoded from one cell."""
-
-    grid_coords: np.ndarray   # (n_control, 3) continuous grid units
-    points: np.ndarray        # (n_control, 3) camera frame, meters
-    probs: np.ndarray         # class distribution
-    confidence: float
-
-
-@dataclass(frozen=True, eq=False)
-class DecodedCell:
-    hand: DecodedSlot
-    object: DecodedSlot
-
-
-@dataclass(frozen=True, eq=False)
 class DecodedGrid:
     """Vectorized decode of a full raw grid (arrays indexed [v, u, z, ...])."""
 
@@ -139,13 +112,6 @@ class FramePrediction:
 
     def interaction_id(self, labels: LabelSpec) -> int:
         return labels.interaction_index(self.action_id, self.object_id)
-
-
-def logit(p: np.ndarray) -> np.ndarray:
-    """Inverse sigmoid; maps 0 and 1 to -inf/+inf."""
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore"):
-        return np.log(p) - np.log1p(-p)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -210,30 +176,6 @@ def frame_targets(scene, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsic
     )
 
 
-def encode_frame(scene, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsics) -> TargetTensor:
-    """Build the dense target tensor for a ground-truth scene.
-
-    Raises OutOfVolume when the hand root or the object centroid falls
-    outside the grid volume.
-    """
-    n_c = labels.n_control
-    t = frame_targets(scene, grid, labels, cam)
-    hand = np.zeros((grid.h, grid.w, grid.d, labels.hand_slot))
-    obj = np.zeros((grid.h, grid.w, grid.d, labels.object_slot))
-
-    u, v, z = t.hand_cell
-    hand[v, u, z, : 3 * n_c] = t.hand_offsets.ravel()
-    hand[v, u, z, 3 * n_c + t.action_id] = 1.0
-    hand[v, u, z, -1] = 1.0
-
-    u, v, z = t.object_cell
-    obj[v, u, z, : 3 * n_c] = t.object_offsets.ravel()
-    obj[v, u, z, 3 * n_c + t.object_id] = 1.0
-    obj[v, u, z, -1] = 1.0
-
-    return TargetTensor(hand=hand, object=obj, hand_cell=t.hand_cell, object_cell=t.object_cell)
-
-
 def decode_offsets(raw_coords: np.ndarray, role: str, n_control: int) -> np.ndarray:
     """Raw coordinate channels -> in-cell offsets (sigmoid on the root point only)."""
     arr = np.asarray(raw_coords, dtype=float)
@@ -241,39 +183,6 @@ def decode_offsets(raw_coords: np.ndarray, role: str, n_control: int) -> np.ndar
     root = root_index(role, n_control)
     off[..., root, :] = sigmoid(off[..., root, :])
     return off
-
-
-def decode_cell(
-    raw: np.ndarray,
-    cell_index: tuple[int, int, int],
-    grid: GridSpec,
-    labels: LabelSpec,
-    cam: CameraIntrinsics,
-) -> DecodedCell:
-    """Decode the raw value vector of one cell (hand slot then object slot)."""
-    raw = np.asarray(raw, dtype=float).ravel()
-    if raw.shape[0] != labels.cell_channels:
-        raise LengthMismatch(
-            f"cell vector has {raw.shape[0]} values, expected {labels.cell_channels}"
-        )
-    hand_raw = raw[: labels.hand_slot]
-    obj_raw = raw[labels.hand_slot:]
-    return DecodedCell(
-        hand=_decode_slot(hand_raw, cell_index, HAND, grid, labels, cam),
-        object=_decode_slot(obj_raw, cell_index, OBJECT, grid, labels, cam),
-    )
-
-
-def _decode_slot(vec, cell_index, role, grid, labels, cam) -> DecodedSlot:
-    n_c = labels.n_control
-    off = decode_offsets(vec[: 3 * n_c], role, n_c)
-    coords = off + np.asarray(cell_index, dtype=float)
-    return DecodedSlot(
-        grid_coords=coords,
-        points=grid_to_camera_unchecked(coords, cam, grid),
-        probs=softmax(vec[3 * n_c: -1]),
-        confidence=float(sigmoid(vec[-1])),
-    )
 
 
 def _cell_corners(grid: GridSpec) -> np.ndarray:
@@ -364,23 +273,3 @@ def confidence_from_grid_coords(pred_w: np.ndarray, gt_w: np.ndarray, grid: Grid
     d_m = (np.abs(delta[..., 2]) * grid.cell_z_m).mean(axis=-1)
     return confidence_from_distances(d_px, d_m, grid)
 
-
-def confidence_target(
-    pred: ControlPointSet, gt: ControlPointSet, grid: GridSpec, cam: CameraIntrinsics
-) -> float:
-    """Confidence of a predicted control-point set against ground truth.
-
-    Both sets live in the camera frame. Predicted points with non-positive
-    depth cannot be projected and count as beyond the image-space cutoff.
-    """
-    if pred.role != gt.role:
-        raise RoleMismatch(f"cannot score {pred.role} prediction against {gt.role} truth")
-    if len(pred) != len(gt):
-        raise LengthMismatch(f"point counts differ: {len(pred)} vs {len(gt)}")
-    ok = pred.points[:, 2] > 0
-    if np.all(ok):
-        d_px = float(np.linalg.norm(project(pred.points, cam) - project(gt.points, cam), axis=1).mean())
-    else:
-        d_px = float("inf")
-    d_m = float(np.abs(pred.points[:, 2] - gt.points[:, 2]).mean())
-    return float(confidence_from_distances(d_px, d_m, grid))

@@ -18,6 +18,7 @@ depends, so a run directory can be moved or re-split and still load.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 from functools import reduce
 from typing import get_args, get_origin, get_type_hints
@@ -245,7 +246,10 @@ def _parse(raw: str, hint):
             raise ValueError(raw)
         return raw == "true"
     if get_origin(hint) is not tuple:
-        return hint(raw)
+        value = hint(raw)
+        if hint is float and not math.isfinite(value):
+            raise ValueError(raw)
+        return value
     args = get_args(hint)
     sep = ";" if get_origin(args[0]) is tuple else ","
     items = tuple(_parse(part, args[0]) for part in raw.split(sep)) if raw else ()

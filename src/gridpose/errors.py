@@ -39,10 +39,6 @@ class LengthMismatch(NumericError):
     """A vector or list does not have the length the operation requires."""
 
 
-class RoleMismatch(NumericError):
-    """Two control-point sets with different roles were combined."""
-
-
 class DegenerateConfiguration(NumericError):
     """Point configuration too degenerate for a pose solve (rank < 2)."""
 

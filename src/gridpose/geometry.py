@@ -20,7 +20,7 @@ The pinhole model carries no distortion; undistort upstream if needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import ConfigError, NonPositiveDepth
 
 HAND = "hand"
 OBJECT = "object"
-CAMERA_FRAME = "camera"
-REFERENCE_FRAME = "reference"
 
 NUM_CONTROL_POINTS = 21
 
@@ -70,11 +68,6 @@ class CameraIntrinsics:
         if self.fx <= 0 or self.fy <= 0:
             raise ConfigError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
 
-    def as_matrix(self) -> np.ndarray:
-        return np.array(
-            [[self.fx, 0.0, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -114,13 +107,6 @@ class GridSpec:
     def image_h(self) -> int:
         return int(round(self.h * self.cell_v_px))
 
-    @property
-    def z_max(self) -> float:
-        return self.z_min + self.d * self.cell_z_m
-
-    def cell_count(self) -> int:
-        return self.h * self.w * self.d
-
 
 @dataclass(frozen=True)
 class Cuboid:
@@ -143,11 +129,10 @@ class Cuboid:
 
 @dataclass(frozen=True, eq=False)
 class ControlPointSet:
-    """Ordered 3D points with a role (hand skeleton / object box) and a frame tag."""
+    """Ordered 3D points with a role (hand skeleton / object box)."""
 
     points: np.ndarray
     role: str
-    frame: str = CAMERA_FRAME
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -155,20 +140,10 @@ class ControlPointSet:
             raise ConfigError(f"control points must be (N, 3), got {pts.shape}")
         if self.role not in (HAND, OBJECT):
             raise ConfigError(f"unknown role {self.role!r}")
-        if self.frame not in (CAMERA_FRAME, REFERENCE_FRAME):
-            raise ConfigError(f"unknown frame {self.frame!r}")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def root_index(self) -> int:
-        return root_index(self.role, len(self))
-
-    @property
-    def root(self) -> np.ndarray:
-        return self.points[self.root_index]
 
 
 def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -251,7 +226,7 @@ def cuboid_control_points(c: Cuboid) -> ControlPointSet:
     midpoints = np.array([(corners[i] + corners[j]) / 2.0 for i, j in _CUBOID_EDGES])
     centroid = corners.mean(axis=0, keepdims=True)
     pts = np.concatenate([corners, midpoints, centroid], axis=0)
-    return ControlPointSet(points=pts, role=OBJECT, frame=REFERENCE_FRAME)
+    return ControlPointSet(points=pts, role=OBJECT)
 
 
 def cell_diagonal_m(grid: GridSpec, cam: CameraIntrinsics) -> float:

@@ -164,20 +164,6 @@ def logits_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig,
     return x[:, -1] @ pt["out.w"] + pt["out.b"]
 
 
-def interaction_features(model: InteractionModel, hand_points, object_points=None,
-                         action_probs=None, object_probs=None) -> np.ndarray:
-    """The per-frame feature vector the recurrent stage consumes.
-
-    For the plain baseline (no interaction map) this is the assembled
-    input itself.
-    """
-    x = frame_input(model.cfg, hand_points, object_points, action_probs, object_probs)
-    if not model.cfg.use_pair_map:
-        return x
-    pt = ad.wrap(model.params, requires_grad=False)
-    return _features_graph(pt, ad.Tensor(x[None, :])).data[0]
-
-
 def classify_sequence(model: InteractionModel, seq) -> np.ndarray:
     """Probability vector over interaction classes for one sequence.
 

@@ -20,13 +20,6 @@ class PckCurve:
     thresholds: np.ndarray   # meters, ascending
     fractions: np.ndarray    # in [0, 1], non-decreasing
 
-    def auc(self) -> float:
-        """Trapezoid area under the curve, normalized by the threshold span."""
-        span = self.thresholds[-1] - self.thresholds[0]
-        if span <= 0:
-            return float(self.fractions[-1])
-        return float(np.trapezoid(self.fractions, self.thresholds) / span)
-
 
 def _paired(pred, gt, name: str) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(pred, dtype=float)

@@ -14,8 +14,8 @@ The loss combines, per frame:
   * cross-entropy of the action / object class at the responsible cells.
 
 Confidence targets are recomputed from the current predictions through
-the distance law by default ("online"); "fixed" uses the encoded 0/1
-targets instead.
+the distance law by default ("online"); "fixed" uses target 1 at the
+responsible cells instead (every other cell's target is 0 in both).
 
 Training uses the minibatch loop and the gradient checker in autodiff.
 """
@@ -54,10 +54,6 @@ class BackboneConfig:
             raise ConfigError("backbone needs at least one conv layer")
         if any(c < 1 for c in self.channels) or any(s < 1 for s in self.strides):
             raise ConfigError("channels and strides must be >= 1")
-
-    @property
-    def stride_product(self) -> int:
-        return int(np.prod(self.strides))
 
 
 @dataclass(frozen=True)
@@ -398,6 +394,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
             except (KeyError, TypeError, ValueError) as e:
                 raise ConfigError(f"malformed checkpoint tensor entry {entry!r}") from e
+            if any(d < 0 for d in shape):
+                raise ConfigError(f"malformed checkpoint tensor entry {entry!r}: negative dimension")
             count = int(np.prod(shape)) if shape else 1
             buf = f.read(count * 4)
             if len(buf) != count * 4:

@@ -25,30 +25,8 @@ class Pose6D:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "Pose6D":
-        return Pose6D(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
-
-    def inverse(self) -> "Pose6D":
-        return Pose6D(self.rotation.T, -self.rotation.T @ self.translation)
-
-    def compose(self, other: "Pose6D") -> "Pose6D":
-        """self after other: (self * other).apply(p) == self.apply(other.apply(p))."""
-        return Pose6D(self.rotation @ other.rotation,
-                      self.rotation @ other.translation + self.translation)
-
-
-def rotation_geodesic(r_a: np.ndarray, r_b: np.ndarray) -> float:
-    """Angle of the relative rotation between two rotation matrices.
-
-    Computed as 2*asin(||Ra - Rb||_F / (2*sqrt(2))), which stays accurate
-    for tiny angles where the trace/arccos form loses half the digits.
-    """
-    diff = np.linalg.norm(np.asarray(r_a) - np.asarray(r_b))
-    return float(2.0 * np.arcsin(min(1.0, diff / (2.0 * np.sqrt(2.0)))))
 
 
 def _as_points(x) -> np.ndarray:
@@ -147,13 +125,6 @@ def pnp_dlt(pixels: np.ndarray, src, cam: CameraIntrinsics) -> Pose6D:
         # keep det = +1 at the cost of a worse fit.
         rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt_r
     return Pose6D(rot, p[:, 3] / scale)
-
-
-def transform_points(pose: Pose6D, pts):
-    """Apply a rigid transform to points or to a ControlPointSet (frame-preservingly)."""
-    if isinstance(pts, ControlPointSet):
-        return ControlPointSet(points=pose.apply(pts.points), role=pts.role, frame="camera")
-    return pose.apply(pts)
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

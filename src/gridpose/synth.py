@@ -46,7 +46,7 @@ from .geometry import (
     grid_to_camera,
     project,
 )
-from .rigidpose import Pose6D, random_rotation
+from .rigidpose import Pose6D
 
 ACTION_NAMES = ("approach", "retract", "rotate", "shake")
 
@@ -595,15 +595,19 @@ def save_frames(directory, frames: list[SceneFrame], seq_ids: list[int]) -> None
 
 def load_frames(directory, with_raster: bool = True) -> tuple[list[SceneFrame], list[int]]:
     directory = Path(directory)
+    path = directory / "frames.txt"
     frames, seq_ids = [], []
-    for line in (directory / "frames.txt").read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split()
         if len(parts) != 4 + 63 + 12 + 3 + 1:
-            raise ConfigError(f"malformed dataset record with {len(parts)} fields")
-        _, seq, action_id, object_id = (int(x) for x in parts[:4])
-        vals = np.array([float(x) for x in parts[4:-1]])
+            raise ConfigError(f"{path}:{lineno}: malformed dataset record with {len(parts)} fields")
+        try:
+            _, seq, action_id, object_id = (int(x) for x in parts[:4])
+            vals = np.array([float(x) for x in parts[4:-1]])
+        except ValueError as e:
+            raise ConfigError(f"{path}:{lineno}: non-numeric dataset record field: {e}") from e
         hand = vals[:63].reshape(21, 3)
         rot = vals[63:72].reshape(3, 3)
         t = vals[72:75]

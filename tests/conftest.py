@@ -1,4 +1,5 @@
-"""Shared fixtures: a small grid/camera/label configuration and scene stubs."""
+"""Shared fixtures: a small grid/camera/label configuration, scene stubs and
+measurement helpers."""
 
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ from gridpose.rigidpose import Pose6D, random_rotation
 
 @dataclass
 class SceneStub:
-    """Minimal stand-in for synth.SceneFrame: just what encode_frame reads."""
+    """Minimal stand-in for synth.SceneFrame: just what codec.frame_targets reads."""
 
     hand_points: np.ndarray
     object_points: np.ndarray
@@ -24,6 +25,23 @@ PAPER_GRID = geo.GridSpec(h=13, w=13, d=5, cell_u_px=32.0, cell_v_px=32.0,
                           cell_z_m=0.15, z_min=0.0, sharpness=2.0,
                           cutoff_px=75.0, cutoff_m=0.075)
 PAPER_CAM = geo.CameraIntrinsics(fx=600.0, fy=600.0, cx=208.0, cy=208.0)
+
+
+def logit(p):
+    """Inverse sigmoid; maps 0 and 1 to -inf and +inf."""
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log(p) - np.log1p(-p)
+
+
+def rotation_geodesic(r_a, r_b) -> float:
+    """Angle of the relative rotation between two rotation matrices.
+
+    Computed as 2*asin(||Ra - Rb||_F / (2*sqrt(2))), which stays accurate
+    for tiny angles where the trace/arccos form loses half the digits.
+    """
+    diff = np.linalg.norm(np.asarray(r_a) - np.asarray(r_b))
+    return float(2.0 * np.arcsin(min(1.0, diff / (2.0 * np.sqrt(2.0)))))
 
 
 @pytest.fixture

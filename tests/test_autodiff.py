@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gridpose import autodiff as ad
+from gridpose.errors import ConfigError, NumericError
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -171,9 +172,6 @@ class TestShapeOps:
         check_op(lambda t: ad.mul(t.sum(axis=1, keepdims=True), w).sum(),
                  RNG.normal(size=(3, 5)))
 
-    def test_mean(self):
-        check_op(lambda t: ad.mean(t, axis=0).sum(), RNG.normal(size=(4, 3)))
-
 
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), (3, 1)])
@@ -268,6 +266,11 @@ class TestTrainingCore:
         assert mean == pytest.approx(per_item.mean(), rel=1e-15)
         np.testing.assert_array_equal(arrays["w"], [-1.5])  # three steps of lr * 1
 
+    def test_sgd_epoch_without_items_rejected(self):
+        with pytest.raises(ConfigError, match="at least one item"):
+            ad.sgd_epoch({"w": np.zeros(1)}, 0, lambda idx: (0.0, {"w": np.ones(1)}),
+                         0.5, np.random.default_rng(0), batch_size=2)
+
     @staticmethod
     def abs_sum_check(report_kinks: bool) -> float:
         # sum(|w|) with one entry 1e-6 from the kink at 0, inside eps = 1e-4:
@@ -285,3 +288,15 @@ class TestTrainingCore:
 
     def test_grad_check_without_kinks_sees_the_kink(self):
         assert self.abs_sum_check(report_kinks=False) > 0.9
+
+    def test_grad_check_that_compares_nothing_fails(self):
+        # every entry sits within eps of the kink of |w|, so every draw is
+        # redrawn; the gradients are wrong, and no comparison may pass them
+        w = np.array([1e-6, -1e-6, 2e-6])
+
+        def value():
+            return float(np.abs(w).sum()), [w > 0]
+
+        with pytest.raises(NumericError, match="compared no entry"):
+            ad.grad_check({"w": w}, {"w": np.full(3, 7.0)}, value, eps=1e-4,
+                          n_samples=w.size, seed=0)

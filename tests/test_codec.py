@@ -1,4 +1,6 @@
-"""Encode/decode round trips, the confidence law, and pruning."""
+"""Sparse targets, grid decoding, the confidence law and pruning."""
+
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -7,28 +9,69 @@ from hypothesis import strategies as st
 
 from gridpose import codec
 from gridpose import geometry as geo
-from gridpose.errors import LengthMismatch, OutOfVolume, RoleMismatch
+from gridpose.errors import LengthMismatch, OutOfVolume
 
-from conftest import PAPER_CAM, PAPER_GRID, SceneStub, hand_around, random_scene
+from conftest import PAPER_CAM, PAPER_GRID, SceneStub, hand_around, logit, random_scene
 
 
 LABELS = codec.LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
 
 
-def raw_from_target(t: codec.TargetTensor, labels: codec.LabelSpec) -> np.ndarray:
-    """Invert the decode activations on a target tensor.
+def raw_grid_from_targets(t: codec.FrameTargets, grid, labels) -> np.ndarray:
+    """A raw output grid that decodes to the targets exactly.
 
-    Root offsets and confidences go through the logit; identity channels and
-    one-hot class targets stay as they are (softmax keeps the argmax).
+    The responsible cell of each entity holds its offsets (the root through
+    the logit), a one-hot class (softmax keeps the argmax) and confidence
+    logit +inf; every other cell has confidence logit -inf.
     """
     n_c = labels.n_control
-    hand = t.hand.astype(float).copy()
-    obj = t.object.astype(float).copy()
-    hand[..., 0:3] = codec.logit(hand[..., 0:3])                       # wrist
-    obj[..., 3 * (n_c - 1): 3 * n_c] = codec.logit(obj[..., 3 * (n_c - 1): 3 * n_c])  # centroid
-    hand[..., -1] = codec.logit(hand[..., -1])
-    obj[..., -1] = codec.logit(obj[..., -1])
-    return np.concatenate([hand, obj], axis=-1)
+    raw = np.zeros((grid.h, grid.w, grid.d, labels.cell_channels))
+    raw[..., labels.hand_slot - 1] = logit(0.0)
+    raw[..., -1] = logit(0.0)
+    for (u, v, z), offsets, class_id, role, base in (
+        (t.hand_cell, t.hand_offsets, t.action_id, geo.HAND, 0),
+        (t.object_cell, t.object_offsets, t.object_id, geo.OBJECT, labels.hand_slot),
+    ):
+        coords = offsets.copy()
+        root = geo.root_index(role, n_c)
+        coords[root] = logit(coords[root])
+        slot_len = labels.hand_slot if role == geo.HAND else labels.object_slot
+        raw[v, u, z, base: base + 3 * n_c] = coords.ravel()
+        raw[v, u, z, base + 3 * n_c + class_id] = 1.0
+        raw[v, u, z, base + slot_len - 1] = logit(1.0)
+    return raw
+
+
+Slot = namedtuple("Slot", "grid_coords points probs confidence")
+
+
+def decode_cell(raw, cell, grid, labels, cam) -> tuple[Slot, Slot]:
+    """Reference decoder of one cell's raw vector into its (hand, object) slots,
+    with its own sigmoid and softmax; the oracle for codec.decode_grid."""
+    raw = np.asarray(raw, dtype=float)
+    n_c = labels.n_control
+    slots = []
+    for role, vec in ((geo.HAND, raw[: labels.hand_slot]), (geo.OBJECT, raw[labels.hand_slot:])):
+        offsets = vec[: 3 * n_c].reshape(n_c, 3).copy()
+        root = geo.root_index(role, n_c)
+        offsets[root] = 1.0 / (1.0 + np.exp(-offsets[root]))
+        coords = offsets + np.asarray(cell, dtype=float)
+        logits = vec[3 * n_c: -1]
+        e = np.exp(logits - logits.max())
+        slots.append(Slot(grid_coords=coords,
+                          points=geo.grid_to_camera_unchecked(coords, cam, grid),
+                          probs=e / e.sum(),
+                          confidence=1.0 / (1.0 + np.exp(-vec[-1]))))
+    return slots[0], slots[1]
+
+
+def point_set_confidence(pred, gt, grid, cam) -> float:
+    """Reference confidence of camera-frame points (N, 3) against truth: mean
+    pixel distance of the projections and mean depth distance, through the
+    distance law; the oracle for codec.confidence_from_grid_coords."""
+    d_px = np.linalg.norm(geo.project(pred, cam) - geo.project(gt, cam), axis=1).mean()
+    d_m = np.abs(pred[:, 2] - gt[:, 2]).mean()
+    return float(codec.confidence_from_distances(d_px, d_m, grid))
 
 
 class TestLabelSpec:
@@ -65,13 +108,10 @@ class TestEncodeFrame:
                                                          PAPER_CAM, PAPER_GRID))[::-1],
             action_id=2, object_id=1,
         )
-        t = codec.encode_frame(scene, PAPER_GRID, LABELS, PAPER_CAM)
+        t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
         assert t.hand_cell == (3, 4, 3)
-        off = t.hand[4, 3, 3, :3]
-        np.testing.assert_allclose(off, [0.125, 0.6875, 1.0 / 3.0], atol=1e-12)
-        # one-hot action and unit confidence at the responsible cell
-        np.testing.assert_array_equal(t.hand[4, 3, 3, 63:67], [0, 0, 1, 0])
-        assert t.hand[4, 3, 3, -1] == 1.0
+        np.testing.assert_allclose(t.hand_offsets[0], [0.125, 0.6875, 1.0 / 3.0], atol=1e-12)
+        assert (t.action_id, t.object_id) == (2, 1)
 
     def test_root_on_cell_corner_gets_zero_offsets(self):
         # Constants chosen binary-exact so the corner projection is exact:
@@ -85,9 +125,9 @@ class TestEncodeFrame:
         scene = SceneStub(hand_points=hand_around(root),
                           object_points=hand_around(root + 0.01)[::-1],
                           action_id=0, object_id=0)
-        t = codec.encode_frame(scene, grid, LABELS, cam)
+        t = codec.frame_targets(scene, grid, LABELS, cam)
         assert t.hand_cell == (3, 4, 2)
-        np.testing.assert_array_equal(t.hand[4, 3, 2, :3], [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(t.hand_offsets[0], [0.0, 0.0, 0.0])
 
     def test_out_of_volume_reports_entity_and_axis(self):
         far = geo.grid_to_camera(np.array([6.0, 6.0, 5.5]), PAPER_CAM, PAPER_GRID)
@@ -96,51 +136,56 @@ class TestEncodeFrame:
                           object_points=hand_around(near)[::-1],
                           action_id=0, object_id=0)
         with pytest.raises(OutOfVolume) as exc:
-            codec.encode_frame(scene, PAPER_GRID, LABELS, PAPER_CAM)
+            codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
         assert exc.value.entity == "hand"
         assert exc.value.axis == "z"
 
     def test_single_responsible_cell_per_entity(self):
+        # the responsible cell is the one cell holding the root: its offsets
+        # from the cell corner lie in [0, 1) on every axis
         rng = np.random.default_rng(5)
-        scene, _, _ = random_scene(rng)
-        t = codec.encode_frame(scene, PAPER_GRID, LABELS, PAPER_CAM)
-        assert (t.hand[..., -1] == 1.0).sum() == 1
-        assert (t.object[..., -1] == 1.0).sum() == 1
-        # everything else is zero
-        u, v, z = t.hand_cell
-        masked = t.hand.copy()
-        masked[v, u, z] = 0.0
-        assert np.all(masked == 0.0)
+        for _ in range(20):
+            scene, _, _ = random_scene(rng)
+            t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
+            for offsets, role in ((t.hand_offsets, geo.HAND), (t.object_offsets, geo.OBJECT)):
+                root = offsets[geo.root_index(role)]
+                assert np.all(root >= 0.0) and np.all(root < 1.0)
+            np.testing.assert_allclose(t.hand_coords - t.hand_offsets,
+                                       np.broadcast_to(t.hand_cell, (21, 3)), atol=1e-12)
+
+
+def _raw_grid(rng=None, scale=1.0):
+    shape = (PAPER_GRID.h, PAPER_GRID.w, PAPER_GRID.d, LABELS.cell_channels)
+    return np.zeros(shape) if rng is None else rng.normal(scale=scale, size=shape)
 
 
 class TestDecodeCell:
     def test_zero_root_offsets_decode_to_cell_center(self):
-        raw = np.zeros(LABELS.cell_channels)
-        cell = codec.decode_cell(raw, (3, 4, 3), PAPER_GRID, LABELS, PAPER_CAM)
-        np.testing.assert_allclose(cell.hand.grid_coords[0], [3.5, 4.5, 3.5])
-        np.testing.assert_allclose(cell.object.grid_coords[20], [3.5, 4.5, 3.5])
+        dec = codec.decode_grid(_raw_grid(), PAPER_GRID, LABELS)
+        np.testing.assert_allclose(dec.hand_coords[4, 3, 3, 0], [3.5, 4.5, 3.5])
+        np.testing.assert_allclose(dec.object_coords[4, 3, 3, 20], [3.5, 4.5, 3.5])
         # zero logits: uniform classes, confidence 1/2
-        np.testing.assert_allclose(cell.hand.probs, np.full(4, 0.25))
-        assert cell.hand.confidence == pytest.approx(0.5)
+        np.testing.assert_allclose(dec.hand_probs[4, 3, 3], np.full(4, 0.25))
+        assert dec.hand_conf[4, 3, 3] == pytest.approx(0.5)
 
     def test_identity_activation_for_non_root(self):
-        raw = np.zeros(LABELS.cell_channels)
-        raw[3:6] = [1.25, -0.5, 0.0]   # hand point 1
-        cell = codec.decode_cell(raw, (3, 4, 3), PAPER_GRID, LABELS, PAPER_CAM)
-        np.testing.assert_allclose(cell.hand.grid_coords[1], [4.25, 3.5, 3.0])
+        raw = _raw_grid()
+        raw[4, 3, 3, 3:6] = [1.25, -0.5, 0.0]   # hand point 1 of cell (u=3, v=4, z=3)
+        dec = codec.decode_grid(raw, PAPER_GRID, LABELS)
+        np.testing.assert_allclose(dec.hand_coords[4, 3, 3, 1], [4.25, 3.5, 3.0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LengthMismatch):
-            codec.decode_cell(np.zeros(10), (0, 0, 0), PAPER_GRID, LABELS, PAPER_CAM)
+            codec.decode_grid(np.zeros((PAPER_GRID.h, PAPER_GRID.w, PAPER_GRID.d, 10)),
+                              PAPER_GRID, LABELS)
 
     def test_root_offsets_stay_inside_cell(self):
-        rng = np.random.default_rng(2)
-        raw = rng.normal(scale=5.0, size=LABELS.cell_channels)
-        cell = codec.decode_cell(raw, (6, 6, 2), PAPER_GRID, LABELS, PAPER_CAM)
-        for slot, role in ((cell.hand, geo.HAND), (cell.object, geo.OBJECT)):
-            root = slot.grid_coords[geo.root_index(role)]
-            corner = np.array([6.0, 6.0, 2.0])
-            assert np.all(root > corner) and np.all(root < corner + 1.0)
+        dec = codec.decode_grid(_raw_grid(np.random.default_rng(2), scale=5.0), PAPER_GRID, LABELS)
+        v, u, z = np.indices((PAPER_GRID.h, PAPER_GRID.w, PAPER_GRID.d))
+        corners = np.stack([u, v, z], axis=-1)
+        for coords, role in ((dec.hand_coords, geo.HAND), (dec.object_coords, geo.OBJECT)):
+            root = coords[..., geo.root_index(role), :]
+            assert np.all(root > corners) and np.all(root < corners + 1.0)
 
 
 class TestRoundTrip:
@@ -149,27 +194,26 @@ class TestRoundTrip:
     def test_encode_decode_recovers_points(self, seed):
         rng = np.random.default_rng(seed)
         scene, _, _ = random_scene(rng)
-        t = codec.encode_frame(scene, PAPER_GRID, LABELS, PAPER_CAM)
-        raw = raw_from_target(t, LABELS)
-
-        hand = codec.decode_cell(raw[t.hand_cell[1], t.hand_cell[0], t.hand_cell[2]],
-                                 t.hand_cell, PAPER_GRID, LABELS, PAPER_CAM).hand
-        obj = codec.decode_cell(raw[t.object_cell[1], t.object_cell[0], t.object_cell[2]],
-                                t.object_cell, PAPER_GRID, LABELS, PAPER_CAM).object
-        assert np.abs(hand.points - scene.hand_points).max() < 1e-9
-        assert np.abs(obj.points - scene.object_points).max() < 1e-9
-        assert int(np.argmax(hand.probs)) == scene.action_id
-        assert int(np.argmax(obj.probs)) == scene.object_id
+        t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
+        raw = raw_grid_from_targets(t, PAPER_GRID, LABELS)
+        pred = codec.prune(codec.decode_grid(raw, PAPER_GRID, LABELS), PAPER_GRID, PAPER_CAM)
+        assert (pred.hand_cell, pred.object_cell) == (t.hand_cell, t.object_cell)
+        assert np.abs(pred.hand_points - scene.hand_points).max() < 1e-9
+        assert np.abs(pred.object_points - scene.object_points).max() < 1e-9
+        assert pred.action_id == scene.action_id
+        assert pred.object_id == scene.object_id
 
     def test_decode_grid_matches_decode_cell(self):
-        rng = np.random.default_rng(0)
-        raw = rng.normal(size=(PAPER_GRID.h, PAPER_GRID.w, PAPER_GRID.d, LABELS.cell_channels))
+        raw = _raw_grid(np.random.default_rng(0))
         dec = codec.decode_grid(raw, PAPER_GRID, LABELS)
         for u, v, z in [(0, 0, 0), (3, 4, 2), (12, 12, 4)]:
-            cell = codec.decode_cell(raw[v, u, z], (u, v, z), PAPER_GRID, LABELS, PAPER_CAM)
-            np.testing.assert_allclose(dec.hand_coords[v, u, z], cell.hand.grid_coords)
-            np.testing.assert_allclose(dec.object_probs[v, u, z], cell.object.probs)
-            assert dec.hand_conf[v, u, z] == pytest.approx(cell.hand.confidence)
+            hand, obj = decode_cell(raw[v, u, z], (u, v, z), PAPER_GRID, LABELS, PAPER_CAM)
+            np.testing.assert_allclose(dec.hand_coords[v, u, z], hand.grid_coords)
+            np.testing.assert_allclose(dec.object_coords[v, u, z], obj.grid_coords)
+            np.testing.assert_allclose(dec.hand_probs[v, u, z], hand.probs)
+            np.testing.assert_allclose(dec.object_probs[v, u, z], obj.probs)
+            assert dec.hand_conf[v, u, z] == pytest.approx(hand.confidence)
+            assert dec.object_conf[v, u, z] == pytest.approx(obj.confidence)
 
 
 class TestConfidence:
@@ -191,17 +235,9 @@ class TestConfidence:
         assert np.all(np.diff(c) < 0)
         assert c[0] == pytest.approx(1.0)
 
-    def test_role_mismatch(self):
-        hand = geo.ControlPointSet(np.zeros((21, 3)) + [0, 0, 1], role=geo.HAND)
-        obj = geo.ControlPointSet(np.zeros((21, 3)) + [0, 0, 1], role=geo.OBJECT)
-        with pytest.raises(RoleMismatch):
-            codec.confidence_target(hand, obj, PAPER_GRID, PAPER_CAM)
-
     def test_point_set_interface(self):
-        pts = hand_around(np.array([0.0, 0.0, 0.5]))
-        gt = geo.ControlPointSet(pts, role=geo.HAND)
-        pred = geo.ControlPointSet(pts, role=geo.HAND)
-        assert codec.confidence_target(pred, gt, PAPER_GRID, PAPER_CAM) == pytest.approx(1.0)
+        w = geo.camera_to_grid(hand_around(np.array([0.0, 0.0, 0.5])), PAPER_CAM, PAPER_GRID)
+        assert codec.confidence_from_grid_coords(w, w, PAPER_GRID) == pytest.approx(1.0)
 
     def test_grid_coord_form_matches_point_form(self):
         rng = np.random.default_rng(4)
@@ -210,10 +246,7 @@ class TestConfidence:
         w_gt = geo.camera_to_grid(gt, PAPER_CAM, PAPER_GRID)
         w_pred = geo.camera_to_grid(pred, PAPER_CAM, PAPER_GRID)
         via_grid = codec.confidence_from_grid_coords(w_pred, w_gt, PAPER_GRID)
-        via_points = codec.confidence_target(
-            geo.ControlPointSet(pred, role=geo.HAND),
-            geo.ControlPointSet(gt, role=geo.HAND), PAPER_GRID, PAPER_CAM
-        )
+        via_points = point_set_confidence(pred, gt, PAPER_GRID, PAPER_CAM)
         assert via_grid == pytest.approx(via_points, abs=1e-12)
 
 

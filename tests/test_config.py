@@ -111,6 +111,9 @@ class TestFlatText:
         ("synth.hand_scale_range", "0.9"),
         ("synth.object_sizes", "0.02,0.03,0.04;0.05,0.06;0.07,0.08,0.09"),
         ("synth.object_sizes", "0.02,0.03,0.04;0.05,x,0.06;0.07,0.08,0.09"),
+        ("optim.lr", "nan"), ("optim.schedule_factor", "nan"),
+        ("grid.cell_u_px", "inf"), ("grid.cell_u_px", "-inf"),
+        ("synth.hand_scale_range", "0.9,nan"),
     ])
     def test_malformed_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key!r} has malformed value"):

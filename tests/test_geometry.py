@@ -163,8 +163,8 @@ class TestSpecValidation:
     def test_control_point_set_roles(self):
         pts = np.zeros((21, 3))
         cps = geo.ControlPointSet(points=pts, role=geo.HAND)
-        assert cps.root_index == 0
+        assert geo.root_index(cps.role, len(cps)) == 0
         cps = geo.ControlPointSet(points=pts, role=geo.OBJECT)
-        assert cps.root_index == 20
+        assert geo.root_index(cps.role, len(cps)) == 20
         with pytest.raises(ConfigError):
             geo.ControlPointSet(points=pts, role="tool")

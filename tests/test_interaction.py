@@ -108,12 +108,19 @@ class TestFrameInput:
             ia.frame_input(CFG, rnd_points(np.random.default_rng(0)))
 
 
+def features(model, hand, obj):
+    """The interaction map of one frame's input, as the classifier applies it."""
+    x = ia.frame_input(model.cfg, hand, obj)[None, :]
+    pt = ad.wrap(model.params, requires_grad=False)
+    return ia._features_graph(pt, ad.Tensor(x)).data[0]
+
+
 class TestFeatures:
     def test_zero_inputs_zero_params_give_zero(self):
         model = ia.init_interaction(CFG, seed=0)
         for k in model.params:
             model.params[k][:] = 0.0
-        out = ia.interaction_features(model, np.zeros((21, 3)), np.zeros((21, 3)))
+        out = features(model, np.zeros((21, 3)), np.zeros((21, 3)))
         assert out.shape == (CFG.feature_width,)
         np.testing.assert_array_equal(out, 0.0)
 
@@ -123,7 +130,7 @@ class TestFeatures:
         model.params["g.w2"] = np.eye(CFG.feature_width)
         model.params["g.b2"] = np.zeros(CFG.feature_width)
         rng = np.random.default_rng(4)
-        out = ia.interaction_features(model, rnd_points(rng), rnd_points(rng))
+        out = features(model, rnd_points(rng), rnd_points(rng))
         assert np.all(out >= 0.0)
 
     def test_hand_object_swap_changes_output(self):
@@ -133,17 +140,15 @@ class TestFeatures:
                                  root_relative=False, input_scale=1.0), seed=2)
         rng = np.random.default_rng(5)
         hand, obj = rnd_points(rng), rnd_points(rng)
-        a = ia.interaction_features(model, hand, obj)
-        b = ia.interaction_features(model, obj, hand)
+        a = features(model, hand, obj)
+        b = features(model, obj, hand)
         assert not np.allclose(a, b)
 
     def test_baseline_features_are_the_input(self):
+        # the plain baseline has no map: its first LSTM layer reads frame_input
         model = ia.init_interaction(BASELINE, seed=0)
-        rng = np.random.default_rng(6)
-        hand, obj = rnd_points(rng), rnd_points(rng)
-        np.testing.assert_array_equal(
-            ia.interaction_features(model, hand, obj),
-            ia.frame_input(BASELINE, hand, obj))
+        assert not any(name.startswith("g.") for name in model.params)
+        assert model.params["lstm0.wx"].shape[0] == BASELINE.input_width
 
 
 class TestClassify:

@@ -9,7 +9,7 @@ from gridpose import geometry as geo
 from gridpose import network as net
 from gridpose.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
-from conftest import random_scene
+from conftest import logit, random_scene
 
 # Micro configuration: 12x12 image over a 3x3x2 grid of 4px cells.
 GRID = geo.GridSpec(h=3, w=3, d=2, cell_u_px=4.0, cell_v_px=4.0, cell_z_m=0.3,
@@ -90,7 +90,7 @@ class TestLoss:
             u, v, z = targets.hand_cells[i]
             hand = np.zeros(LABELS.hand_slot)
             hand[:63] = targets.hand_offsets[i].ravel()
-            hand[0:3] = codec.logit(targets.hand_offsets[i][0])
+            hand[0:3] = logit(targets.hand_offsets[i][0])
             hand[63 + targets.action_ids[i]] = big
             hand[-1] = big
             raw[i, v, u, z, :LABELS.hand_slot] = hand
@@ -98,7 +98,7 @@ class TestLoss:
             u, v, z = targets.object_cells[i]
             obj = np.zeros(LABELS.object_slot)
             obj[:63] = targets.object_offsets[i].ravel()
-            obj[60:63] = codec.logit(targets.object_offsets[i][20])
+            obj[60:63] = logit(targets.object_offsets[i][20])
             obj[63 + targets.object_ids[i]] = big
             obj[-1] = big
             raw[i, v, u, z, LABELS.hand_slot:] = obj
@@ -128,7 +128,7 @@ class TestLoss:
         targets = micro_batch(n=1)
         raw = ad.Tensor(np.zeros((1, GRID.h, GRID.w, GRID.d, LABELS.cell_channels)))
         _, parts = net.loss_graph(raw, targets, W, GRID, LABELS, conf_targets="fixed")
-        cells = GRID.cell_count()
+        cells = GRID.h * GRID.w * GRID.d
         expect = 2 * 5.0 * 0.25 + (2 * cells - 2) * 0.1 * 0.25
         assert parts["conf"] == pytest.approx(expect, rel=1e-12)
 
@@ -289,6 +289,14 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not json\n")
         with pytest.raises(ConfigError, match="not JSON"):
+            net.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-1, -2], [2, -1]])
+    def test_negative_dimension_is_config_error(self, tmp_path, shape):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b'{"format": 1, "tensors": [{"name": "w", "shape": %s}]}\n'
+                         % str(shape).encode() + bytes(64))
+        with pytest.raises(ConfigError, match="negative dimension"):
             net.load_checkpoint(path)
 
     def test_header_without_tensor_list_is_config_error(self, tmp_path):

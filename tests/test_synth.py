@@ -10,7 +10,9 @@ from gridpose import codec, config
 from gridpose import geometry as geo
 from gridpose import synth
 from gridpose.codec import LabelSpec
-from gridpose.errors import ConfigError, ConfigOutOfRange, OutOfVolume
+from gridpose.errors import ConfigError, ConfigOutOfRange
+
+from conftest import rotation_geodesic
 
 
 GRID = geo.GridSpec(h=7, w=7, d=3, cell_u_px=8.0, cell_v_px=8.0, cell_z_m=0.15,
@@ -319,7 +321,6 @@ class TestSequences:
         assert all(b > a for a, b in zip(d, d[1:]))
 
     def test_rotate_angle_increases_translation_fixed(self):
-        from gridpose.rigidpose import rotation_geodesic
         seq = synth.sample_sequence(9, 2, 0, PARAMS, with_raster=False)
         r0 = seq.frames[0].object_pose.rotation
         angles = [rotation_geodesic(f.object_pose.rotation, r0) for f in seq.frames]
@@ -446,6 +447,17 @@ class TestDatasetFiles:
             np.testing.assert_allclose(back.object_points, orig.object_points, atol=1e-12)
             assert back.action_id == orig.action_id
             assert np.abs(back.raster - orig.raster).max() <= 0.5 / 255.0 + 1e-12
+
+    def test_non_numeric_record_field_is_config_error(self, tmp_path):
+        frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
+        synth.save_frames(tmp_path, frames, seq_ids=[0, 1])
+        path = tmp_path / "frames.txt"
+        lines = path.read_text().splitlines()
+        parts = lines[1].split()
+        parts[5] = "x"
+        path.write_text("\n".join([lines[0], " ".join(parts)]) + "\n")
+        with pytest.raises(ConfigError, match="frames.txt:2: non-numeric"):
+            synth.load_frames(tmp_path)
 
     def test_sequences_regroup(self, tmp_path):
         seqs = [synth.sample_sequence(s, s % 4, s % 3, PARAMS) for s in range(3)]
