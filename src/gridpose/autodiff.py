@@ -375,13 +375,26 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
+def _taps(i: int, size: int, out: int, stride: int, padding: int) -> tuple[slice, slice]:
+    """Kernel tap i along one axis of length size: the slice of the out
+    output positions o whose input o * stride + i - padding lies in
+    [0, size), and the strided slice of those inputs (both may be empty)."""
+    lo = max(0, -((i - padding) // stride))
+    hi = max(lo, min(out, (size - 1 + padding - i) // stride + 1))
+    first = lo * stride + i - padding
+    return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
+
+
 def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution, NCHW layout, square kernel, single stride/pad value.
 
     im2col + GEMM over the whole batch. The columns matrix is channel-major,
     cols[(ci, i, j), (m, oy, ox)] = xpad[m, ci, oy * stride + i, ox * stride + j],
-    shape (c·k², n·L) with L = oh·ow, built from k² strided copies of the
-    padded input held as (c, n, h + 2p, w + 2p). Each pass is one GEMM:
+    shape (c·k², n·L) with L = oh·ow, where xpad is the input zero-padded by
+    p. The padded input is never built: cols starts at zero and each of the
+    k² taps copies only the strided window of x that lands inside it (see
+    _taps), which keeps a padded copy of the batch out of the forward's peak
+    memory. Each pass is one GEMM:
 
       forward          out (f, n·L) = w2 (f, c·k²) @ cols, bias added in place
       weight gradient  gw  (f, c·k²) = gT (f, n·L) @ cols.T
@@ -393,7 +406,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
 
     The output is an (n, f, oh, ow) view of the (f, n·L) product, not a copy.
     Elementwise ops keep that channel-major memory order, so the next layer
-    fills its padded input with contiguous reads, and gT is a free reshape
+    fills its columns with contiguous reads, and gT is a free reshape
     of a gradient that comes back in the same order.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
@@ -409,12 +422,13 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     if pointwise:
         cols = x.data.transpose(1, 0, 2, 3).reshape(c, n * oh * ow)
     else:
-        xp = np.zeros((c, n, hp, wp))
-        xp[:, :, padding: padding + h, padding: padding + wd] = x.data.transpose(1, 0, 2, 3)
-        cols = np.empty((c, k, k, n, oh, ow))
+        xt = x.data.transpose(1, 0, 2, 3)
+        cols = np.zeros((c, k, k, n, oh, ow))
         for i in range(k):
+            out_y, in_y = _taps(i, h, oh, stride, padding)
             for j in range(k):
-                cols[:, i, j] = xp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride]
+                out_x, in_x = _taps(j, wd, ow, stride, padding)
+                cols[:, i, j, :, out_y, out_x] = xt[:, :, in_y, in_x]
         cols = cols.reshape(c * k * k, n * oh * ow)
     w2 = w.data.reshape(f, c * k * k)
     out = w2 @ cols

@@ -17,8 +17,11 @@ offsets from that cell's corner. The loss reads these at the responsible
 cells only; every other cell is trained towards confidence 0. Points on a
 cell boundary belong to the lower-index cell.
 
-At inference decode_grid decodes every cell of a raw grid at once, and
-prune keeps the most confident cell per entity.
+At inference decode_best takes a batch of raw grids, picks each frame's
+most confident hand cell and object cell from the confidence channels alone
+and decodes only those two slots. decode_grid and prune are the full-grid
+form of the same step on one frame: decode every cell, then keep the most
+confident cell per entity. Both share one argmax and tie-break rule.
 """
 
 from __future__ import annotations
@@ -220,18 +223,22 @@ def decode_grid(raw_grid: np.ndarray, grid: GridSpec, labels: LabelSpec) -> Deco
     )
 
 
-def _best_cell(conf: np.ndarray) -> tuple[int, int, int]:
-    """Max-confidence cell; ties break to the lowest linear index in
-    (u-major, then v, then z) order."""
-    swapped = conf.transpose(1, 0, 2)  # (w, h, d)
-    u, v, z = np.unravel_index(int(np.argmax(swapped)), swapped.shape)
-    return int(u), int(v), int(z)
+def _best_cell(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Max-confidence cell of each (h, w, d) grid in a (B, h, w, d) batch.
+
+    Returns the (B,) arrays u, v, z. Ties break to the lowest linear index
+    in (u-major, then v, then z) order; a NaN confidence beats every number,
+    and the first NaN in that order wins.
+    """
+    swapped = conf.transpose(0, 2, 1, 3)  # (B, w, h, d)
+    best = np.argmax(swapped.reshape(len(conf), -1), axis=1)
+    return np.unravel_index(best, swapped.shape[1:])
 
 
 def prune(decoded: DecodedGrid, grid: GridSpec, cam: CameraIntrinsics) -> FramePrediction:
     """Keep the single best hand slot and best object slot of a frame."""
-    hu, hv, hz = _best_cell(decoded.hand_conf)
-    ou, ov, oz = _best_cell(decoded.object_conf)
+    hu, hv, hz = (int(i[0]) for i in _best_cell(decoded.hand_conf[None]))
+    ou, ov, oz = (int(i[0]) for i in _best_cell(decoded.object_conf[None]))
     return FramePrediction(
         hand_points=grid_to_camera_unchecked(decoded.hand_coords[hv, hu, hz], cam, grid),
         hand_confidence=float(decoded.hand_conf[hv, hu, hz]),
@@ -242,6 +249,45 @@ def prune(decoded: DecodedGrid, grid: GridSpec, cam: CameraIntrinsics) -> FrameP
         object_probs=decoded.object_probs[ov, ou, oz],
         object_cell=(ou, ov, oz),
     )
+
+
+def decode_best(raw: np.ndarray, grid: GridSpec, labels: LabelSpec,
+                cam: CameraIntrinsics) -> list[FramePrediction]:
+    """decode_grid + prune for a (B, h, w, d, hand_slot+object_slot) batch.
+
+    Only the confidence channels are decoded for every cell; each frame's
+    winning hand and object slots are gathered (copied, so no result is a
+    view into raw) and decoded together. Equal, bit for bit, to decode_grid
+    then prune on each frame.
+    """
+    raw = np.asarray(raw, dtype=float)
+    expect = (grid.h, grid.w, grid.d, labels.cell_channels)
+    if raw.shape[1:] != expect:
+        raise LengthMismatch(f"raw batch has shape {raw.shape}, expected (B, *{expect})")
+    n_c = labels.n_control
+    frames = np.arange(len(raw))
+    conf = sigmoid(raw[..., [labels.hand_slot - 1, labels.cell_channels - 1]])
+    roles = []
+    for r, (role, lo, hi) in enumerate(((HAND, 0, labels.hand_slot),
+                                        (OBJECT, labels.hand_slot, labels.cell_channels))):
+        u, v, z = _best_cell(conf[..., r])
+        slot = raw[frames, v, u, z, lo:hi]
+        cell = np.stack([u, v, z], axis=-1)
+        coords = decode_offsets(slot[:, : 3 * n_c], role, n_c) + cell[:, None, :].astype(float)
+        roles.append((grid_to_camera_unchecked(coords, cam, grid),
+                      conf[frames, v, u, z, r].tolist(),
+                      softmax(slot[:, 3 * n_c: -1]),
+                      [tuple(c) for c in cell.tolist()]))
+    (h_pts, h_conf, h_probs, h_cell), (o_pts, o_conf, o_probs, o_cell) = roles
+    return [
+        FramePrediction(
+            hand_points=h_pts[i], hand_confidence=h_conf[i], action_probs=h_probs[i],
+            hand_cell=h_cell[i],
+            object_points=o_pts[i], object_confidence=o_conf[i], object_probs=o_probs[i],
+            object_cell=o_cell[i],
+        )
+        for i in frames.tolist()
+    ]
 
 
 def confidence_component(distance, cutoff: float, sharpness: float):

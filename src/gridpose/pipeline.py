@@ -154,15 +154,23 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
 
 def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
                    batch_size: int = 64) -> list[codec.FramePrediction]:
-    """Run the backbone and prune the best hand/object slot per frame."""
+    """Run the backbone on batches of batch_size frames and keep each frame's
+    best hand and object slot (codec.decode_best, once per batch). Each
+    batch's images are stacked when it runs, so memory grows with the batch,
+    not with the frame list.
+
+    An empty frame list gives [] without running the network; batch_size
+    below 1 is a ConfigError.
+    """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
+    if not frames:
+        return []
     preds = []
-    images = np.stack([f.raster for f in frames])
     for start in range(0, len(frames), batch_size):
-        raw = net.forward(params, images[start: start + batch_size],
-                          cfg.backbone, cfg.grid, cfg.labels)
-        for i in range(raw.shape[0]):
-            dec = codec.decode_grid(raw[i], cfg.grid, cfg.labels)
-            preds.append(codec.prune(dec, cfg.grid, cfg.camera))
+        images = np.stack([f.raster for f in frames[start: start + batch_size]])
+        raw = net.forward(params, images, cfg.backbone, cfg.grid, cfg.labels)
+        preds.extend(codec.decode_best(raw, cfg.grid, cfg.labels, cfg.camera))
     return preds
 
 

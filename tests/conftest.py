@@ -1,13 +1,11 @@
-"""Shared fixtures: a small grid/camera/label configuration, scene stubs and
+"""Shared test helpers: the paper-scale grid and camera, scene stubs and
 measurement helpers."""
 
 from dataclasses import dataclass
 
 import numpy as np
-import pytest
 
 from gridpose import geometry as geo
-from gridpose.codec import LabelSpec
 from gridpose.rigidpose import Pose6D, random_rotation
 
 
@@ -42,21 +40,6 @@ def rotation_geodesic(r_a, r_b) -> float:
     """
     diff = np.linalg.norm(np.asarray(r_a) - np.asarray(r_b))
     return float(2.0 * np.arcsin(min(1.0, diff / (2.0 * np.sqrt(2.0)))))
-
-
-@pytest.fixture
-def paper_grid():
-    return PAPER_GRID
-
-
-@pytest.fixture
-def paper_cam():
-    return PAPER_CAM
-
-
-@pytest.fixture
-def toy_labels():
-    return LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
 
 
 def hand_around(root, rng=None, spread=0.05):

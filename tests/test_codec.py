@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridpose import codec
+from gridpose import codec, config
 from gridpose import geometry as geo
 from gridpose.errors import LengthMismatch, OutOfVolume
 
@@ -288,3 +288,71 @@ class TestPrune:
                         best, best_conf = (u, v, z), c
         assert pred.object_cell == best
         assert pred.object_confidence == pytest.approx(best_conf)
+
+
+TOY = config.toy_preset()
+TOY_GRID, TOY_CAM = TOY.grid, TOY.camera
+
+
+class TestDecodeBest:
+    """The batched decoder against decode_grid + prune, frame by frame."""
+
+    @staticmethod
+    def _batch(rng, grid, n):
+        return rng.normal(scale=3.0, size=(n, grid.h, grid.w, grid.d, LABELS.cell_channels))
+
+    def _assert_matches_per_frame(self, raw, grid, cam):
+        batch = codec.decode_best(raw, grid, LABELS, cam)
+        assert len(batch) == len(raw)
+        for frame, got in zip(raw, batch):
+            want = codec.prune(codec.decode_grid(frame, grid, LABELS), grid, cam)
+            assert (got.hand_cell, got.object_cell) == (want.hand_cell, want.object_cell)
+            assert all(type(i) is int for i in got.hand_cell + got.object_cell)
+            for name in ("hand_confidence", "object_confidence"):
+                assert type(getattr(got, name)) is float
+                np.testing.assert_equal(getattr(got, name), getattr(want, name))
+            for name in ("hand_points", "object_points", "action_probs", "object_probs"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+                assert not np.shares_memory(getattr(got, name), raw)
+        return batch
+
+    @pytest.mark.parametrize("grid, cam", [(TOY_GRID, TOY_CAM), (PAPER_GRID, PAPER_CAM)])
+    @pytest.mark.parametrize("n", [1, 9])
+    def test_random_batches_match(self, grid, cam, n):
+        rng = np.random.default_rng(11 + n)
+        for _ in range(3):
+            self._assert_matches_per_frame(self._batch(rng, grid, n), grid, cam)
+
+    def test_saturated_ties_break_to_lowest_u_major_index(self):
+        # logits >= 40 round to confidence exactly 1.0, so several cells tie
+        rng = np.random.default_rng(3)
+        raw = self._batch(rng, TOY_GRID, 4)
+        hand_conf, obj_conf = LABELS.hand_slot - 1, LABELS.cell_channels - 1
+        # the winner has the smaller logit, so an argmax over logits would miss it
+        raw[0, 2, 5, 1, hand_conf] = 55.0   # (u=5, v=2, z=1)
+        raw[0, 6, 1, 2, hand_conf] = 40.0   # (u=1, v=6, z=2): lower u, wins
+        raw[1, 3, 3, 0, obj_conf] = 60.0    # (u=3, v=3, z=0)
+        raw[1, 0, 3, 2, obj_conf] = 41.0    # (u=3, v=0, z=2): same u, lower v, wins
+        raw[2, :, :, :, hand_conf] = 45.0   # every cell ties: (0, 0, 0) wins
+        preds = self._assert_matches_per_frame(raw, TOY_GRID, TOY_CAM)
+        assert preds[0].hand_cell == (1, 6, 2) and preds[0].hand_confidence == 1.0
+        assert preds[1].object_cell == (3, 0, 2)
+        assert preds[2].hand_cell == (0, 0, 0)
+
+    def test_first_nan_confidence_wins(self):
+        rng = np.random.default_rng(4)
+        raw = self._batch(rng, TOY_GRID, 3)
+        hand_conf = LABELS.hand_slot - 1
+        raw[1, 4, 2, 0, hand_conf] = np.nan   # (u=2, v=4, z=0)
+        raw[1, 1, 3, 1, hand_conf] = np.nan   # (u=3, v=1, z=1): later in u-major order
+        raw[1, 0, 0, 0, hand_conf] = 80.0
+        preds = self._assert_matches_per_frame(raw, TOY_GRID, TOY_CAM)
+        assert preds[1].hand_cell == (2, 4, 0)
+        assert np.isnan(preds[1].hand_confidence)
+
+    def test_wrong_shape_rejected(self):
+        raw = np.zeros((TOY_GRID.h, TOY_GRID.w, TOY_GRID.d, LABELS.cell_channels))
+        with pytest.raises(LengthMismatch):
+            codec.decode_best(raw, TOY_GRID, LABELS, TOY_CAM)
+        with pytest.raises(LengthMismatch):
+            codec.decode_best(raw[None, ..., 1:], TOY_GRID, LABELS, TOY_CAM)

@@ -73,6 +73,9 @@ LAYERS = {
     "head_1x1": (96, 405, (7, 7), 1, 1, 0),
     "odd_stride2": (5, 4, (9, 11), 3, 2, 1),
     "odd_stride3": (4, 3, (11, 10), 3, 3, 1),
+    "k3_no_pad": (3, 2, (7, 6), 3, 1, 0),
+    "k5_pad2_stride2": (3, 2, (8, 9), 5, 2, 2),
+    "pad_wider_than_kernel": (2, 3, (3, 4), 3, 2, 3),
 }
 
 

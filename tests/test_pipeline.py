@@ -3,9 +3,10 @@
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gridpose import config, pipeline
+from gridpose import config, network as net, pipeline, synth
 from gridpose.errors import ConfigError, HashMismatch
 
 
@@ -119,3 +120,35 @@ class TestRunLocation:
         with pytest.raises(ConfigError, match="cannot hold"):
             pipeline.gen_data(cfg)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestPredictFrames:
+    @pytest.fixture(scope="class")
+    def model(self):
+        cfg = config.toy_preset(seed=7)
+        frames = [synth.sample_scene((7, i), cfg.scene) for i in range(20)]
+        return cfg, net.init_params(cfg.backbone, cfg.grid, cfg.labels, 7), frames
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, model, batch_size):
+        cfg, params, frames = model
+        with pytest.raises(ConfigError, match="batch_size"):
+            pipeline.predict_frames(cfg, params, frames, batch_size=batch_size)
+
+    def test_no_frames_give_no_predictions(self, model):
+        cfg, params, _ = model
+        assert pipeline.predict_frames(cfg, params, []) == []
+
+    def test_predictions_do_not_depend_on_batch_size(self, model):
+        # 20 frames at batch 7 leave a ragged last batch of 6
+        cfg, params, frames = model
+        ref, *others = (pipeline.predict_frames(cfg, params, frames, batch_size=b)
+                        for b in (1, 7, 64))
+        assert len(ref) == len(frames)
+        for preds in others:
+            assert len(preds) == len(ref)
+            for got, want in zip(preds, ref):
+                assert (got.hand_cell, got.object_cell) == (want.hand_cell, want.object_cell)
+                for name in ("hand_points", "object_points", "action_probs", "object_probs"):
+                    np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                               rtol=1e-8, atol=1e-8)
