@@ -2,8 +2,8 @@
 
 The network predicts two slots per grid cell:
 
-    hand slot   [3*n_control coord values | n_actions class values | confidence]
-    object slot [3*n_control coord values | n_objects class values | confidence]
+    hand slot   [3·NUM_CONTROL_POINTS coord values | n_actions class values | confidence]
+    object slot [3·NUM_CONTROL_POINTS coord values | n_objects class values | confidence]
 
 Coordinate values are offsets in cell units relative to the cell's near
 top-left corner (the corner with the smallest u, v and depth). The root
@@ -34,6 +34,7 @@ from .autodiff import logistic as sigmoid
 from .errors import ConfigError, ConfigOutOfRange, LengthMismatch, OutOfVolume
 from .geometry import (
     HAND,
+    NUM_CONTROL_POINTS,
     OBJECT,
     CameraIntrinsics,
     GridSpec,
@@ -43,33 +44,36 @@ from .geometry import (
 )
 
 
+# Coordinate channels at the head of each slot: x, y, z of every control point.
+COORD_CHANNELS = 3 * NUM_CONTROL_POINTS
+
+
 @dataclass(frozen=True)
 class LabelSpec:
-    """Label-space sizes: control points per entity and class counts."""
+    """Label space: the verb (action) and noun (object) class counts.
+
+    Every (verb, noun) pair is an interaction class, so there are
+    n_actions * n_objects of them, numbered action-major.
+    """
 
     n_objects: int
     n_actions: int
-    n_interactions: int
-    n_control: int = 21
 
     def __post_init__(self):
-        if min(self.n_objects, self.n_actions, self.n_interactions) < 1:
+        if min(self.n_objects, self.n_actions) < 1:
             raise ConfigError("class counts must be >= 1")
-        if self.n_interactions > self.n_actions * self.n_objects:
-            raise ConfigError(
-                f"n_interactions={self.n_interactions} exceeds "
-                f"n_actions*n_objects={self.n_actions * self.n_objects}"
-            )
-        if self.n_control < 1:
-            raise ConfigError("need at least one control point")
+
+    @property
+    def n_interactions(self) -> int:
+        return self.n_actions * self.n_objects
 
     @property
     def hand_slot(self) -> int:
-        return 3 * self.n_control + self.n_actions + 1
+        return COORD_CHANNELS + self.n_actions + 1
 
     @property
     def object_slot(self) -> int:
-        return 3 * self.n_control + self.n_objects + 1
+        return COORD_CHANNELS + self.n_objects + 1
 
     @property
     def cell_channels(self) -> int:
@@ -84,7 +88,7 @@ class LabelSpec:
 class DecodedGrid:
     """Vectorized decode of a full raw grid (arrays indexed [v, u, z, ...])."""
 
-    hand_coords: np.ndarray   # (h, w, d, n_control, 3) grid units
+    hand_coords: np.ndarray   # (h, w, d, NUM_CONTROL_POINTS, 3) grid units
     hand_probs: np.ndarray    # (h, w, d, n_actions)
     hand_conf: np.ndarray     # (h, w, d)
     object_coords: np.ndarray
@@ -140,9 +144,9 @@ class FrameTargets:
 
     hand_cell: tuple[int, int, int]
     object_cell: tuple[int, int, int]
-    hand_offsets: np.ndarray    # (n_control, 3) grid units from the cell corner
+    hand_offsets: np.ndarray    # (NUM_CONTROL_POINTS, 3) grid units from the cell corner
     object_offsets: np.ndarray
-    hand_coords: np.ndarray     # (n_control, 3) ground-truth grid coordinates
+    hand_coords: np.ndarray     # (NUM_CONTROL_POINTS, 3) ground-truth grid coordinates
     object_coords: np.ndarray
     action_id: int
     object_id: int
@@ -155,7 +159,7 @@ def frame_targets(scene, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsic
     action_id and object_id. Raises OutOfVolume when the hand root or the
     object centroid falls outside the grid volume.
     """
-    n_c = labels.n_control
+    n_c = NUM_CONTROL_POINTS
     if not (0 <= scene.action_id < labels.n_actions):
         raise ConfigOutOfRange(f"action id {scene.action_id} not in [0, {labels.n_actions})")
     if not (0 <= scene.object_id < labels.n_objects):
@@ -164,8 +168,8 @@ def frame_targets(scene, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsic
     w_h = camera_to_grid(np.asarray(scene.hand_points, dtype=float).reshape(n_c, 3), cam, grid)
     w_o = camera_to_grid(np.asarray(scene.object_points, dtype=float).reshape(n_c, 3), cam, grid)
 
-    cell_h = _responsible_cell(w_h[root_index(HAND, n_c)], grid, HAND)
-    cell_o = _responsible_cell(w_o[root_index(OBJECT, n_c)], grid, OBJECT)
+    cell_h = _responsible_cell(w_h[root_index(HAND)], grid, HAND)
+    cell_o = _responsible_cell(w_o[root_index(OBJECT)], grid, OBJECT)
 
     return FrameTargets(
         hand_cell=cell_h,
@@ -179,11 +183,11 @@ def frame_targets(scene, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsic
     )
 
 
-def decode_offsets(raw_coords: np.ndarray, role: str, n_control: int) -> np.ndarray:
+def decode_offsets(raw_coords: np.ndarray, role: str) -> np.ndarray:
     """Raw coordinate channels -> in-cell offsets (sigmoid on the root point only)."""
     arr = np.asarray(raw_coords, dtype=float)
-    off = arr.reshape(*arr.shape[:-1], n_control, 3).copy()
-    root = root_index(role, n_control)
+    off = arr.reshape(*arr.shape[:-1], NUM_CONTROL_POINTS, 3).copy()
+    root = root_index(role)
     off[..., root, :] = sigmoid(off[..., root, :])
     return off
 
@@ -206,19 +210,18 @@ def decode_grid(raw_grid: np.ndarray, grid: GridSpec, labels: LabelSpec) -> Deco
     expect = (grid.h, grid.w, grid.d, labels.cell_channels)
     if raw_grid.shape != expect:
         raise LengthMismatch(f"raw grid has shape {raw_grid.shape}, expected {expect}")
-    n_c = labels.n_control
     corners = _cell_corners(grid)[..., None, :]
 
     hand_raw = raw_grid[..., : labels.hand_slot]
     obj_raw = raw_grid[..., labels.hand_slot:]
-    hand_coords = decode_offsets(hand_raw[..., : 3 * n_c], HAND, n_c) + corners
-    obj_coords = decode_offsets(obj_raw[..., : 3 * n_c], OBJECT, n_c) + corners
+    hand_coords = decode_offsets(hand_raw[..., :COORD_CHANNELS], HAND) + corners
+    obj_coords = decode_offsets(obj_raw[..., :COORD_CHANNELS], OBJECT) + corners
     return DecodedGrid(
         hand_coords=hand_coords,
-        hand_probs=softmax(hand_raw[..., 3 * n_c: -1]),
+        hand_probs=softmax(hand_raw[..., COORD_CHANNELS:-1]),
         hand_conf=sigmoid(hand_raw[..., -1]),
         object_coords=obj_coords,
-        object_probs=softmax(obj_raw[..., 3 * n_c: -1]),
+        object_probs=softmax(obj_raw[..., COORD_CHANNELS:-1]),
         object_conf=sigmoid(obj_raw[..., -1]),
     )
 
@@ -264,7 +267,6 @@ def decode_best(raw: np.ndarray, grid: GridSpec, labels: LabelSpec,
     expect = (grid.h, grid.w, grid.d, labels.cell_channels)
     if raw.shape[1:] != expect:
         raise LengthMismatch(f"raw batch has shape {raw.shape}, expected (B, *{expect})")
-    n_c = labels.n_control
     frames = np.arange(len(raw))
     conf = sigmoid(raw[..., [labels.hand_slot - 1, labels.cell_channels - 1]])
     roles = []
@@ -273,10 +275,10 @@ def decode_best(raw: np.ndarray, grid: GridSpec, labels: LabelSpec,
         u, v, z = _best_cell(conf[..., r])
         slot = raw[frames, v, u, z, lo:hi]
         cell = np.stack([u, v, z], axis=-1)
-        coords = decode_offsets(slot[:, : 3 * n_c], role, n_c) + cell[:, None, :].astype(float)
+        coords = decode_offsets(slot[:, :COORD_CHANNELS], role) + cell[:, None, :].astype(float)
         roles.append((grid_to_camera_unchecked(coords, cam, grid),
                       conf[frames, v, u, z, r].tolist(),
-                      softmax(slot[:, 3 * n_c: -1]),
+                      softmax(slot[:, COORD_CHANNELS:-1]),
                       [tuple(c) for c in cell.tolist()]))
     (h_pts, h_conf, h_probs, h_cell), (o_pts, o_conf, o_probs, o_cell) = roles
     return [

@@ -113,6 +113,12 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/run"
 
+    def __post_init__(self):
+        if self.backbone.in_channels != self.scene.render.channels:
+            raise ConfigError(
+                f"backbone.in_channels={self.backbone.in_channels} but frames are "
+                f"rendered with render.channels={self.scene.render.channels}")
+
     @property
     def grid(self) -> GridSpec:
         return self.scene.grid
@@ -129,11 +135,9 @@ class RunConfig:
         it = self.interaction
         return InteractionConfig(
             n_classes=self.labels.n_interactions,
-            n_control=self.labels.n_control,
             feature_width=it.feature_width,
             lstm_width=it.lstm_width,
             lstm_layers=it.lstm_layers,
-            include_object_points=True,
             include_class_probs=it.include_class_probs,
             n_actions=self.labels.n_actions,
             n_objects=self.labels.n_objects,
@@ -148,7 +152,7 @@ def toy_preset(seed: int = 0, out_dir: str = "runs/toy", data_dir: str = "data/t
     grid = GridSpec(h=7, w=7, d=3, cell_u_px=8.0, cell_v_px=8.0, cell_z_m=0.15,
                     z_min=0.3, sharpness=2.0, cutoff_px=12.0, cutoff_m=0.075)
     cam = CameraIntrinsics(fx=80.0, fy=80.0, cx=28.0, cy=28.0)
-    labels = LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
+    labels = LabelSpec(n_objects=3, n_actions=4)
     return RunConfig(
         scene=SceneParams(grid=grid, cam=cam, labels=labels),
         backbone=BackboneConfig(channels=(16, 32, 64, 64, 96), strides=(2, 2, 2, 1, 1)),
@@ -177,7 +181,7 @@ def paper_preset(seed: int = 0, out_dir: str = "runs/paper", data_dir: str = "da
     grid = GridSpec(h=13, w=13, d=5, cell_u_px=32.0, cell_v_px=32.0, cell_z_m=0.15,
                     z_min=0.0, sharpness=2.0, cutoff_px=75.0, cutoff_m=0.075)
     cam = CameraIntrinsics(fx=600.0, fy=600.0, cx=208.0, cy=208.0)
-    labels = LabelSpec(n_objects=4, n_actions=10, n_interactions=40)
+    labels = LabelSpec(n_objects=4, n_actions=10)
     return RunConfig(
         scene=SceneParams(
             grid=grid, cam=cam, labels=labels,

@@ -33,8 +33,8 @@ NUM_CONTROL_POINTS = 21
 
 # Root point per role: the hand skeleton starts at the wrist, the cuboid
 # control points end with the centroid (corners, then midpoints, then centroid).
-def root_index(role: str, n_points: int = NUM_CONTROL_POINTS) -> int:
-    return 0 if role == HAND else n_points - 1
+def root_index(role: str) -> int:
+    return 0 if role == HAND else NUM_CONTROL_POINTS - 1
 
 
 # Hand skeleton layout: joint 0 is the wrist; fingers follow in order
@@ -129,21 +129,15 @@ class Cuboid:
 
 @dataclass(frozen=True, eq=False)
 class ControlPointSet:
-    """Ordered 3D points with a role (hand skeleton / object box)."""
+    """Ordered 3D control points, an (N, 3) array."""
 
     points: np.ndarray
-    role: str
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ConfigError(f"control points must be (N, 3), got {pts.shape}")
-        if self.role not in (HAND, OBJECT):
-            raise ConfigError(f"unknown role {self.role!r}")
         object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def project(points: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
@@ -226,7 +220,7 @@ def cuboid_control_points(c: Cuboid) -> ControlPointSet:
     midpoints = np.array([(corners[i] + corners[j]) / 2.0 for i, j in _CUBOID_EDGES])
     centroid = corners.mean(axis=0, keepdims=True)
     pts = np.concatenate([corners, midpoints, centroid], axis=0)
-    return ControlPointSet(points=pts, role=OBJECT)
+    return ControlPointSet(points=pts)
 
 
 def cell_diagonal_m(grid: GridSpec, cam: CameraIntrinsics) -> float:

@@ -25,19 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .codec import FramePrediction, softmax
+from .codec import COORD_CHANNELS, FramePrediction, softmax
 from .errors import ConfigError, EmptySequence, NonFiniteLoss, WidthMismatch
-from .geometry import HAND_PARTS
+from .geometry import HAND, HAND_PARTS, NUM_CONTROL_POINTS, root_index
 
 
 @dataclass(frozen=True)
 class InteractionConfig:
     n_classes: int
-    n_control: int = 21
     feature_width: int = 512
     lstm_width: int = 512
     lstm_layers: int = 2
-    include_object_points: bool = True
     include_class_probs: bool = False
     n_actions: int = 0
     n_objects: int = 0
@@ -46,8 +44,8 @@ class InteractionConfig:
     input_scale: float = 10.0
 
     def __post_init__(self):
-        if self.n_classes < 1 or self.n_control < 1:
-            raise ConfigError("class and control-point counts must be >= 1")
+        if self.n_classes < 1:
+            raise ConfigError("class count must be >= 1")
         if self.lstm_layers < 1 or self.lstm_width < 1 or self.feature_width < 1:
             raise ConfigError("widths and layer counts must be >= 1")
         if self.include_class_probs and (self.n_actions < 1 or self.n_objects < 1):
@@ -55,9 +53,7 @@ class InteractionConfig:
 
     @property
     def input_width(self) -> int:
-        width = 3 * self.n_control
-        if self.include_object_points:
-            width += 3 * self.n_control
+        width = 2 * COORD_CHANNELS
         if self.include_class_probs:
             width += self.n_actions + self.n_objects
         return width
@@ -106,19 +102,15 @@ def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
 def frame_input(
     cfg: InteractionConfig,
     hand_points: np.ndarray,
-    object_points: np.ndarray | None = None,
+    object_points: np.ndarray,
     action_probs: np.ndarray | None = None,
     object_probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Flatten one frame's predictions into the classifier's input layout."""
-    hand = np.asarray(hand_points, dtype=float).reshape(cfg.n_control, 3)
-    root = hand[0].copy() if cfg.root_relative else np.zeros(3)
-    parts = [(hand - root).ravel() * cfg.input_scale]
-    if cfg.include_object_points:
-        if object_points is None:
-            raise WidthMismatch("config includes object points but none were given")
-        obj = np.asarray(object_points, dtype=float).reshape(cfg.n_control, 3)
-        parts.append((obj - root).ravel() * cfg.input_scale)
+    hand = np.asarray(hand_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3)
+    obj = np.asarray(object_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3)
+    root = hand[root_index(HAND)].copy() if cfg.root_relative else np.zeros(3)
+    parts = [(hand - root).ravel() * cfg.input_scale, (obj - root).ravel() * cfg.input_scale]
     if cfg.include_class_probs:
         if action_probs is None or object_probs is None:
             raise WidthMismatch("config includes class probabilities but none were given")
@@ -231,8 +223,8 @@ def weight_importance(model: InteractionModel) -> tuple[np.ndarray, dict[str, fl
     """
     cfg = model.cfg
     matrix = model.params["g.w1"] if cfg.use_pair_map else model.params["lstm0.wx"]
-    per_joint = np.abs(matrix[: 3 * cfg.n_control]).sum(axis=1)
-    per_joint = per_joint.reshape(cfg.n_control, 3).sum(axis=1)
+    per_joint = np.abs(matrix[:COORD_CHANNELS]).sum(axis=1)
+    per_joint = per_joint.reshape(NUM_CONTROL_POINTS, 3).sum(axis=1)
     total = per_joint.sum()
     if total > 0:
         per_joint = per_joint / total

@@ -91,10 +91,10 @@ def mean_joint_error_mm(pred_frames, gt_frames) -> float:
 
 # -- report files --------------------------------------------------------------
 
-def write_curve_csv(path, thresholds, values, value_name: str = "fraction") -> None:
+def write_curve_csv(path, thresholds, values) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["threshold", value_name])
+        writer.writerow(["threshold", "fraction"])
         for t, v in zip(thresholds, values):
             writer.writerow([f"{t:.10g}", f"{v:.10g}"])
 

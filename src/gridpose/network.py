@@ -30,9 +30,9 @@ import numpy as np
 
 from . import autodiff as ad
 from . import codec
-from .codec import LabelSpec, confidence_from_grid_coords, frame_targets
+from .codec import COORD_CHANNELS, LabelSpec, confidence_from_grid_coords, frame_targets
 from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
-from .geometry import HAND, OBJECT, CameraIntrinsics, GridSpec, root_index
+from .geometry import HAND, NUM_CONTROL_POINTS, OBJECT, CameraIntrinsics, GridSpec, root_index
 
 CHECKPOINT_FORMAT = 1
 
@@ -81,7 +81,7 @@ def model_signature(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec) -> st
     doc = {
         "backbone": [bb.channels, bb.strides, bb.in_channels, bb.kernel, bb.leak],
         "grid": [grid.h, grid.w, grid.d],
-        "labels": [labels.n_control, labels.n_actions, labels.n_objects],
+        "labels": [NUM_CONTROL_POINTS, labels.n_actions, labels.n_objects],
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -186,9 +186,9 @@ class BatchTargets:
     images: np.ndarray        # (B, C, H, W)
     hand_cells: np.ndarray    # (B, 3) int, (u, v, z)
     object_cells: np.ndarray
-    hand_offsets: np.ndarray  # (B, n_c, 3) grid-unit offsets from the cell corner
+    hand_offsets: np.ndarray  # (B, 21, 3) grid-unit offsets from the cell corner
     object_offsets: np.ndarray
-    hand_coords: np.ndarray   # (B, n_c, 3) ground-truth grid coordinates
+    hand_coords: np.ndarray   # (B, 21, 3) ground-truth grid coordinates
     object_coords: np.ndarray
     action_ids: np.ndarray    # (B,) int
     object_ids: np.ndarray
@@ -234,7 +234,6 @@ def loss_graph(
         raise ShapeMismatch(f"raw grid is {raw.shape}, expected {expect}")
     if conf_targets not in ("online", "fixed"):
         raise ConfigError(f"conf_targets must be 'online' or 'fixed', got {conf_targets!r}")
-    n_c = labels.n_control
     bidx = np.arange(b)
     scale = 1.0 / b
 
@@ -242,24 +241,24 @@ def loss_graph(
         idx = (bidx, cells[:, 1], cells[:, 0], cells[:, 2])
         resp = raw[idx][:, base: base + slot_len]
 
-        root = root_index(role, n_c)
+        root = root_index(role)
         root_sl = slice(3 * root, 3 * root + 3)
         pose_root = ad.sigmoid(resp[:, root_sl]) - offsets[:, root, :]
         rest_target = np.delete(offsets.reshape(b, -1), np.r_[3 * root: 3 * root + 3], axis=1)
         if root == 0:
-            rest = resp[:, 3: 3 * n_c]
+            rest = resp[:, 3:COORD_CHANNELS]
         else:
             rest = resp[:, : 3 * root]
         pose_rest = rest - rest_target
         pose = ad.mul(pose_root, pose_root).sum() + ad.mul(pose_rest, pose_rest).sum()
 
-        logp = ad.log_softmax(resp[:, 3 * n_c: 3 * n_c + n_classes], axis=-1)
+        logp = ad.log_softmax(resp[:, COORD_CHANNELS: COORD_CHANNELS + n_classes], axis=-1)
         ce = -logp[(bidx, class_ids)].sum()
 
         conf_logit = raw[..., base + slot_len - 1]
         conf = ad.sigmoid(conf_logit)
         if conf_targets == "online":
-            pred_w = codec.decode_offsets(resp.data[:, : 3 * n_c], role, n_c) + cells[:, None, :]
+            pred_w = codec.decode_offsets(resp.data[:, :COORD_CHANNELS], role) + cells[:, None, :]
             resp_target = confidence_from_grid_coords(pred_w, coords, grid)
         else:
             resp_target = np.ones(b)

@@ -59,12 +59,11 @@ def gen_data(cfg: RunConfig) -> Path:
                   for i in range(count)]
         synth.save_frames(root / name, frames, seq_ids=list(range(count)))
 
-    n_pairs = cfg.labels.n_actions * cfg.labels.n_objects
     for name, count, salt in (("seq_train", cfg.data.train_sequences, 3),
                               ("seq_val", cfg.data.val_sequences, 4)):
         frames, ids = [], []
         for i in range(count):
-            pair = i % n_pairs
+            pair = i % cfg.labels.n_interactions
             seq = synth.sample_sequence((cfg.seed, salt, i),
                                         pair // cfg.labels.n_objects,
                                         pair % cfg.labels.n_objects, cfg.scene)
@@ -231,20 +230,26 @@ def train_stage2(cfg: RunConfig, backbone_ckpt) -> tuple[Path, Path]:
 
 
 def load_interaction(cfg: RunConfig, ckpt_path, backbone_ckpt=None) -> ia.InteractionModel:
+    """Load a stage-2 checkpoint; any other kind of checkpoint is a ConfigError."""
     tensors, header = net.load_checkpoint(ckpt_path)
+    if header.get("kind") != "interaction" or "use_pair_map" not in header:
+        raise ConfigError(f"{ckpt_path} is not an interaction checkpoint: kind "
+                          f"{header.get('kind')!r}, use_pair_map {header.get('use_pair_map')!r}")
     if header.get("config_hash") != config_hash(cfg):
         raise HashMismatch("interaction checkpoint belongs to a different config")
     if backbone_ckpt is not None:
         if header.get("backbone_hash") != net.file_hash(backbone_ckpt):
             raise HashMismatch("interaction checkpoint references a different backbone")
-    icfg = cfg.interaction_model_config(use_pair_map=bool(header.get("use_pair_map", True)))
+    icfg = cfg.interaction_model_config(use_pair_map=bool(header["use_pair_map"]))
     return ia.InteractionModel(icfg, tensors)
 
 
 # -- direct-3D vs PnP noise sweep ------------------------------------------------
 
-def pose_noise_sweep(cfg: RunConfig, levels=(0.0, 0.002, 0.005, 0.01, 0.02),
-                     trials: int = 500, seed: int | None = None) -> list[dict]:
+NOISE_LEVELS = (0.0, 0.002, 0.005, 0.01, 0.02)
+
+
+def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
     """Paired ADD of Procrustes vs DLT PnP under depth-correlated noise.
 
     Each trial poses a random cuboid in the volume and perturbs its 21
@@ -253,7 +258,7 @@ def pose_noise_sweep(cfg: RunConfig, levels=(0.0, 0.002, 0.005, 0.01, 0.02),
     recovery routes consume the same noisy points: Procrustes aligns in
     3D, the PnP baseline only sees their 2D projections.
     """
-    rng = synth.seeded_rng(cfg.seed if seed is None else seed, 0xadd)
+    rng = synth.seeded_rng(cfg.seed, 0xadd)
     z_ref = cfg.grid.z_min + 0.5 * cfg.grid.d * cfg.grid.cell_z_m
     rows = []
     poses = []
@@ -266,7 +271,7 @@ def pose_noise_sweep(cfg: RunConfig, levels=(0.0, 0.002, 0.005, 0.01, 0.02),
         cuboids.append(cuboid)
     noise_unit = [rng.standard_normal((21, 3)) for _ in range(trials)]
 
-    for level in levels:
+    for level in NOISE_LEVELS:
         adds_direct, adds_pnp = [], []
         for pose, cuboid, unit in zip(poses, cuboids, noise_unit):
             ref = cuboid_control_points(cuboid).points

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, RankDeficient
-from .geometry import CameraIntrinsics, ControlPointSet
+from .geometry import CameraIntrinsics
 
 _RANK_TOL = 1e-9
 
@@ -29,12 +29,6 @@ class Pose6D:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
-def _as_points(x) -> np.ndarray:
-    if isinstance(x, ControlPointSet):
-        return x.points
-    return np.asarray(x, dtype=float)
-
-
 def procrustes_align(src, dst, corners_only: bool = False) -> Pose6D:
     """Least-squares rigid transform mapping src points onto dst points.
 
@@ -45,8 +39,8 @@ def procrustes_align(src, dst, corners_only: bool = False) -> Pose6D:
 
     Raises DegenerateConfiguration when the src covariance has rank < 2.
     """
-    s = _as_points(src)
-    d = _as_points(dst)
+    s = np.asarray(src, dtype=float)
+    d = np.asarray(dst, dtype=float)
     if corners_only:
         s, d = s[:8], d[:8]
     if s.shape != d.shape:
@@ -83,7 +77,7 @@ def pnp_dlt(pixels: np.ndarray, src, cam: CameraIntrinsics) -> Pose6D:
     Raises RankDeficient with fewer than 6 correspondences and
     DegenerateConfiguration when the linear system has no unique solution.
     """
-    model = _as_points(src)
+    model = np.asarray(src, dtype=float)
     px = np.asarray(pixels, dtype=float)
     n = model.shape[0]
     if px.shape != (n, 2):

@@ -37,7 +37,9 @@ from .codec import LabelSpec
 from .errors import ConfigError, ConfigOutOfRange, NonPositiveDepth
 from .geometry import (
     _CUBOID_EDGES,
+    HAND,
     HAND_BONES,
+    OBJECT,
     CameraIntrinsics,
     Cuboid,
     GridSpec,
@@ -45,6 +47,7 @@ from .geometry import (
     cuboid_control_points,
     grid_to_camera,
     project,
+    root_index,
 )
 from .rigidpose import Pose6D
 
@@ -515,7 +518,8 @@ def augment_frame(frame: SceneFrame, rng: np.random.Generator,
         dv = int(round(rng.uniform(-translate_frac, translate_frac) * h))
         for _ in range(8):
             cand = translate_frame(out, du, dv, params.cam)
-            if in_volume(cand.hand_points[0], params) and in_volume(cand.object_points[20], params):
+            if (in_volume(cand.hand_points[root_index(HAND)], params)
+                    and in_volume(cand.object_points[root_index(OBJECT)], params)):
                 out = cand
                 break
             du //= 2
@@ -593,7 +597,7 @@ def save_frames(directory, frames: list[SceneFrame], seq_ids: list[int]) -> None
     (directory / "frames.txt").write_text("\n".join(lines) + "\n")
 
 
-def load_frames(directory, with_raster: bool = True) -> tuple[list[SceneFrame], list[int]]:
+def load_frames(directory) -> tuple[list[SceneFrame], list[int]]:
     directory = Path(directory)
     path = directory / "frames.txt"
     frames, seq_ids = [], []
@@ -613,7 +617,7 @@ def load_frames(directory, with_raster: bool = True) -> tuple[list[SceneFrame], 
         t = vals[72:75]
         cuboid = Cuboid(*vals[75:78])
         pose = Pose6D(rot, t)
-        raster = read_raster(directory / parts[-1]) if with_raster else None
+        raster = read_raster(directory / parts[-1])
         frames.append(SceneFrame(
             hand_points=hand, object_pose=pose, cuboid=cuboid,
             object_points=pose.apply(cuboid_control_points(cuboid).points),

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from gridpose import codec, config
 from gridpose import geometry as geo
-from gridpose.errors import LengthMismatch, OutOfVolume
+from gridpose.errors import ConfigError, LengthMismatch, OutOfVolume
 
 from conftest import PAPER_CAM, PAPER_GRID, SceneStub, hand_around, logit, random_scene
 
 
-LABELS = codec.LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
+LABELS = codec.LabelSpec(n_objects=3, n_actions=4)
 
 
 def raw_grid_from_targets(t: codec.FrameTargets, grid, labels) -> np.ndarray:
@@ -24,7 +24,7 @@ def raw_grid_from_targets(t: codec.FrameTargets, grid, labels) -> np.ndarray:
     the logit), a one-hot class (softmax keeps the argmax) and confidence
     logit +inf; every other cell has confidence logit -inf.
     """
-    n_c = labels.n_control
+    n_c = geo.NUM_CONTROL_POINTS
     raw = np.zeros((grid.h, grid.w, grid.d, labels.cell_channels))
     raw[..., labels.hand_slot - 1] = logit(0.0)
     raw[..., -1] = logit(0.0)
@@ -33,7 +33,7 @@ def raw_grid_from_targets(t: codec.FrameTargets, grid, labels) -> np.ndarray:
         (t.object_cell, t.object_offsets, t.object_id, geo.OBJECT, labels.hand_slot),
     ):
         coords = offsets.copy()
-        root = geo.root_index(role, n_c)
+        root = geo.root_index(role)
         coords[root] = logit(coords[root])
         slot_len = labels.hand_slot if role == geo.HAND else labels.object_slot
         raw[v, u, z, base: base + 3 * n_c] = coords.ravel()
@@ -49,11 +49,11 @@ def decode_cell(raw, cell, grid, labels, cam) -> tuple[Slot, Slot]:
     """Reference decoder of one cell's raw vector into its (hand, object) slots,
     with its own sigmoid and softmax; the oracle for codec.decode_grid."""
     raw = np.asarray(raw, dtype=float)
-    n_c = labels.n_control
+    n_c = geo.NUM_CONTROL_POINTS
     slots = []
     for role, vec in ((geo.HAND, raw[: labels.hand_slot]), (geo.OBJECT, raw[labels.hand_slot:])):
         offsets = vec[: 3 * n_c].reshape(n_c, 3).copy()
-        root = geo.root_index(role, n_c)
+        root = geo.root_index(role)
         offsets[root] = 1.0 / (1.0 + np.exp(-offsets[root]))
         coords = offsets + np.asarray(cell, dtype=float)
         logits = vec[3 * n_c: -1]
@@ -77,21 +77,33 @@ def point_set_confidence(pred, gt, grid, cam) -> float:
 class TestLabelSpec:
     def test_fpha_ho_slot_sizes(self):
         # 4 objects, 10 actions: hand slot 3*21+10+1 = 74, object slot 68
-        labels = codec.LabelSpec(n_objects=4, n_actions=10, n_interactions=10)
+        labels = codec.LabelSpec(n_objects=4, n_actions=10)
         assert labels.hand_slot == 74
         assert labels.object_slot == 68
 
     def test_slot_length_formula(self):
         for n_a, n_o in [(1, 1), (4, 3), (10, 4), (45, 26)]:
-            labels = codec.LabelSpec(n_objects=n_o, n_actions=n_a, n_interactions=n_a * n_o)
+            labels = codec.LabelSpec(n_objects=n_o, n_actions=n_a)
             assert labels.hand_slot == 3 * 21 + n_a + 1
             assert labels.object_slot == 3 * 21 + n_o + 1
 
     def test_interaction_index(self):
-        labels = codec.LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
+        labels = codec.LabelSpec(n_objects=3, n_actions=4)
         assert labels.interaction_index(0, 0) == 0
         assert labels.interaction_index(1, 0) == 3
         assert labels.interaction_index(3, 2) == 11
+
+    @pytest.mark.parametrize("n_a,n_o", [(1, 1), (4, 3), (3, 4), (10, 4), (7, 1)])
+    def test_every_pair_is_a_class(self, n_a, n_o):
+        labels = codec.LabelSpec(n_objects=n_o, n_actions=n_a)
+        assert labels.n_interactions == n_a * n_o
+        ids = [labels.interaction_index(a, o) for a in range(n_a) for o in range(n_o)]
+        assert sorted(ids) == list(range(labels.n_interactions))
+
+    @pytest.mark.parametrize("n_a,n_o", [(0, 3), (4, 0)])
+    def test_empty_class_count_rejected(self, n_a, n_o):
+        with pytest.raises(ConfigError, match="class counts"):
+            codec.LabelSpec(n_objects=n_o, n_actions=n_a)
 
 
 class TestEncodeFrame:

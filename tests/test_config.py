@@ -22,6 +22,7 @@ def variant_config():
         scene=replace(cfg.scene, sequence_length=8, tilt_max=0.3, margin_z_cells=0.5,
                       object_sizes=((0.02, 0.03, 0.04),) * 3,
                       render=synth.RenderSpec(channels=1, bone_gain=0.3)),
+        backbone=replace(cfg.backbone, in_channels=1),
         optim=replace(cfg.optim, lr=1 / 3, schedule_epochs=(), conf_targets="fixed"),
         interaction=replace(cfg.interaction, include_class_probs=True,
                             root_relative=False, schedule_epochs=()),
@@ -35,10 +36,10 @@ CONFIGS = {"toy": config.toy_preset, "variant": variant_config}
 # (config_hash, sha256 of config_to_text). Checkpoints record the config hash,
 # so a change here stops every saved checkpoint from loading.
 PINNED = {
-    "toy": ("b75bc6c60bc2ef2ad9d6cd7968ffc1060efa34d0d982ec943b46788b408b72f5",
-            "9678dcabe9b62f9a8160fbfe9522e9cec7241961a54c5669e1000abc9913fd36"),
-    "variant": ("41bdc071fbd237522afbc0399a99dbf18a1324bc0e91c7851704316608a62c87",
-                "24bb6b533fab18aea5327070e006090ad42849852712885e7c710145acff9ca0"),
+    "toy": ("95a9b94365ebe7688dd57ae6368ecff0e2236b3eeebabb000db73d0ebd2a811d",
+            "12cb5237e332e4fca1f80df96d26df788ff34fed74438c5d551a979c9a6c00af"),
+    "variant": ("d308df2fa72d4369e5d39c88f71cb1279ffb88c84238720cda3d4f7d0a8e44ee",
+                "9a93fa2d69d723a90b65b8648be5a59dfb4070b54abb111c91f22104e8679bd6"),
 }
 
 
@@ -155,10 +156,37 @@ class TestFlatText:
                         replace(cfg, data=replace(cfg.data, train_sequences=1))):
             assert config.config_hash(changed) != config.config_hash(cfg)
 
+    def test_label_space_is_two_class_counts(self):
+        flat = config.config_to_flat(config.toy_preset())
+        assert sorted(k for k in flat if k.startswith("labels.")) == [
+            "labels.n_actions", "labels.n_objects"]
+        assert config.toy_preset().labels.n_interactions == 12
+
+    @pytest.mark.parametrize("line", ["labels.n_interactions = 12", "labels.n_interactions = 6",
+                                      "labels.n_control = 21", "labels.n_control = 20"])
+    def test_derived_label_sizes_cannot_be_set(self, line):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config.config_from_flat(config.parse_flat_text(toy_text() + line + "\n"))
+
     def test_paper_preset_is_out_of_range(self):
         # it asks for 10 actions, synth has generators for 4
         with pytest.raises(ConfigOutOfRange, match="action generators"):
             config.paper_preset()
+
+
+class TestInputChannels:
+    @pytest.mark.parametrize("in_channels,render", [(1, 3), (3, 1)])
+    def test_mismatch_rejected_through_replace(self, in_channels, render):
+        cfg = config.toy_preset()
+        with pytest.raises(ConfigError, match="in_channels"):
+            replace(cfg, backbone=replace(cfg.backbone, in_channels=in_channels),
+                    scene=replace(cfg.scene, render=synth.RenderSpec(channels=render)))
+
+    @pytest.mark.parametrize("key,value", [("backbone.in_channels", "1"),
+                                           ("render.channels", "1")])
+    def test_mismatch_rejected_through_flat_text(self, key, value):
+        with pytest.raises(ConfigError, match="in_channels"):
+            config.config_from_flat(config.parse_flat_text(with_value(key, value)))
 
 
 class TestDataConfig:

@@ -160,11 +160,12 @@ class TestSpecValidation:
         grid = geo.GridSpec(h=7, w=7, d=3, cell_u_px=8, cell_v_px=8, cell_z_m=0.15)
         assert (grid.image_w, grid.image_h) == (56, 56)
 
-    def test_control_point_set_roles(self):
-        pts = np.zeros((21, 3))
-        cps = geo.ControlPointSet(points=pts, role=geo.HAND)
-        assert geo.root_index(cps.role, len(cps)) == 0
-        cps = geo.ControlPointSet(points=pts, role=geo.OBJECT)
-        assert geo.root_index(cps.role, len(cps)) == 20
-        with pytest.raises(ConfigError):
-            geo.ControlPointSet(points=pts, role="tool")
+    def test_root_index(self):
+        # the wrist starts the skeleton, the centroid ends the box points
+        assert geo.root_index(geo.HAND) == 0
+        assert geo.root_index(geo.OBJECT) == geo.NUM_CONTROL_POINTS - 1 == 20
+
+    @pytest.mark.parametrize("shape", [(21,), (21, 2), (1, 21, 3)])
+    def test_control_point_set_rejects_non_n_by_3(self, shape):
+        with pytest.raises(ConfigError, match=r"\(N, 3\)"):
+            geo.ControlPointSet(points=np.zeros(shape))

@@ -103,10 +103,6 @@ class TestFrameInput:
             ia.frame_input(cfg, rnd_points(rng), rnd_points(rng),
                            action_probs=np.full(5, 0.2), object_probs=np.full(3, 1 / 3))
 
-    def test_missing_object_rejected(self):
-        with pytest.raises(WidthMismatch):
-            ia.frame_input(CFG, rnd_points(np.random.default_rng(0)))
-
 
 def features(model, hand, obj):
     """The interaction map of one frame's input, as the classifier applies it."""

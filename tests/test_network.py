@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridpose import autodiff as ad
-from gridpose import codec
+from gridpose import codec, config
 from gridpose import geometry as geo
 from gridpose import network as net
 from gridpose.errors import ConfigError, NonFiniteLoss, ShapeMismatch
@@ -15,7 +15,7 @@ from conftest import logit, random_scene
 GRID = geo.GridSpec(h=3, w=3, d=2, cell_u_px=4.0, cell_v_px=4.0, cell_z_m=0.3,
                     z_min=0.2, cutoff_px=6.0, cutoff_m=0.15)
 CAM = geo.CameraIntrinsics(fx=20.0, fy=20.0, cx=6.0, cy=6.0)
-LABELS = codec.LabelSpec(n_objects=2, n_actions=3, n_interactions=6)
+LABELS = codec.LabelSpec(n_objects=2, n_actions=3)
 BB = net.BackboneConfig(channels=(6, 8), strides=(2, 2))
 W = net.LossWeights()
 
@@ -53,13 +53,18 @@ class TestForward:
     def test_toy_output_channel_count(self):
         # 7x7x3 grid with 4 actions / 3 objects: 3 * ((63+4+1) + (63+3+1)) = 405
         grid = geo.GridSpec(h=7, w=7, d=3, cell_u_px=8, cell_v_px=8, cell_z_m=0.15)
-        labels = codec.LabelSpec(n_objects=3, n_actions=4, n_interactions=12)
+        labels = codec.LabelSpec(n_objects=3, n_actions=4)
         assert net.output_channels(grid, labels) == 405
         bb = net.BackboneConfig(channels=(8, 8, 8), strides=(2, 2, 2))
         params = net.init_params(bb, grid, labels, seed=0)
         assert params.tensors["head.w"].shape == (405, 8, 1, 1)
         raw = net.forward(params, np.zeros((1, 3, 56, 56)), bb, grid, labels)
         assert raw.shape == (1, 7, 7, 3, labels.cell_channels)
+
+    def test_toy_signature_is_pinned(self):
+        # saved stage-1 checkpoints record this digest; load_backbone compares it
+        cfg = config.toy_preset()
+        assert net.model_signature(cfg.backbone, cfg.grid, cfg.labels) == "624f96d1653f5faa"
 
     def test_shape_mismatch_rejected(self):
         params = net.init_params(BB, GRID, LABELS, seed=0)

@@ -122,6 +122,23 @@ class TestRunLocation:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestLoadInteraction:
+    @pytest.mark.parametrize("header", [
+        pytest.param({"kind": "backbone"}, id="backbone"),
+        pytest.param({"kind": "interaction"}, id="no-use_pair_map"),
+        pytest.param({"use_pair_map": True}, id="no-kind"),
+    ])
+    def test_other_checkpoint_kind_rejected(self, tmp_path, header):
+        # a stage-1 checkpoint of the same config holds conv tensors, not an LSTM
+        cfg = tiny_config()
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
+        path = tmp_path / "stage1.ckpt"
+        net.save_checkpoint(path, params.tensors, {
+            **header, "config_hash": config.config_hash(cfg), "signature": params.signature})
+        with pytest.raises(ConfigError, match="not an interaction checkpoint"):
+            pipeline.load_interaction(cfg, path)
+
+
 class TestPredictFrames:
     @pytest.fixture(scope="class")
     def model(self):

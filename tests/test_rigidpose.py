@@ -15,7 +15,7 @@ from gridpose.errors import DegenerateConfiguration, RankDeficient
 
 from conftest import rotation_geodesic
 
-BOX = geo.cuboid_control_points(geo.Cuboid(0.04, 0.06, 0.1))
+BOX = geo.cuboid_control_points(geo.Cuboid(0.04, 0.06, 0.1)).points
 CAM = geo.CameraIntrinsics(fx=600.0, fy=600.0, cx=208.0, cy=208.0)
 
 
@@ -42,13 +42,13 @@ class TestPose6D:
 
 class TestProcrustes:
     def test_identity(self):
-        pose = rp.procrustes_align(BOX, BOX.points)
+        pose = rp.procrustes_align(BOX, BOX)
         np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(pose.translation, np.zeros(3), atol=1e-12)
 
     def test_rz90_plus_translation(self):
         true = rp.Pose6D(rz(np.pi / 2), np.array([0.0, 0.0, 1.0]))
-        pose = rp.procrustes_align(BOX.points, true.apply(BOX.points))
+        pose = rp.procrustes_align(BOX, true.apply(BOX))
         np.testing.assert_allclose(pose.rotation, true.rotation, atol=1e-12)
         np.testing.assert_allclose(pose.translation, true.translation, atol=1e-12)
 
@@ -59,10 +59,10 @@ class TestProcrustes:
         worse = 0
         for _ in range(100):
             true = random_pose(rng)
-            noisy = true.apply(BOX.points) + rng.normal(scale=1e-3, size=(21, 3))
-            est = rp.procrustes_align(BOX.points, noisy)
-            res_est = np.sum((est.apply(BOX.points) - noisy) ** 2)
-            res_true = np.sum((true.apply(BOX.points) - noisy) ** 2)
+            noisy = true.apply(BOX) + rng.normal(scale=1e-3, size=(21, 3))
+            est = rp.procrustes_align(BOX, noisy)
+            res_est = np.sum((est.apply(BOX) - noisy) ** 2)
+            res_true = np.sum((true.apply(BOX) - noisy) ** 2)
             worse += res_est > res_true + 1e-15
         assert worse == 0
 
@@ -104,16 +104,16 @@ class TestProcrustes:
     def test_corners_only_flag(self):
         rng = np.random.default_rng(5)
         true = random_pose(rng)
-        dst = true.apply(BOX.points)
-        est = rp.procrustes_align(BOX.points, dst, corners_only=True)
+        dst = true.apply(BOX)
+        est = rp.procrustes_align(BOX, dst, corners_only=True)
         assert rotation_geodesic(est.rotation, true.rotation) < 1e-9
 
 
 class TestPnpDlt:
     def test_exact_frontal_pose(self):
         true = rp.Pose6D(np.eye(3), np.array([0.0, 0.0, 1.0]))
-        px = geo.project(true.apply(BOX.points), CAM)
-        est = rp.pnp_dlt(px, BOX.points, CAM)
+        px = geo.project(true.apply(BOX), CAM)
+        est = rp.pnp_dlt(px, BOX, CAM)
         assert rotation_geodesic(est.rotation, true.rotation) < 1e-6
         np.testing.assert_allclose(est.translation, true.translation, atol=1e-6)
 
@@ -122,8 +122,8 @@ class TestPnpDlt:
     def test_exact_random_pose(self, seed):
         rng = np.random.default_rng(seed)
         true = random_pose(rng, t_scale=0.2, z_offset=1.0)
-        px = geo.project(true.apply(BOX.points), CAM)
-        est = rp.pnp_dlt(px, BOX.points, CAM)
+        px = geo.project(true.apply(BOX), CAM)
+        est = rp.pnp_dlt(px, BOX, CAM)
         assert rotation_geodesic(est.rotation, true.rotation) < 1e-6
         assert np.linalg.norm(est.translation - true.translation) < 1e-6
 
@@ -135,9 +135,9 @@ class TestPnpDlt:
         rng = np.random.default_rng(9)
         for _ in range(20):
             true = random_pose(rng, t_scale=0.2, z_offset=1.0)
-            px = geo.project(true.apply(BOX.points), CAM)
+            px = geo.project(true.apply(BOX), CAM)
             px = px + rng.normal(scale=2.0, size=px.shape)
-            est = rp.pnp_dlt(px, BOX.points, CAM)
+            est = rp.pnp_dlt(px, BOX, CAM)
             assert np.linalg.det(est.rotation) == pytest.approx(1.0, abs=1e-9)
 
 
