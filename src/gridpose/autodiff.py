@@ -5,11 +5,24 @@ loss, an MLP and an LSTM: elementwise arithmetic, matmul, conv2d,
 activations, reshape/transpose/indexing, sum and log-softmax. All data
 is float64; gradients accumulate into leaf tensors on backward().
 
+Gradients are handed over, not zero-filled. A node adopts its first
+gradient as its .grad buffer when the sender owns it: an array the
+sender's backward just made, or the sender's own gradient (or a reshape
+or transpose view of it), which the sender gives up. add hands its
+gradient to at most one parent. Any other gradient is copied once. So no
+two live nodes share a .grad buffer: getitem scatters straight into its
+parent's gradient, and leaky_relu scales its own gradient in place.
+backward() releases each interior node once its backward has run, so
+only leaf gradients are defined afterwards.
+
 conv2d, where training spends its time, is im2col + GEMM over the whole
-batch (Chellapilla et al. 2006): the padded input is unrolled once into a
-channel-major (c·k², n·L) column matrix, L = oh·ow output positions per
-image, and the forward, the weight gradient and the input gradient are
-one BLAS GEMM each against it.
+batch (Chellapilla et al. 2006): the in-bounds input windows of the k²
+kernel taps are copied once into a batch-innermost (c·k², L·n) column
+matrix, L = oh·ow output positions per image, and the forward, the
+weight gradient and the input gradient are one BLAS GEMM each against
+it. Its outputs and input gradients are NCHW tensors over (c, h, w, n)
+memory, so each tap copy and col2im add runs over ow·n contiguous
+elements.
 
 lstm runs a whole LSTM layer over a sequence as one node (Appleyard et al.
 2016). The input projection of all B·T frames is one (B·T, in) @ (in, 4h)
@@ -60,14 +73,32 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned: bool = False):
+        """Add g to this node's gradient. The first g becomes the buffer:
+        as it is when the caller owns it (see the module docstring), else
+        copied into the memory order of this node's data."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            if owned:
+                self.grad = np.asarray(g)  # 0-d products come back as scalars
+            else:
+                self.grad = np.empty_like(self.data)
+                np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self):
+        """Accumulate d(self)/d(leaf) into the .grad of every leaf that
+        requires a gradient.
+
+        Once an interior node's own backward has run, its closure, parents
+        and .grad are dropped, so buffers such as conv columns die during
+        the pass. Only leaf gradients are defined afterwards; a second
+        backward() through a released node raises ValueError.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
+        if self._backward is _released:
+            raise ValueError("backward() already ran on this graph, which is released")
         topo: list[Tensor] = []
         seen = set()
         stack = [(self, False)]
@@ -83,10 +114,15 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        self._accumulate(np.ones_like(self.data), owned=True)
+        while topo:
+            node = topo.pop()
+            fn, g = node._backward, node.grad
+            if fn is None:
+                continue
+            node._backward, node._parents, node.grad = _released, (), None
+            if g is not None:
+                fn(g)
 
     # -- operators -----------------------------------------------------------
 
@@ -127,6 +163,10 @@ class Tensor:
         return tsum(self, axis=axis, keepdims=keepdims)
 
 
+def _released(g):
+    raise ValueError("backward() through a node whose graph was already released")
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -149,10 +189,15 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
+        # g itself goes to at most one parent; the other gets a copy
+        handed = False
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
+            ga = _unbroadcast(g, a.data.shape)
+            handed = ga is g
+            a._accumulate(ga, owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            b._accumulate(gb, owned=gb is not g or not handed)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -163,9 +208,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape), owned=True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -177,10 +222,10 @@ def matmul(a, b) -> Tensor:
     def backward(g):
         if a.requires_grad:
             ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
+            a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
         if b.requires_grad:
             gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+            b._accumulate(_unbroadcast(gb, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -191,7 +236,7 @@ def reshape(a, shape) -> Tensor:
     out_data = a.data.reshape(shape)
 
     def backward(g):
-        a._accumulate(g.reshape(old))
+        a._accumulate(g.reshape(old), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -203,7 +248,7 @@ def transpose(a, axes) -> Tensor:
     out_data = a.data.transpose(axes)
 
     def backward(g):
-        a._accumulate(g.transpose(inv))
+        a._accumulate(g.transpose(inv), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -214,12 +259,13 @@ def getitem(a, key) -> Tensor:
     advanced = isinstance(key, tuple) and any(isinstance(k, np.ndarray) for k in key)
 
     def backward(g):
-        ga = np.zeros_like(a.data)
+        # scatter into a's own gradient: no full-size buffer per slice
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
         if advanced:
-            np.add.at(ga, key, g)
+            np.add.at(a.grad, key, g)
         else:
-            ga[key] += g
-        a._accumulate(ga)
+            a.grad[key] += g
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -229,12 +275,9 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-        else:
-            if not keepdims:
-                g = np.expand_dims(g, axis=axis)
-            a._accumulate(np.broadcast_to(g, a.data.shape).copy())
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis=axis)
+        a._accumulate(np.broadcast_to(g, a.data.shape))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -245,7 +288,8 @@ def leaky_relu(a, slope: float = 0.1) -> Tensor:
     out_data = np.where(pos, a.data, slope * a.data)
 
     def backward(g):
-        a._accumulate(g * np.where(pos, 1.0, slope))
+        np.multiply(g, slope, out=g, where=~pos)
+        a._accumulate(g, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -271,7 +315,7 @@ def sigmoid(a) -> Tensor:
     out_data = logistic(a.data)
 
     def backward(g):
-        a._accumulate(g * out_data * (1.0 - out_data))
+        a._accumulate(g * out_data * (1.0 - out_data), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -281,7 +325,7 @@ def tanh(a) -> Tensor:
     out_data = np.tanh(a.data)
 
     def backward(g):
-        a._accumulate(g * (1.0 - out_data * out_data))
+        a._accumulate(g * (1.0 - out_data * out_data), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -351,13 +395,13 @@ def lstm(x, wx, wh, b) -> Tensor:
                 dh = dG[s].reshape(n, 4 * h) @ wh.data.T
         dG2 = dG.reshape(t * n, 4 * h)
         if b.requires_grad:
-            b._accumulate(dG2.sum(axis=0))
+            b._accumulate(dG2.sum(axis=0), owned=True)
         if wx.requires_grad:
-            wx._accumulate(xs.T @ dG2)
+            wx._accumulate(xs.T @ dG2, owned=True)
         if wh.requires_grad:
-            wh._accumulate(hs[:-1].reshape(t * n, h).T @ dG2)
+            wh._accumulate(hs[:-1].reshape(t * n, h).T @ dG2, owned=True)
         if x.requires_grad:
-            x._accumulate((dG2 @ wx.data.T).reshape(t, n, width_in).transpose(1, 0, 2))
+            x._accumulate((dG2 @ wx.data.T).reshape(t, n, width_in).transpose(1, 0, 2), owned=True)
 
     return Tensor._make(out_data, (x, wx, wh, b), backward)
 
@@ -370,7 +414,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
     def backward(g):
         soft = np.exp(out_data)
-        a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        a._accumulate(g - soft * g.sum(axis=axis, keepdims=True), owned=True)
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -388,26 +432,31 @@ def _taps(i: int, size: int, out: int, stride: int, padding: int) -> tuple[slice
 def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution, NCHW layout, square kernel, single stride/pad value.
 
-    im2col + GEMM over the whole batch. The columns matrix is channel-major,
-    cols[(ci, i, j), (m, oy, ox)] = xpad[m, ci, oy * stride + i, ox * stride + j],
-    shape (c·k², n·L) with L = oh·ow, where xpad is the input zero-padded by
-    p. The padded input is never built: cols starts at zero and each of the
-    k² taps copies only the strided window of x that lands inside it (see
-    _taps), which keeps a padded copy of the batch out of the forward's peak
-    memory. Each pass is one GEMM:
+    im2col + GEMM over the whole batch. The columns matrix is
+    batch-innermost, cols[(ci, i, j), (oy, ox, m)] =
+    xpad[m, ci, oy * stride + i, ox * stride + j], shape (c·k², L·n) with
+    L = oh·ow, where xpad is the input zero-padded by p. The padded input
+    is never built: cols starts at zero and each of the k² taps copies only
+    the strided window of x that lands inside it (see _taps), which keeps a
+    padded copy of the batch out of the forward's peak memory. Each pass is
+    one GEMM:
 
-      forward          out (f, n·L) = w2 (f, c·k²) @ cols, bias added in place
-      weight gradient  gw  (f, c·k²) = gT (f, n·L) @ cols.T
-      input gradient   gc  (c·k², n·L) = w2.T @ gT, then k² strided col2im adds
+      forward          out (f, L·n) = w2 (f, c·k²) @ cols, bias added in place
+      weight gradient  gw  (f, c·k²) = gT (f, L·n) @ cols.T
+      input gradient   gc  (c·k², L·n) = w2.T @ gT, then k² col2im adds
 
-    where gT is the output gradient as (f, n·L). The backward reuses cols.
-    A 1x1 kernel at stride 1 without padding skips the pad and the k² copies:
-    its cols is the input itself as (c, n·L).
+    where gT is the output gradient as (f, L·n). The backward reuses cols.
+    col2im mirrors the forward: each tap adds its window of gc straight into
+    a zeroed, unpadded (c, h, w, n) input gradient. A 1x1 kernel at stride 1
+    without padding skips the k² copies: its cols is the input itself as
+    (c, h·w·n).
 
-    The output is an (n, f, oh, ow) view of the (f, n·L) product, not a copy.
-    Elementwise ops keep that channel-major memory order, so the next layer
-    fills its columns with contiguous reads, and gT is a free reshape
-    of a gradient that comes back in the same order.
+    The output is the (n, f, oh, ow) view of the (f, L·n) product, and the
+    input gradient the same view of its (c, h, w, n) buffer; neither is
+    copied. Elementwise ops keep that memory order, so the next layer's tap
+    copies and col2im adds run over ow·n contiguous elements, and gT is a
+    free reshape of a gradient that comes back in the same order. Any other
+    input, such as the NCHW image batch, is read through the same view.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     n, c, h, wd = x.data.shape
@@ -417,42 +466,40 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
     pointwise = k == 1 and stride == 1 and padding == 0
-    hp, wp = h + 2 * padding, wd + 2 * padding
+    taps_y = [_taps(i, h, oh, stride, padding) for i in range(k)]
+    taps_x = [_taps(j, wd, ow, stride, padding) for j in range(k)]
 
+    xt = x.data.transpose(1, 2, 3, 0)
     if pointwise:
-        cols = x.data.transpose(1, 0, 2, 3).reshape(c, n * oh * ow)
+        cols = xt.reshape(c, h * wd * n)
     else:
-        xt = x.data.transpose(1, 0, 2, 3)
-        cols = np.zeros((c, k, k, n, oh, ow))
-        for i in range(k):
-            out_y, in_y = _taps(i, h, oh, stride, padding)
-            for j in range(k):
-                out_x, in_x = _taps(j, wd, ow, stride, padding)
-                cols[:, i, j, :, out_y, out_x] = xt[:, :, in_y, in_x]
-        cols = cols.reshape(c * k * k, n * oh * ow)
+        cols = np.zeros((c, k, k, oh, ow, n))
+        for i, (out_y, in_y) in enumerate(taps_y):
+            for j, (out_x, in_x) in enumerate(taps_x):
+                cols[:, i, j, out_y, out_x] = xt[:, in_y, in_x]
+        cols = cols.reshape(c * k * k, oh * ow * n)
     w2 = w.data.reshape(f, c * k * k)
     out = w2 @ cols
     out += b.data[:, None]
-    out_data = out.reshape(f, n, oh, ow).transpose(1, 0, 2, 3)
+    out_data = out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2)
 
     def backward(g):
-        gT = g.transpose(1, 0, 2, 3).reshape(f, n * oh * ow)
+        gT = g.transpose(1, 2, 3, 0).reshape(f, oh * ow * n)
         if b.requires_grad:
-            b._accumulate(gT.sum(axis=1))
+            b._accumulate(gT.sum(axis=1), owned=True)
         if w.requires_grad:
-            w._accumulate((gT @ cols.T).reshape(w.data.shape))
+            w._accumulate((gT @ cols.T).reshape(w.data.shape), owned=True)
         if x.requires_grad:
             gcols = w2.T @ gT
             if pointwise:
-                gx = gcols.reshape(c, n, h, wd)
+                gx = gcols.reshape(c, h, wd, n)
             else:
-                gcols = gcols.reshape(c, k, k, n, oh, ow)
-                gxp = np.zeros((c, n, hp, wp))
-                for i in range(k):
-                    for j in range(k):
-                        gxp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride] += gcols[:, i, j]
-                gx = gxp[:, :, padding: padding + h, padding: padding + wd]
-            x._accumulate(gx.transpose(1, 0, 2, 3))
+                gcols = gcols.reshape(c, k, k, oh, ow, n)
+                gx = np.zeros((c, h, wd, n))
+                for i, (out_y, in_y) in enumerate(taps_y):
+                    for j, (out_x, in_x) in enumerate(taps_x):
+                        gx[:, in_y, in_x] += gcols[:, i, j, out_y, out_x]
+            x._accumulate(gx.transpose(3, 0, 1, 2), owned=True)
 
     return Tensor._make(out_data, (x, w, b), backward)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, autodiff as ad, codec, interaction as ia, metrics, network as net, synth
 from .config import RunConfig, config_hash, config_to_text
 from .errors import ConfigError, HashMismatch, NumericError
-from .geometry import cell_diagonal_m, cuboid_control_points, project
+from .geometry import NUM_CONTROL_POINTS, cell_diagonal_m, cuboid_control_points, project
 from .rigidpose import Pose6D, pnp_dlt, procrustes_align, random_rotation
 
 
@@ -252,7 +252,7 @@ NOISE_LEVELS = (0.0, 0.002, 0.005, 0.01, 0.02)
 def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
     """Paired ADD of Procrustes vs DLT PnP under depth-correlated noise.
 
-    Each trial poses a random cuboid in the volume and perturbs its 21
+    Each trial poses a random cuboid in the volume and perturbs its
     control points with isotropic Gaussian noise whose scale grows
     linearly with each point's depth (sigma = level * z / z_ref). Both
     recovery routes consume the same noisy points: Procrustes aligns in
@@ -269,7 +269,7 @@ def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
         center = synth._sample_position(rng, cfg.scene)
         poses.append(Pose6D(random_rotation(rng), center))
         cuboids.append(cuboid)
-    noise_unit = [rng.standard_normal((21, 3)) for _ in range(trials)]
+    noise_unit = [rng.standard_normal((NUM_CONTROL_POINTS, 3)) for _ in range(trials)]
 
     for level in NOISE_LEVELS:
         adds_direct, adds_pnp = [], []

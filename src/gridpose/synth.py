@@ -39,6 +39,7 @@ from .geometry import (
     _CUBOID_EDGES,
     HAND,
     HAND_BONES,
+    NUM_CONTROL_POINTS,
     OBJECT,
     CameraIntrinsics,
     Cuboid,
@@ -605,17 +606,18 @@ def load_frames(directory) -> tuple[list[SceneFrame], list[int]]:
         if not line.strip():
             continue
         parts = line.split()
-        if len(parts) != 4 + 63 + 12 + 3 + 1:
+        if len(parts) != 4 + 3 * NUM_CONTROL_POINTS + 12 + 3 + 1:
             raise ConfigError(f"{path}:{lineno}: malformed dataset record with {len(parts)} fields")
         try:
             _, seq, action_id, object_id = (int(x) for x in parts[:4])
             vals = np.array([float(x) for x in parts[4:-1]])
         except ValueError as e:
             raise ConfigError(f"{path}:{lineno}: non-numeric dataset record field: {e}") from e
-        hand = vals[:63].reshape(21, 3)
-        rot = vals[63:72].reshape(3, 3)
-        t = vals[72:75]
-        cuboid = Cuboid(*vals[75:78])
+        hand, rest = np.split(vals, [3 * NUM_CONTROL_POINTS])
+        hand = hand.reshape(NUM_CONTROL_POINTS, 3)
+        rot = rest[:9].reshape(3, 3)
+        t = rest[9:12]
+        cuboid = Cuboid(*rest[12:15])
         pose = Pose6D(rot, t)
         raster = read_raster(directory / parts[-1])
         frames.append(SceneFrame(

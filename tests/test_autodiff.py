@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from gridpose import autodiff as ad
+from gridpose import config, synth
+from gridpose import network as net
 from gridpose.errors import ConfigError, NumericError
 
 
@@ -96,6 +98,12 @@ class TestActivations:
         x = RNG.normal(size=(20,))
         x[np.abs(x) < 1e-3] = 0.5  # keep away from the kink
         check_op(lambda t: ad.leaky_relu(t, 0.1).sum(), x)
+
+    def test_leaky_relu_of_a_scalar(self):
+        # a 0-d product comes back as a numpy scalar; leaky_relu scales its
+        # gradient in place, so the gradient must still be an array
+        check_op(lambda t: ad.mul(ad.leaky_relu(ad.mul(t, -1.0).sum(), 0.1), 3.0),
+                 np.array([0.5, 1.5]))
 
     def test_relu(self):
         x = RNG.normal(size=(20,))
@@ -237,6 +245,50 @@ class TestGraph:
         out.backward()
         assert t.grad is None
 
+    def test_second_backward_on_released_graph_raises(self):
+        # a second pass used to add into the interior gradients left by the
+        # first: x.grad went 12 -> 60 where accumulation would give 24
+        x = ad.Tensor(np.array([2.0]), requires_grad=True)
+        loss = ad.mul(ad.mul(x, 3.0), x).sum()
+        loss.backward()
+        assert x.grad.item() == 12.0
+        with pytest.raises(ValueError, match="released"):
+            loss.backward()
+        assert x.grad.item() == 12.0
+
+    def test_new_graph_over_a_released_node_raises(self):
+        x = ad.Tensor(np.array([2.0]), requires_grad=True)
+        y = ad.mul(x, 3.0)
+        y.sum().backward()
+        with pytest.raises(ValueError, match="released"):
+            ad.mul(y, y).sum().backward()
+
+    def test_fan_out_gradients_are_not_shared(self):
+        # sum(a + b) + sum(3a): add hands its gradient to one parent only
+        a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        b = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        ((a + b).sum() + ad.mul(a, 3.0).sum()).backward()
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    @pytest.mark.parametrize("view", ["reshape", "transpose"])
+    def test_fan_out_through_views_is_not_shared(self, view):
+        # a reaches the add through a view op, which hands its gradient on
+        a = ad.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        av = a.reshape(3, 2) if view == "reshape" else a.transpose(1, 0)
+        b = ad.Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        ((av + b).sum() + ad.mul(a, 3.0).sum()).backward()
+        np.testing.assert_array_equal(b.grad, np.ones((3, 2)))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0))
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_self_add_doubles(self):
+        # x + x: the one gradient buffer is both parents' first gradient
+        t = ad.Tensor(RNG.normal(size=(3,)), requires_grad=True)
+        (t + t).sum().backward()
+        np.testing.assert_array_equal(t.grad, np.full(3, 2.0))
+
     def test_deep_chain(self):
         # 2000 sequential adds: iterative toposort must not blow the stack
         t = ad.Tensor(np.array([1.0]), requires_grad=True)
@@ -256,6 +308,24 @@ class TestTrainingCore:
         np.testing.assert_array_equal(grads["a"], 2 * arrays["a"])
         np.testing.assert_array_equal(grads["b"], np.zeros((2, 2)))
         assert aux == "aux"
+
+    def test_toy_multitask_grads_share_no_memory(self):
+        cfg = config.toy_preset()
+        frames = [synth.sample_scene(seed, cfg.scene) for seed in range(2)]
+        batch = net.BatchTargets.from_scenes(frames, cfg.grid, cfg.labels, cfg.camera,
+                                             np.stack([f.raster for f in frames]))
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, seed=0)
+        _, grads, _ = ad.value_and_grads(params.tensors, lambda pt: net.loss_graph(
+            net.forward_graph(pt, batch.images, cfg.backbone, cfg.grid, cfg.labels),
+            batch, cfg.loss, cfg.grid, cfg.labels))
+        assert sorted(grads) == sorted(params.tensors)
+        names = sorted(grads)
+        for i, name in enumerate(names):
+            assert grads[name].shape == params.tensors[name].shape
+            for other in names[i + 1:]:
+                assert not np.shares_memory(grads[name], grads[other]), (name, other)
+            for array in params.tensors.values():
+                assert not np.shares_memory(grads[name], array), name
 
     def test_sgd_epoch_returns_mean_loss_per_item(self):
         # batches of 2, 2 and 1 items: the short batch weighs half as much

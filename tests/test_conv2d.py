@@ -3,9 +3,11 @@
 The reference is the per-image formulation: an (n, c·k², L) column tensor,
 a batched matmul per image for the forward and an einsum for the weight
 gradient. It shares no code with autodiff.conv2d, so agreement to 1e-10
-checks the batched GEMMs, the channel-major column layout and the col2im
-adds of the production version. The finite-difference tests in
-test_autodiff.py check both against calculus.
+checks the batched GEMMs, the batch-innermost column layout and the
+col2im adds of the production version, on the input layouts production
+feeds it: C-contiguous and strided NCHW arrays, and the NCHW view over
+batch-innermost memory that a conv output keeps through leaky_relu. The
+finite-difference tests in test_autodiff.py check both against calculus.
 """
 
 import numpy as np
@@ -47,9 +49,14 @@ def assert_matches(actual, expected):
                                atol=1e-13 * np.abs(expected).max())
 
 
-def run_both(n, c, f, hw, k, stride, padding, x_grad=True, seed=0):
+def run_both(n, c, f, hw, k, stride, padding, x_grad=True, seed=0, strided=False):
     rng = np.random.default_rng(seed)
-    x0 = rng.normal(size=(n, c) + hw)
+    if strided:
+        # every other row and column of a wider batch, one channel in: a view
+        big = rng.normal(size=(n, c + 1, 2 * hw[0], 2 * hw[1]))
+        x0 = big[:, 1:, ::2, 1::2]
+    else:
+        x0 = rng.normal(size=(n, c) + hw)
     w0 = rng.normal(size=(f, c, k, k))
     b0 = rng.normal(size=(f,))
     x = ad.Tensor(x0, requires_grad=x_grad)
@@ -92,6 +99,17 @@ class TestConv2dMatchesReference:
         assert_matches(w.grad, ref_gw)
         assert_matches(b.grad, ref_gb)
 
+    @pytest.mark.parametrize("layer", sorted(LAYERS))
+    def test_strided_input_view(self, layer):
+        c, f, hw, k, stride, padding = LAYERS[layer]
+        (x, w, b, out), (ref_out, ref_gx, ref_gw, ref_gb) = run_both(
+            16, c, f, hw, k, stride, padding, strided=True)
+        assert not x.data.flags.c_contiguous
+        assert_matches(out.data, ref_out)
+        assert_matches(x.grad, ref_gx)
+        assert_matches(w.grad, ref_gw)
+        assert_matches(b.grad, ref_gb)
+
     def test_input_without_grad_gets_none(self):
         # conv0 reads the images, which never require a gradient
         (x, w, b, out), (ref_out, _, ref_gw, ref_gb) = run_both(
@@ -105,20 +123,44 @@ class TestConv2dMatchesReference:
         # a conv output feeds the next conv, as in the backbone
         rng = np.random.default_rng(1)
         x0 = rng.normal(size=(4, 3, 12, 12))
-        w0, b0 = rng.normal(size=(6, 3, 3, 3)), rng.normal(size=(6,))
-        w1, b1 = rng.normal(size=(5, 6, 3, 3)), rng.normal(size=(5,))
-        x = ad.Tensor(x0, requires_grad=True)
-        ws = [ad.Tensor(v, requires_grad=True) for v in (w0, b0, w1, b1)]
-        mid = ad.conv2d(x, ws[0], ws[1], stride=2, padding=1)
-        out = ad.conv2d(ad.leaky_relu(mid, 0.1), ws[2], ws[3], stride=1, padding=1)
-        g = rng.normal(size=out.shape)
-        ad.mul(out, ad.Tensor(g)).sum().backward()
+        params = [rng.normal(size=(6, 3, 3, 3)), rng.normal(size=(6,)),
+                  rng.normal(size=(5, 6, 3, 3)), rng.normal(size=(5,))]
+        check_chain(x0, params, (2, 1), (1, 1))
 
-        ref_mid, _, _, _ = reference_conv2d(x0, w0, b0, 2, 1, np.zeros(mid.shape))
-        act = np.where(ref_mid > 0, ref_mid, 0.1 * ref_mid)
-        ref_out, g_act, ref_gw1, ref_gb1 = reference_conv2d(act, w1, b1, 1, 1, g)
-        g_mid = g_act * np.where(ref_mid > 0, 1.0, 0.1)
-        _, ref_gx, ref_gw0, ref_gb0 = reference_conv2d(x0, w0, b0, 2, 1, g_mid)
-        assert_matches(out.data, ref_out)
-        for t, ref in zip([x] + ws, (ref_gx, ref_gw0, ref_gb0, ref_gw1, ref_gb1)):
-            assert_matches(t.grad, ref)
+    # consecutive toy backbone layers: two stride-2 layers, two stride-1
+    # layers, and the last 3x3 layer into the 1x1 head
+    @pytest.mark.parametrize("first, second", [
+        ("conv0_56_to_28", "conv1_28_to_14"),
+        ("conv3_7_to_7", "conv4_7_to_7"),
+        ("conv4_7_to_7", "head_1x1"),
+    ])
+    def test_chained_toy_layers(self, first, second):
+        rng = np.random.default_rng(2)
+        (c0, f0, hw, k0, s0, p0), (c1, f1, _, k1, s1, p1) = LAYERS[first], LAYERS[second]
+        x0 = rng.normal(size=(16, c0) + hw)
+        params = [rng.normal(size=(f0, c0, k0, k0)), rng.normal(size=(f0,)),
+                  rng.normal(size=(f1, c1, k1, k1)), rng.normal(size=(f1,))]
+        check_chain(x0, params, (s0, p0), (s1, p1))
+
+
+def check_chain(x0, params, first, second):
+    """conv2d -> leaky_relu -> conv2d against the reference, where the
+    second conv reads the first one's output as production does: an NCHW
+    view over batch-innermost (c, h, w, n) memory."""
+    rng = np.random.default_rng(3)
+    x = ad.Tensor(x0, requires_grad=True)
+    ws = [ad.Tensor(v, requires_grad=True) for v in params]
+    act = ad.leaky_relu(ad.conv2d(x, ws[0], ws[1], *first), 0.1)
+    assert act.data.transpose(1, 2, 3, 0).flags.c_contiguous
+    out = ad.conv2d(act, ws[2], ws[3], *second)
+    g = rng.normal(size=out.shape)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+
+    ref_mid, _, _, _ = reference_conv2d(x0, *params[:2], *first, np.zeros(act.shape))
+    ref_act = np.where(ref_mid > 0, ref_mid, 0.1 * ref_mid)
+    ref_out, g_act, ref_gw1, ref_gb1 = reference_conv2d(ref_act, *params[2:], *second, g)
+    g_mid = g_act * np.where(ref_mid > 0, 1.0, 0.1)
+    _, ref_gx, ref_gw0, ref_gb0 = reference_conv2d(x0, *params[:2], *first, g_mid)
+    assert_matches(out.data, ref_out)
+    for t, ref in zip([x] + ws, (ref_gx, ref_gw0, ref_gb0, ref_gw1, ref_gb1)):
+        assert_matches(t.grad, ref)
