@@ -25,13 +25,16 @@ memory, so each tap copy and col2im add runs over ow·n contiguous
 elements.
 
 lstm runs a whole LSTM layer over a sequence as one node (Appleyard et al.
-2016). The input projection of all B·T frames is one (B·T, in) @ (in, 4h)
-GEMM before the recurrence, so each step does one (B, h) @ (h, 4h) GEMM
-for the hidden state and elementwise gate work into preallocated
-time-major (T, B, ·) buffers. Its backward is written by hand: a reverse
-loop fills the (T, B, 4h) gate gradient with one (B, 4h) @ (4h, h) GEMM per
-step, then the gradients of wx, wh, b and x are one GEMM or reduction each
-over all B·T rows.
+2016). The input projection of all B·T frames, bias included, is one
+(B·T, in) @ (in, 4h) GEMM before the recurrence. Each step then does one
+(B, h) @ (h, 4h) GEMM for the hidden state, a single tanh over all four
+gate blocks, sigmoid(z) = (1 + tanh(z/2)) / 2, and the cell update, all
+written through out= into preallocated time-major (T, B, ·) buffers. Its
+backward is written by hand and reuses the forward's gate buffer in place:
+a few whole-array passes turn it into per-gate factors, a reverse loop
+turns each step's row into that step's gate gradient with one
+(B, 4h) @ (4h, h) GEMM per step, then the gradients of wx, wh, b and x are
+one GEMM or reduction each over all B·T rows.
 
 The training core at the end (wrap, value_and_grads, the minibatch loop
 sgd_epoch and the finite-difference checker grad_check) serves both
@@ -320,14 +323,9 @@ def sigmoid(a) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - out_data * out_data), owned=True)
-
-    return Tensor._make(out_data, (a,), backward)
+# Per LSTM gate block i, f, g, o: the scale of the tanh argument and of its
+# output, the shift that makes a sigmoid of it, and the derivative's peak.
+_GATE_COLUMNS = np.array([[0.5, 0.5, 1.0, 0.5], [0.5, 0.5, 0.0, 0.5], [0.25, 0.25, 1.0, 0.25]])
 
 
 def lstm(x, wx, wh, b) -> Tensor:
@@ -337,16 +335,33 @@ def lstm(x, wx, wh, b) -> Tensor:
     starting from zero hidden and cell states. The gate blocks of the 4h
     axis are input, forget, cell candidate and output, in that order:
 
-      gates_t = (x_t @ wx + h_{t-1} @ wh) + b
+      z_t = (x_t @ wx + b) + h_{t-1} @ wh
+      i, f, o = sigmoid(z_t),   g = tanh(z_t)
       c_t = f * c_{t-1} + i * g,   h_t = o * tanh(c_t)
 
-    The input projection of every step is one GEMM over B·T rows before the
-    recurrence (Appleyard et al. 2016), so a step costs one (B, h) @ (h, 4h)
-    GEMM and a few elementwise passes. The backward walks the steps in
-    reverse, filling a (T, B, 4h) gate gradient dG with one GEMM per step
-    (dh_{t-1} = dG_t @ wh.T); then each of dwx = X.T @ dG, dwh = Hprev.T @ dG,
-    db = sum(dG) and dx = dG @ wx.T is one GEMM or reduction over B·T rows.
-    Buffers are time-major, so a step reads and writes contiguous blocks.
+    The input projection of every step, bias included, is one GEMM over B·T
+    rows before the recurrence (Appleyard et al. 2016). It fills the
+    time-major (T, B, 4h) gate buffer, so a step reads and writes contiguous
+    rows. A step adds one (B, h) @ (h, 4h) GEMM into its row, then applies
+    all four gate functions with one tanh, since sigmoid(z) = (1 + tanh(z/2)) / 2:
+    it halves the i, f and o columns (exactly), takes the tanh in place, and
+    scales those blocks by 1/2 and shifts them by 1/2. Every result is written
+    through out=. The row is halved, not a copy of wh once per call: for
+    sequences shorter than h steps, that copy (h·4h values) would outweigh
+    the gate buffer of a single sequence and raise the peak memory of
+    classifying it.
+
+    The backward keeps the gate buffer, the cell states, tanh(c_t) and the
+    hidden states, and reuses the gate buffer in place; that is safe because
+    backward() runs once per graph. A few whole-array passes turn it into the
+    factors that map dc_t (for i, f, g) and dh_t (for o) to the gradient of
+    z_t: the gate derivatives (1 - T²)·[1/4, 1/4, 1, 1/4], with T the tanh
+    of the forward, read off the stored gates as 1/4 - (sigmoid - 1/2)² and
+    1 - g², times [g, c_{t-1}, i, tanh c_t]. A reverse loop overwrites each
+    step's row with its gate gradient dG_t and takes one GEMM per step,
+    dh_{t-1} = dG_t @ wh.T. Then dwx = X.T @ dG, dwh = Hprev.T @ dG,
+    db = sum(dG) and dx = dG @ wx.T are one GEMM or reduction each over all
+    B·T rows.
     """
     x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
     n, t, width_in = x.data.shape
@@ -354,54 +369,70 @@ def lstm(x, wx, wh, b) -> Tensor:
     if wx.data.shape != (width_in, 4 * h) or wh.data.shape != (h, 4 * h) or b.data.shape != (4 * h,):
         raise ValueError(f"LSTM weights {wx.data.shape}, {wh.data.shape}, {b.data.shape} "
                          f"do not match input {x.data.shape}")
+    scale, shift, peak = np.repeat(_GATE_COLUMNS, h, axis=1)
     xs = x.data.transpose(1, 0, 2).reshape(t * n, width_in)
-    xg = (xs @ wx.data).reshape(t, n, 4 * h)
-    act = np.empty((t, n, 4 * h))        # i, f, g, o after their nonlinearities
+    act = xs @ wx.data
+    act += b.data
+    act = act.reshape(t, n, 4 * h)       # x_t @ wx + b, then z_t, then the gates
     cs = np.zeros((t + 1, n, h))         # cs[s + 1] = c_s, cs[0] = 0
     hs = np.zeros((t + 1, n, h))         # hs[s + 1] = h_s, hs[0] = 0
     tcs = np.empty((t, n, h))            # tanh(c_s)
-    for s in range(t):
-        gates = xg[s] + hs[s] @ wh.data
-        gates += b.data
-        act[s] = logistic(gates)
-        np.tanh(gates[:, 2 * h: 3 * h], out=act[s, :, 2 * h: 3 * h])
-        i, f, g, o = act[s, :, :h], act[s, :, h: 2 * h], act[s, :, 2 * h: 3 * h], act[s, :, 3 * h:]
-        c = cs[s + 1]
-        np.multiply(f, cs[s], out=c)
-        c += i * g
-        np.tanh(c, out=tcs[s])
-        np.multiply(o, tcs[s], out=hs[s + 1])
+    blocks = act.reshape(t, n, 4, h)
+    i, f, g, o = blocks.transpose(2, 0, 1, 3)
+    rec, ig = np.empty((n, 4 * h)), np.empty((n, h))
+    for s, (a, i_s, f_s, g_s, o_s, h_prev, h_s, c_prev, c_s, tc) in enumerate(zip(
+            act, i, f, g, o, hs[:-1], hs[1:], cs[:-1], cs[1:], tcs)):
+        if s:                            # h_0 = 0
+            np.matmul(h_prev, wh.data, out=rec)
+            a += rec
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        np.multiply(f_s, c_prev, out=c_s)
+        np.multiply(i_s, g_s, out=ig)
+        c_s += ig
+        np.tanh(c_s, out=tc)
+        np.multiply(o_s, tc, out=h_s)
     out_data = hs[1:].transpose(1, 0, 2)
 
     def backward(gout):
         gh = gout.transpose(1, 0, 2)
-        i, f, g, o = act[..., :h], act[..., h: 2 * h], act[..., 2 * h: 3 * h], act[..., 3 * h:]
-        # Per-step factors that turn dc_t (for i, f, g) and dh_t (for o)
-        # into the pre-activation gate gradients, for all steps at once.
-        dc_to_gates = np.concatenate([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f),
-                                      i * (1.0 - g * g)], axis=-1).reshape(t, n, 3, h)
-        dh_to_o = tcs * o * (1.0 - o)
-        dh_to_dc = o * (1.0 - tcs * tcs)
-        dG = np.empty((t, n, 4, h))
-        dh = np.zeros((n, h))
-        dc = np.zeros((n, h))
-        for s in range(t - 1, -1, -1):
-            dh += gh[s]
-            dc += dh * dh_to_dc[s]
-            np.multiply(dc[:, None, :], dc_to_gates[s], out=dG[s, :, :3])
-            np.multiply(dh, dh_to_o[s], out=dG[s, :, 3])
+        # what the reverse loop reads besides the factors: f, and o·(1 - tanh² c) = dh -> dc
+        f_keep = f.copy()
+        dh_to_dc = np.square(tcs)
+        np.subtract(1.0, dh_to_dc, out=dh_to_dc)
+        dh_to_dc *= o
+        g_i = blocks[:, :, 2::-2].copy()     # [g, i], the factors of the i and g blocks
+        np.subtract(act, shift, out=act)
+        np.square(act, out=act)
+        np.subtract(peak, act, out=act)      # gate derivatives
+        blocks[:, :, ::2] *= g_i             # times [g, c_{t-1}, i, tanh c_t]
+        del g_i                              # before the gradient GEMMs allocate
+        np.multiply(f, cs[:-1], out=f)
+        np.multiply(o, tcs, out=o)
+        wh_t = wh.data.T
+        dh, dc, tmp = np.zeros((n, h)), np.zeros((n, h)), np.empty((n, h))
+        for s, d, d_ifg, d_o, g_s, to_c, f_s in zip(
+                range(t - 1, -1, -1), act[::-1], blocks[::-1, :, :3], o[::-1],
+                gh[::-1], dh_to_dc[::-1], f_keep[::-1]):
+            dh += g_s
+            np.multiply(dh, to_c, out=tmp)
+            dc += tmp
+            np.multiply(d_ifg, dc[:, None], out=d_ifg)
+            d_o *= dh
             if s:
-                dc *= f[s]
-                dh = dG[s].reshape(n, 4 * h) @ wh.data.T
-        dG2 = dG.reshape(t * n, 4 * h)
+                dc *= f_s
+                np.matmul(d, wh_t, out=dh)
+        dG = act.reshape(t * n, 4 * h)
         if b.requires_grad:
-            b._accumulate(dG2.sum(axis=0), owned=True)
+            b._accumulate(dG.sum(axis=0), owned=True)
         if wx.requires_grad:
-            wx._accumulate(xs.T @ dG2, owned=True)
+            wx._accumulate(xs.T @ dG, owned=True)
         if wh.requires_grad:
-            wh._accumulate(hs[:-1].reshape(t * n, h).T @ dG2, owned=True)
+            wh._accumulate(hs[:-1].reshape(t * n, h).T @ dG, owned=True)
         if x.requires_grad:
-            x._accumulate((dG2 @ wx.data.T).reshape(t, n, width_in).transpose(1, 0, 2), owned=True)
+            x._accumulate((dG @ wx.data.T).reshape(t, n, width_in).transpose(1, 0, 2), owned=True)
 
     return Tensor._make(out_data, (x, wx, wh, b), backward)
 

@@ -15,7 +15,8 @@ Per-frame inputs are camera-frame meters, by default centered on the
 hand root so the classifier sees relative geometry, optionally extended
 with the per-frame action/object class probabilities.
 
-Training uses the minibatch loop and the gradient checker in autodiff.
+Training runs the minibatch loop in autodiff (sgd_epoch), which both stages
+share.
 """
 
 from __future__ import annotations
@@ -199,18 +200,6 @@ def sgd_epoch_sequences(model: InteractionModel, inputs: np.ndarray,
     return ad.sgd_epoch(model.params, inputs.shape[0],
                         lambda idx: sequence_loss(model, inputs[idx], labels[idx]),
                         lr, rng, batch_size)
-
-
-def grad_check_sequences(model: InteractionModel, batch: np.ndarray,
-                         labels: np.ndarray, eps: float = 1e-5,
-                         n_samples: int = 150, seed: int = 0) -> float:
-    """Analytic vs central-FD gradients through the map and the LSTM."""
-    def value() -> tuple[float, list]:
-        pt = ad.wrap(model.params, requires_grad=False)
-        return float(_loss_graph(pt, model.cfg, batch, labels).data), []
-
-    _, grads = sequence_loss(model, batch, labels)
-    return ad.grad_check(model.params, grads, value, eps, n_samples, seed)
 
 
 def weight_importance(model: InteractionModel) -> tuple[np.ndarray, dict[str, float]]:

@@ -180,7 +180,7 @@ def hand_skeleton(rng: np.random.Generator, params: SceneParams) -> np.ndarray:
     palm normal at each of the three finger joints.
     """
     scale = rng.uniform(*params.hand_scale_range)
-    pts = np.zeros((21, 3))
+    pts = np.zeros((NUM_CONTROL_POINTS, 3))
     z = np.array([0.0, 0.0, 1.0])
     for f in range(5):
         splay = _SPLAY[f] / np.linalg.norm(_SPLAY[f])
@@ -436,7 +436,7 @@ def render_entities(
     windows = []
     if hand_points is not None:
         pts = np.asarray(hand_points, dtype=float)
-        windows.append(_windows(pts, 0, HAND_BONES if len(pts) == 21 else (),
+        windows.append(_windows(pts, 0, HAND_BONES if len(pts) == NUM_CONTROL_POINTS else (),
                                 len(pts), cam, grid, spec))
     if object_points is not None:
         pts = np.asarray(object_points, dtype=float)

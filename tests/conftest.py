@@ -1,10 +1,11 @@
-"""Shared test helpers: the paper-scale grid and camera, scene stubs and
-measurement helpers."""
+"""Shared test helpers: the paper-scale grid and camera, scene stubs,
+measurement helpers and a tanh autodiff node."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from gridpose import autodiff as ad
 from gridpose import geometry as geo
 from gridpose.rigidpose import Pose6D, random_rotation
 
@@ -30,6 +31,18 @@ def logit(p):
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
         return np.log(p) - np.log1p(-p)
+
+
+def tanh(a) -> ad.Tensor:
+    """tanh as its own autodiff node, for the step-by-step LSTM oracle; the
+    package's lstm node applies its tanh inside the fused gate pass."""
+    a = ad.as_tensor(a)
+    out_data = np.tanh(a.data)
+
+    def backward(g):
+        a._accumulate(g * (1.0 - out_data * out_data), owned=True)
+
+    return ad.Tensor._make(out_data, (a,), backward)
 
 
 def rotation_geodesic(r_a, r_b) -> float:

@@ -1,5 +1,8 @@
 """Interaction features, sequence classification and weight importance."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,8 @@ from gridpose import autodiff as ad
 from gridpose import interaction as ia
 from gridpose.errors import EmptySequence, NonFiniteLoss, WidthMismatch
 from gridpose.geometry import HAND_PARTS
+
+from conftest import tanh
 
 
 CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
@@ -21,10 +26,10 @@ def lstm_step(pt, layer: int, x, h, c, width: int):
     gates = x @ pt[f"lstm{layer}.wx"] + h @ pt[f"lstm{layer}.wh"] + pt[f"lstm{layer}.b"]
     i = ad.sigmoid(gates[:, 0 * width: 1 * width])
     f = ad.sigmoid(gates[:, 1 * width: 2 * width])
-    g = ad.tanh(gates[:, 2 * width: 3 * width])
+    g = tanh(gates[:, 2 * width: 3 * width])
     o = ad.sigmoid(gates[:, 3 * width: 4 * width])
     c_new = ad.mul(f, c) + ad.mul(i, g)
-    h_new = ad.mul(o, ad.tanh(c_new))
+    h_new = ad.mul(o, tanh(c_new))
     return h_new, c_new
 
 
@@ -58,6 +63,16 @@ def stepwise_loss(model, batch, labels):
     loss = ad.mul(logp[(np.arange(len(labels)), labels)].sum(), -1.0 / len(labels))
     loss.backward()
     return float(loss.data), {k: t.grad for k, t in pt.items()}
+
+
+def grad_check_sequences(model, batch, labels, eps=1e-5, n_samples=150, seed=0):
+    """Analytic vs central-FD gradients of sequence_loss through the map and the LSTM."""
+    def value():
+        pt = ad.wrap(model.params, requires_grad=False)
+        return float(ia._loss_graph(pt, model.cfg, batch, labels).data), []
+
+    _, grads = ia.sequence_loss(model, batch, labels)
+    return ad.grad_check(model.params, grads, value, eps, n_samples, seed)
 
 
 def assert_close(actual, expected, name):
@@ -209,9 +224,11 @@ class TestClassify:
             ia.classify_sequence(model, np.zeros((3, 40)))
 
 
-def fused_vs_stepwise(n, t, layers, x_grad, seed):
+def fused_vs_stepwise(n, t, layers, x_grad, seed, saturation=0.0):
     """Hidden states and gradients of ad.lstm and of the stepwise graph,
-    under the same random projection of every top-layer hidden state."""
+    under the same random projection of every top-layer hidden state.
+    With saturation > 0, a random half of each layer's bias entries move by
+    +-saturation, which pins those gate columns near 0, 1 or +-1."""
     width_in, width = 10, 6
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(n, t, width_in))
@@ -222,6 +239,9 @@ def fused_vs_stepwise(n, t, layers, x_grad, seed):
         params[f"lstm{layer}.wh"] = rng.uniform(-0.6, 0.6, size=(width, 4 * width))
         params[f"lstm{layer}.b"] = rng.uniform(-0.5, 0.5, size=4 * width)
     proj = rng.normal(size=(n, t, width))
+    for layer in range(layers if saturation else 0):
+        signs = rng.choice([-1.0, 1.0], size=4 * width) * (rng.random(4 * width) < 0.5)
+        params[f"lstm{layer}.b"] += saturation * signs
 
     sides = []
     for fused in (True, False):
@@ -271,6 +291,46 @@ class TestFusedLstm:
             else:
                 assert_close(grads[name], ref_grads[name], name)
 
+    @pytest.mark.parametrize("saturation", [50.0, 1e3])
+    def test_saturated_gates_match_stepwise_graph(self, saturation):
+        # pre-activations of about +-50 or +-1e3 in half the columns: the
+        # sigmoids reach 0 and 1 and tanh +-1 without overflow, and the live
+        # columns keep every gradient array away from zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (hidden, grads), (ref_hidden, ref_grads) = fused_vs_stepwise(
+                8, 12, 2, True, seed=41, saturation=saturation)
+        assert np.isfinite(hidden).all()
+        assert_close(hidden, ref_hidden, "hidden")
+        for name in ref_grads:
+            assert np.isfinite(grads[name]).all()
+            assert_close(grads[name], ref_grads[name], name)
+
+    def test_forward_backward_peak_memory(self):
+        # numpy reports its buffers to tracemalloc, so the peak repeats
+        # exactly. Counted in (T, B, 4h) float64 buffers it is 3.72 at these
+        # widths: the gate buffer, which the backward reuses in place, the
+        # cell, hidden and tanh(c) states, the time-major input copy and the
+        # gradients. A second (T, B, 4h) buffer kept for the backward would
+        # cross the bound.
+        n, t, width_in, h = 16, 16, 64, 48
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=(n, t, width_in)),
+                  rng.uniform(-0.2, 0.2, size=(width_in, 4 * h)),
+                  rng.uniform(-0.2, 0.2, size=(h, 4 * h)), rng.uniform(-0.5, 0.5, size=4 * h)]
+
+        def forward_backward():
+            ad.lstm(*(ad.Tensor(a, requires_grad=True) for a in arrays)).sum().backward()
+
+        forward_backward()
+        tracemalloc.start()
+        try:
+            forward_backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (t * n * 4 * h * 8) <= 4.0
+
     def test_weight_shapes_checked(self):
         x = ad.Tensor(np.zeros((2, 3, 5)))
         with pytest.raises(ValueError):
@@ -284,7 +344,7 @@ class TestGradients:
         rng = np.random.default_rng(10)
         batch = rng.normal(size=(3, 5, CFG.input_width))
         labels = rng.integers(0, 6, size=3)
-        err = ia.grad_check_sequences(model, batch, labels, eps=1e-5, n_samples=150)
+        err = grad_check_sequences(model, batch, labels, eps=1e-5, n_samples=150)
         assert err < 1e-4
 
     def test_baseline_grad_check(self):
@@ -292,7 +352,7 @@ class TestGradients:
         rng = np.random.default_rng(11)
         batch = rng.normal(size=(2, 4, BASELINE.input_width))
         labels = rng.integers(0, 6, size=2)
-        err = ia.grad_check_sequences(model, batch, labels, eps=1e-5, n_samples=120)
+        err = grad_check_sequences(model, batch, labels, eps=1e-5, n_samples=120)
         assert err < 1e-4
 
     def test_training_reduces_loss_on_separable_toy(self):
