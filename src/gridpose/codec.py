@@ -17,11 +17,13 @@ offsets from that cell's corner. The loss reads these at the responsible
 cells only; every other cell is trained towards confidence 0. Points on a
 cell boundary belong to the lower-index cell.
 
-At inference decode_best takes a batch of raw grids, picks each frame's
-most confident hand cell and object cell from the confidence channels alone
-and decodes only those two slots. decode_grid and prune are the full-grid
-form of the same step on one frame: decode every cell, then keep the most
-confident cell per entity. Both share one argmax and tie-break rule.
+At inference decode_best takes a batch's confidence logits of every cell,
+picks each frame's most confident hand cell and object cell from them and
+asks for the raw channels of those two cells only, so the network's head
+runs in full at two cells per frame (network.predict). decode_grid and
+prune are the full-grid form of the same step on one frame: decode every
+cell of a dense raw grid, then keep the most confident cell per entity.
+Both share one argmax and tie-break rule.
 """
 
 from __future__ import annotations
@@ -254,41 +256,51 @@ def prune(decoded: DecodedGrid, grid: GridSpec, cam: CameraIntrinsics) -> FrameP
     )
 
 
-def decode_best(raw: np.ndarray, grid: GridSpec, labels: LabelSpec,
+def decode_best(conf_logits: np.ndarray, read_cells, grid: GridSpec, labels: LabelSpec,
                 cam: CameraIntrinsics) -> list[FramePrediction]:
-    """decode_grid + prune for a (B, h, w, d, hand_slot+object_slot) batch.
+    """decode_grid + prune for a batch of B frames, reading only what prune keeps.
 
-    Only the confidence channels are decoded for every cell; each frame's
-    winning hand and object slots are gathered (copied, so no result is a
-    view into raw) and decoded together. Equal, bit for bit, to decode_grid
-    then prune on each frame.
+    conf_logits (B, h, w, d, 2) holds the hand and object confidence logits
+    of every cell. read_cells(cells), for a (B, 2, 3) int array of the
+    (u, v, z) hand and object cell of each frame, gives their
+    (B, 2, hand_slot+object_slot) raw channels. The most confident cells
+    come from the confidences alone, so only those two cells per frame are
+    read and decoded, for all frames at once. No result is a view into the
+    inputs.
+
+    When conf_logits and read_cells read a raw batch (raw[..., confidence
+    channels] and raw[frame, v, u, z]), the result equals decode_grid then
+    prune on each frame of it, bit for bit.
     """
-    raw = np.asarray(raw, dtype=float)
-    expect = (grid.h, grid.w, grid.d, labels.cell_channels)
-    if raw.shape[1:] != expect:
-        raise LengthMismatch(f"raw batch has shape {raw.shape}, expected (B, *{expect})")
-    frames = np.arange(len(raw))
-    conf = sigmoid(raw[..., [labels.hand_slot - 1, labels.cell_channels - 1]])
-    roles = []
-    for r, (role, lo, hi) in enumerate(((HAND, 0, labels.hand_slot),
-                                        (OBJECT, labels.hand_slot, labels.cell_channels))):
-        u, v, z = _best_cell(conf[..., r])
-        slot = raw[frames, v, u, z, lo:hi]
-        cell = np.stack([u, v, z], axis=-1)
-        coords = decode_offsets(slot[:, :COORD_CHANNELS], role) + cell[:, None, :].astype(float)
-        roles.append((grid_to_camera_unchecked(coords, cam, grid),
-                      conf[frames, v, u, z, r].tolist(),
-                      softmax(slot[:, COORD_CHANNELS:-1]),
-                      [tuple(c) for c in cell.tolist()]))
-    (h_pts, h_conf, h_probs, h_cell), (o_pts, o_conf, o_probs, o_cell) = roles
+    conf_logits = np.asarray(conf_logits, dtype=float)
+    expect = (grid.h, grid.w, grid.d, 2)
+    if conf_logits.shape[1:] != expect:
+        raise LengthMismatch(
+            f"confidence logits have shape {conf_logits.shape}, expected (B, *{expect})")
+    b = len(conf_logits)
+    conf = sigmoid(conf_logits)
+    u, v, z = (i.reshape(b, 2) for i in _best_cell(
+        conf.transpose(0, 4, 1, 2, 3).reshape(2 * b, grid.h, grid.w, grid.d)))
+    cells = np.stack([u, v, z], axis=-1)
+    channels = np.asarray(read_cells(cells), dtype=float)
+    if channels.shape != (b, 2, labels.cell_channels):
+        raise LengthMismatch(f"read_cells gave shape {channels.shape}, "
+                             f"expected ({b}, 2, {labels.cell_channels})")
+    hand, obj = channels[:, 0, : labels.hand_slot], channels[:, 1, labels.hand_slot:]
+    offsets = np.stack([decode_offsets(hand[:, :COORD_CHANNELS], HAND),
+                        decode_offsets(obj[:, :COORD_CHANNELS], OBJECT)], axis=1)
+    points = grid_to_camera_unchecked(offsets + cells[:, :, None, :], cam, grid)
+    best = conf[np.arange(b)[:, None], v, u, z, [0, 1]].tolist()
+    action_probs = softmax(hand[:, COORD_CHANNELS:-1])
+    object_probs = softmax(obj[:, COORD_CHANNELS:-1])
     return [
         FramePrediction(
-            hand_points=h_pts[i], hand_confidence=h_conf[i], action_probs=h_probs[i],
-            hand_cell=h_cell[i],
-            object_points=o_pts[i], object_confidence=o_conf[i], object_probs=o_probs[i],
-            object_cell=o_cell[i],
+            hand_points=points[i, 0], hand_confidence=c_h, action_probs=action_probs[i],
+            hand_cell=tuple(cell_h),
+            object_points=points[i, 1], object_confidence=c_o, object_probs=object_probs[i],
+            object_cell=tuple(cell_o),
         )
-        for i in frames.tolist()
+        for i, ((c_h, c_o), (cell_h, cell_o)) in enumerate(zip(best, cells.tolist()))
     ]
 
 

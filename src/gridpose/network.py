@@ -6,6 +6,15 @@ an image of grid.image_h x grid.image_w pixels to a raw output grid of
 shape (h, w, d, hand_slot + object_slot), depth-major in the channel
 dimension with the hand slot before the object slot.
 
+The 1x1 head is a linear map of each cell's feature column, so it is
+evaluated only where its output is read. Training (multitask_loss) and
+inference (predict) take the 2·d confidence channels at every cell, and
+all channels only at each frame's responsible cells (training) or most
+confident cells (inference), never building the dense grid or its
+gradient. forward_graph and forward evaluate the same head at every cell
+for every channel; they are the dense form that tests and benchmark
+probes read, and loss_graph is the loss of such a dense grid.
+
 The loss combines, per frame:
   * squared coordinate error in grid units at the two responsible cells
     (sigmoid on the root channels, identity elsewhere),
@@ -17,7 +26,7 @@ Confidence targets are recomputed from the current predictions through
 the distance law by default ("online"); "fixed" uses target 1 at the
 responsible cells instead (every other cell's target is 0 in both).
 
-Training uses the minibatch loop and the gradient checker in autodiff.
+Training uses the minibatch loop in autodiff.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from .geometry import HAND, NUM_CONTROL_POINTS, OBJECT, CameraIntrinsics, GridSpec, root_index
 
 CHECKPOINT_FORMAT = 1
+
+Array = ad.Tensor | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -138,19 +149,13 @@ def _check_image_shape(images: np.ndarray, bb: BackboneConfig, grid: GridSpec) -
         )
 
 
-def forward_graph(
+def features_graph(
     ptensors: dict[str, ad.Tensor],
     images: np.ndarray,
     bb: BackboneConfig,
     grid: GridSpec,
-    labels: LabelSpec,
-    preact_signs: list | None = None,
 ) -> ad.Tensor:
-    """Differentiable forward pass: (B, C, H, W) image -> (B, h, w, d, slots).
-
-    preact_signs, when given, collects the sign pattern of every rectifier
-    input (used by grad_check to reject kink-crossing perturbations).
-    """
+    """Differentiable conv stack: (B, C, H, W) image -> leaky-ReLU features (B, F, h, w)."""
     images = np.asarray(images, dtype=np.float64)
     _check_image_shape(images, bb, grid)
     x = ad.Tensor(images)
@@ -158,13 +163,76 @@ def forward_graph(
     for i, stride in enumerate(bb.strides):
         x = ad.conv2d(x, ptensors[f"conv{i}.w"], ptensors[f"conv{i}.b"],
                       stride=stride, padding=pad)
-        if preact_signs is not None:
-            preact_signs.append(x.data > 0)
         x = ad.leaky_relu(x, bb.leak)
-    x = ad.conv2d(x, ptensors["head.w"], ptensors["head.b"], stride=1, padding=0)
-    b = images.shape[0]
-    x = x.transpose(0, 2, 3, 1)  # (B, h, w, d*slots)
-    return x.reshape(b, grid.h, grid.w, grid.d, labels.cell_channels)
+    return x
+
+
+def feature_columns(x: Array) -> Array:
+    """(B, F, h, w) features as the (F, h·w·B) matrix the head maps column
+    by column: column (v·w + u)·B + i is cell (u, v) of frame i. conv2d
+    keeps its output in (F, h, w, B) memory, so this is a view, not a copy.
+
+    Like the head functions below, it takes autodiff tensors (training and
+    the dense forward) or plain arrays (predict): both support the same
+    operators, so the head has one definition and inference builds no graph.
+    """
+    b, f, h, w = x.shape
+    return x.transpose(1, 2, 3, 0).reshape(f, h * w * b)
+
+
+def _head(params: dict[str, Array], cols: Array, rows=None) -> Array:
+    """The 1x1 head as a linear map of feature columns: (F, N) -> (rows, N),
+    all d·slots output channels or only the channel indices in rows."""
+    w, b = params["head.w"], params["head.b"]
+    w = w.reshape(b.shape[0], w.shape[1])
+    if rows is not None:
+        w, b = w[rows], b[rows]
+    return w @ cols + b.reshape(-1, 1)
+
+
+def confidence_logits(params: dict[str, Array], cols: Array,
+                      grid: GridSpec, labels: LabelSpec) -> Array:
+    """Hand and object confidence logits of every cell, (B, h, w, d, 2):
+    the 2·d confidence channels of the head over every feature column."""
+    c = labels.cell_channels
+    rows = (np.array([[labels.hand_slot - 1], [c - 1]]) + c * np.arange(grid.d)).ravel()
+    b = cols.shape[1] // (grid.h * grid.w)
+    out = _head(params, cols, rows).reshape(2, grid.d, grid.h, grid.w, b)
+    return out.transpose(4, 2, 3, 1, 0)
+
+
+def head_at_cells(params: dict[str, Array], cols: Array, cells: np.ndarray,
+                  grid: GridSpec, labels: LabelSpec) -> Array:
+    """All raw channels of k cells per frame, (B, k, hand_slot + object_slot).
+
+    cells is a (B, k, 3) int array of (u, v, z). The head runs on the B·k
+    feature columns of those cells only, for all d depths; the depth z of
+    each cell is then picked from the result.
+    """
+    b, k = cells.shape[:2]
+    u, v, z = np.moveaxis(cells, -1, 0)
+    frames = np.arange(b)[:, None]
+    at = _head(params, cols[:, ((v * grid.w + u) * b + frames).ravel()])   # (d·slots, B·k)
+    at = at.transpose(1, 0).reshape(b, k, grid.d, labels.cell_channels)
+    return at[frames, np.arange(k), z]
+
+
+def forward_graph(
+    ptensors: dict[str, ad.Tensor],
+    images: np.ndarray,
+    bb: BackboneConfig,
+    grid: GridSpec,
+    labels: LabelSpec,
+) -> ad.Tensor:
+    """Differentiable dense forward pass: (B, C, H, W) image -> (B, h, w, d, slots).
+
+    The same features and head as training and inference, with the head
+    evaluated for every channel at every cell.
+    """
+    cols = feature_columns(features_graph(ptensors, images, bb, grid))
+    b = cols.shape[1] // (grid.h * grid.w)
+    out = _head(ptensors, cols).reshape(output_channels(grid, labels), grid.h, grid.w, b)
+    return out.transpose(3, 1, 2, 0).reshape(b, grid.h, grid.w, grid.d, labels.cell_channels)
 
 
 def forward(
@@ -174,9 +242,24 @@ def forward(
     grid: GridSpec,
     labels: LabelSpec,
 ) -> np.ndarray:
-    """Inference pass; returns the raw output grid as a plain array."""
+    """Dense inference pass; returns the raw output grid as a plain array."""
     return forward_graph(wrap_params(params, requires_grad=False),
                          images, bb, grid, labels).data
+
+
+def predict(params: ModelParams, images: np.ndarray, bb: BackboneConfig, grid: GridSpec,
+            labels: LabelSpec, cam: CameraIntrinsics) -> list[codec.FramePrediction]:
+    """Best hand and object slot of each image (codec.decode_best).
+
+    The head gives the confidence channels at every cell, then the full
+    cell channels only at each frame's winning hand and object cell.
+    """
+    feats = features_graph(wrap_params(params, requires_grad=False), images, bb, grid)
+    cols = feature_columns(feats.data)
+    return codec.decode_best(
+        confidence_logits(params.tensors, cols, grid, labels),
+        lambda cells: head_at_cells(params.tensors, cols, cells, grid, labels),
+        grid, labels, cam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,31 +299,28 @@ class BatchTargets:
         )
 
 
-def loss_graph(
-    raw: ad.Tensor,
+def _loss_terms(
+    conf_logits: ad.Tensor,
+    hand_raw: ad.Tensor,
+    obj_raw: ad.Tensor,
     targets: BatchTargets,
     weights: LossWeights,
     grid: GridSpec,
     labels: LabelSpec,
-    conf_targets: str = "online",
+    conf_targets: str,
 ) -> tuple[ad.Tensor, dict[str, float]]:
-    """Mean per-frame multi-task loss over a batch, as an autodiff scalar.
-
-    Returns (loss, parts) where parts holds the detached per-term means.
-    """
-    b = len(targets)
-    expect = (b, grid.h, grid.w, grid.d, labels.cell_channels)
-    if raw.shape != expect:
-        raise ShapeMismatch(f"raw grid is {raw.shape}, expected {expect}")
+    """The loss from what it reads of the raw grid: the (B, h, w, d, 2) hand
+    and object confidence logits of every cell, and the raw hand slot
+    (B, hand_slot) and object slot (B, object_slot) at the responsible cells."""
     if conf_targets not in ("online", "fixed"):
         raise ConfigError(f"conf_targets must be 'online' or 'fixed', got {conf_targets!r}")
+    b = len(targets)
     bidx = np.arange(b)
     scale = 1.0 / b
+    tgt = np.zeros(conf_logits.shape)
+    lam = np.full(conf_logits.shape, weights.conf_noobj)
 
-    def slot_terms(cells, offsets, coords, class_ids, base, slot_len, role, n_classes):
-        idx = (bidx, cells[:, 1], cells[:, 0], cells[:, 2])
-        resp = raw[idx][:, base: base + slot_len]
-
+    def slot_terms(r, resp, cells, offsets, coords, class_ids, role):
         root = root_index(role)
         root_sl = slice(3 * root, 3 * root + 3)
         pose_root = ad.sigmoid(resp[:, root_sl]) - offsets[:, root, :]
@@ -252,33 +332,27 @@ def loss_graph(
         pose_rest = rest - rest_target
         pose = ad.mul(pose_root, pose_root).sum() + ad.mul(pose_rest, pose_rest).sum()
 
-        logp = ad.log_softmax(resp[:, COORD_CHANNELS: COORD_CHANNELS + n_classes], axis=-1)
+        logp = ad.log_softmax(resp[:, COORD_CHANNELS: -1], axis=-1)
         ce = -logp[(bidx, class_ids)].sum()
 
-        conf_logit = raw[..., base + slot_len - 1]
-        conf = ad.sigmoid(conf_logit)
         if conf_targets == "online":
             pred_w = codec.decode_offsets(resp.data[:, :COORD_CHANNELS], role) + cells[:, None, :]
             resp_target = confidence_from_grid_coords(pred_w, coords, grid)
         else:
             resp_target = np.ones(b)
-        tgt = np.zeros((b, grid.h, grid.w, grid.d))
+        idx = (bidx, cells[:, 1], cells[:, 0], cells[:, 2], r)
         tgt[idx] = resp_target
-        lam = np.full((b, grid.h, grid.w, grid.d), weights.conf_noobj)
         lam[idx] = weights.conf_obj
-        dc = conf - ad.Tensor(tgt)
-        conf_term = ad.mul(ad.mul(dc, dc), ad.Tensor(lam)).sum()
-        return pose, ce, conf_term
+        return pose, ce
 
-    pose_h, ce_a, conf_h = slot_terms(
-        targets.hand_cells, targets.hand_offsets, targets.hand_coords,
-        targets.action_ids, 0, labels.hand_slot, HAND, labels.n_actions)
-    pose_o, ce_o, conf_o = slot_terms(
-        targets.object_cells, targets.object_offsets, targets.object_coords,
-        targets.object_ids, labels.hand_slot, labels.object_slot, OBJECT, labels.n_objects)
+    pose_h, ce_a = slot_terms(0, hand_raw, targets.hand_cells, targets.hand_offsets,
+                              targets.hand_coords, targets.action_ids, HAND)
+    pose_o, ce_o = slot_terms(1, obj_raw, targets.object_cells, targets.object_offsets,
+                              targets.object_coords, targets.object_ids, OBJECT)
+    dc = ad.sigmoid(conf_logits) - ad.Tensor(tgt)
 
     pose = ad.mul(pose_h + pose_o, weights.pose * scale)
-    conf = ad.mul(conf_h + conf_o, scale)
+    conf = ad.mul(ad.mul(ad.mul(dc, dc), ad.Tensor(lam)).sum(), scale)
     act = ad.mul(ce_a, weights.action_class * scale)
     obj = ad.mul(ce_o, weights.object_class * scale)
     total = pose + conf + act + obj
@@ -296,6 +370,35 @@ def loss_graph(
     return total, parts
 
 
+def loss_graph(
+    raw: ad.Tensor,
+    targets: BatchTargets,
+    weights: LossWeights,
+    grid: GridSpec,
+    labels: LabelSpec,
+    conf_targets: str = "online",
+) -> tuple[ad.Tensor, dict[str, float]]:
+    """Mean per-frame multi-task loss of a dense raw grid, as an autodiff scalar.
+
+    Reads the confidence channels and the responsible slots out of raw and
+    feeds them to the loss terms that multitask_loss uses. Returns
+    (loss, parts) where parts holds the detached per-term means.
+    """
+    b = len(targets)
+    expect = (b, grid.h, grid.w, grid.d, labels.cell_channels)
+    if raw.shape != expect:
+        raise ShapeMismatch(f"raw grid is {raw.shape}, expected {expect}")
+    bidx = np.arange(b)
+
+    def at(cells):
+        return raw[(bidx, cells[:, 1], cells[:, 0], cells[:, 2])]
+
+    conf = raw[..., np.array([labels.hand_slot - 1, labels.cell_channels - 1])]
+    return _loss_terms(conf, at(targets.hand_cells)[:, : labels.hand_slot],
+                       at(targets.object_cells)[:, labels.hand_slot:],
+                       targets, weights, grid, labels, conf_targets)
+
+
 def multitask_loss(
     params: ModelParams,
     targets: BatchTargets,
@@ -305,41 +408,21 @@ def multitask_loss(
     labels: LabelSpec,
     conf_targets: str = "online",
 ) -> tuple[float, dict[str, np.ndarray], dict[str, float]]:
-    """Loss value, exact per-parameter gradients and loss parts for a batch."""
-    return ad.value_and_grads(params.tensors, lambda pt: loss_graph(
-        forward_graph(pt, targets.images, bb, grid, labels),
-        targets, weights, grid, labels, conf_targets))
+    """Loss value, exact per-parameter gradients and loss parts for a batch.
 
-
-def grad_check(
-    params: ModelParams,
-    targets: BatchTargets,
-    weights: LossWeights,
-    bb: BackboneConfig,
-    grid: GridSpec,
-    labels: LabelSpec,
-    eps: float = 1e-4,
-    n_samples: int = 200,
-    seed: int = 0,
-    conf_targets: str = "fixed",
-) -> float:
-    """Max relative error of analytic vs central finite-difference gradients;
-    entries whose two-sided interval flips a rectifier input are resampled.
-
-    Online confidence targets are a function of the prediction that the
-    loss deliberately treats as constant, so grad_check defaults to the
-    fixed variant (the analytic gradient matches FD of either variant as
-    long as both sides use the same convention; see loss_graph).
+    The value and gradients of loss_graph(forward_graph(...)), with the head
+    evaluated only where the loss reads it: the confidence channels at every
+    cell, the full cell channels at the responsible cells.
     """
-    def value() -> tuple[float, list]:
-        pt = wrap_params(params, requires_grad=False)
-        signs: list = []
-        raw = forward_graph(pt, targets.images, bb, grid, labels, preact_signs=signs)
-        loss, _ = loss_graph(raw, targets, weights, grid, labels, conf_targets)
-        return float(loss.data), signs
+    def loss(pt):
+        cols = feature_columns(features_graph(pt, targets.images, bb, grid))
+        at = head_at_cells(pt, cols, np.stack([targets.hand_cells, targets.object_cells], axis=1),
+                           grid, labels)
+        return _loss_terms(confidence_logits(pt, cols, grid, labels),
+                           at[:, 0, : labels.hand_slot], at[:, 1, labels.hand_slot:],
+                           targets, weights, grid, labels, conf_targets)
 
-    _, grads, _ = multitask_loss(params, targets, weights, bb, grid, labels, conf_targets)
-    return ad.grad_check(params.tensors, grads, value, eps, n_samples, seed)
+    return ad.value_and_grads(params.tensors, loss)
 
 
 def sgd_epoch(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, autodiff as ad, codec, interaction as ia, metrics, network as net, synth
 from .config import RunConfig, config_hash, config_to_text
-from .errors import ConfigError, HashMismatch, NumericError
+from .errors import ConfigError, HashMismatch, NumericError, ShapeMismatch
 from .geometry import NUM_CONTROL_POINTS, cell_diagonal_m, cuboid_control_points, project
 from .rigidpose import Pose6D, pnp_dlt, procrustes_align, random_rotation
 
@@ -151,15 +151,32 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
 
 # -- per-frame predictions -------------------------------------------------------
 
+def _stack_rasters(cfg: RunConfig, frames, start: int) -> np.ndarray:
+    """The rasters of frames as one image batch; a frame without a raster or
+    with one of another shape is a ShapeMismatch that names its index,
+    counted from start."""
+    shape = (cfg.backbone.in_channels, cfg.grid.image_h, cfg.grid.image_w)
+    for i, frame in enumerate(frames, start):
+        if frame.raster is None:
+            raise ShapeMismatch(f"frame {i} has no raster; the backbone wants {shape}")
+        if np.shape(frame.raster) != shape:
+            raise ShapeMismatch(f"frame {i} has a raster of shape {np.shape(frame.raster)}; "
+                                f"the backbone wants {shape}")
+    return np.stack([f.raster for f in frames])
+
+
 def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
                    batch_size: int = 64) -> list[codec.FramePrediction]:
     """Run the backbone on batches of batch_size frames and keep each frame's
-    best hand and object slot (codec.decode_best, once per batch). Each
-    batch's images are stacked when it runs, so memory grows with the batch,
-    not with the frame list.
+    best hand and object slot (network.predict, once per batch: the head's
+    confidence channels at every cell, then its full channels only at each
+    frame's winning cells, through codec.decode_best). Each batch's images
+    are stacked when it runs, so memory grows with the batch, not with the
+    frame list.
 
     An empty frame list gives [] without running the network; batch_size
-    below 1 is a ConfigError.
+    below 1 is a ConfigError; a frame without a raster of the backbone's
+    input shape is a ShapeMismatch that names the frame's index.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -167,9 +184,8 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
         return []
     preds = []
     for start in range(0, len(frames), batch_size):
-        images = np.stack([f.raster for f in frames[start: start + batch_size]])
-        raw = net.forward(params, images, cfg.backbone, cfg.grid, cfg.labels)
-        preds.extend(codec.decode_best(raw, cfg.grid, cfg.labels, cfg.camera))
+        images = _stack_rasters(cfg, frames[start: start + batch_size], start)
+        preds.extend(net.predict(params, images, cfg.backbone, cfg.grid, cfg.labels, cfg.camera))
     return preds
 
 

@@ -306,6 +306,15 @@ TOY = config.toy_preset()
 TOY_GRID, TOY_CAM = TOY.grid, TOY.camera
 
 
+def decode_dense(raw, grid, cam, labels=LABELS):
+    """decode_best reading a dense (B, h, w, d, hand_slot+object_slot) raw batch."""
+    frames = np.arange(len(raw))[:, None]
+    conf = raw[..., [labels.hand_slot - 1, labels.cell_channels - 1]]
+    return codec.decode_best(
+        conf, lambda cells: raw[frames, cells[..., 1], cells[..., 0], cells[..., 2]],
+        grid, labels, cam)
+
+
 class TestDecodeBest:
     """The batched decoder against decode_grid + prune, frame by frame."""
 
@@ -314,7 +323,7 @@ class TestDecodeBest:
         return rng.normal(scale=3.0, size=(n, grid.h, grid.w, grid.d, LABELS.cell_channels))
 
     def _assert_matches_per_frame(self, raw, grid, cam):
-        batch = codec.decode_best(raw, grid, LABELS, cam)
+        batch = decode_dense(raw, grid, cam)
         assert len(batch) == len(raw)
         for frame, got in zip(raw, batch):
             want = codec.prune(codec.decode_grid(frame, grid, LABELS), grid, cam)
@@ -363,8 +372,10 @@ class TestDecodeBest:
         assert np.isnan(preds[1].hand_confidence)
 
     def test_wrong_shape_rejected(self):
-        raw = np.zeros((TOY_GRID.h, TOY_GRID.w, TOY_GRID.d, LABELS.cell_channels))
-        with pytest.raises(LengthMismatch):
-            codec.decode_best(raw, TOY_GRID, LABELS, TOY_CAM)
-        with pytest.raises(LengthMismatch):
-            codec.decode_best(raw[None, ..., 1:], TOY_GRID, LABELS, TOY_CAM)
+        raw = np.zeros((1, TOY_GRID.h, TOY_GRID.w, TOY_GRID.d, LABELS.cell_channels))
+        with pytest.raises(LengthMismatch, match="confidence logits"):
+            codec.decode_best(raw[0, ..., :2], lambda cells: raw[:, 0, :2, 0],
+                              TOY_GRID, LABELS, TOY_CAM)
+        with pytest.raises(LengthMismatch, match="read_cells"):
+            codec.decode_best(raw[..., :2], lambda cells: raw[:, 0, :2, 0, 1:],
+                              TOY_GRID, LABELS, TOY_CAM)

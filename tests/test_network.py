@@ -1,10 +1,12 @@
 """Backbone forward pass, multi-task loss, gradient checks and SGD."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from gridpose import autodiff as ad
-from gridpose import codec, config
+from gridpose import codec, config, synth
 from gridpose import geometry as geo
 from gridpose import network as net
 from gridpose.errors import ConfigError, NonFiniteLoss, ShapeMismatch
@@ -29,6 +31,37 @@ def micro_batch(n=3, seed=0):
         scenes.append(scene)
     images = rng.uniform(0.0, 1.0, size=(n, 3, GRID.image_h, GRID.image_w))
     return net.BatchTargets.from_scenes(scenes, GRID, LABELS, CAM, images)
+
+
+def grad_check(params, targets, weights, bb, grid, labels, eps=1e-4, n_samples=200, seed=0,
+               conf_targets="fixed"):
+    """Max relative error of multitask_loss's gradients (the head evaluated
+    only where the loss reads it) against central finite differences of the
+    dense loss_graph(forward_graph(...)); entries whose two-sided interval
+    flips a rectifier input are redrawn.
+
+    Online confidence targets are a function of the prediction that the
+    loss deliberately treats as constant, so the check defaults to the
+    fixed variant (the analytic gradient matches FD of either variant as
+    long as both sides use the same convention; see loss_graph).
+    """
+    def value():
+        signs = []
+        leaky_relu = ad.leaky_relu
+
+        def recording(x, slope):
+            signs.append(x.data > 0)
+            return leaky_relu(x, slope)
+
+        with mock.patch.object(ad, "leaky_relu", recording):
+            raw = net.forward_graph(net.wrap_params(params, requires_grad=False),
+                                    targets.images, bb, grid, labels)
+        assert len(signs) == len(bb.channels)
+        loss, _ = net.loss_graph(raw, targets, weights, grid, labels, conf_targets)
+        return float(loss.data), signs
+
+    _, grads, _ = net.multitask_loss(params, targets, weights, bb, grid, labels, conf_targets)
+    return ad.grad_check(params.tensors, grads, value, eps, n_samples, seed)
 
 
 class TestForward:
@@ -182,7 +215,7 @@ class TestGradCheck:
     def test_full_loss_below_1e4(self):
         targets = micro_batch(n=2)
         params = net.init_params(BB, GRID, LABELS, seed=2)
-        err = net.grad_check(params, targets, W, BB, GRID, LABELS,
+        err = grad_check(params, targets, W, BB, GRID, LABELS,
                              eps=1e-4, n_samples=200, seed=0)
         assert err < 1e-4
 
@@ -195,7 +228,7 @@ class TestGradCheck:
     def test_each_term_in_isolation(self, name, weights):
         targets = micro_batch(n=2)
         params = net.init_params(BB, GRID, LABELS, seed=2)
-        err = net.grad_check(params, targets, weights, BB, GRID, LABELS,
+        err = grad_check(params, targets, weights, BB, GRID, LABELS,
                              eps=1e-4, n_samples=120, seed=1)
         assert err < 1e-4, name
 
@@ -204,9 +237,9 @@ class TestGradCheck:
         # region a 10x bigger step should cost accuracy
         targets = micro_batch(n=1)
         params = net.init_params(BB, GRID, LABELS, seed=4)
-        small = net.grad_check(params, targets, W, BB, GRID, LABELS,
+        small = grad_check(params, targets, W, BB, GRID, LABELS,
                                eps=1e-4, n_samples=60, seed=3)
-        large = net.grad_check(params, targets, W, BB, GRID, LABELS,
+        large = grad_check(params, targets, W, BB, GRID, LABELS,
                                eps=1e-2, n_samples=60, seed=3)
         assert large > small
 
@@ -215,9 +248,59 @@ class TestGradCheck:
         # evaluates the loss with the same convention, so it still agrees
         targets = micro_batch(n=1)
         params = net.init_params(BB, GRID, LABELS, seed=5)
-        err = net.grad_check(params, targets, W, BB, GRID, LABELS,
+        err = grad_check(params, targets, W, BB, GRID, LABELS,
                              eps=1e-4, n_samples=60, seed=2, conf_targets="fixed")
         assert err < 1e-4
+
+
+def toy_batch(n):
+    cfg = config.toy_preset()
+    frames = [synth.sample_scene((41, i), cfg.scene) for i in range(n)]
+    return cfg, net.BatchTargets.from_scenes(frames, cfg.grid, cfg.labels, cfg.camera,
+                                             np.stack([f.raster for f in frames]))
+
+
+class TestSparseHead:
+    """multitask_loss evaluates the head only where the loss reads it; its
+    value and gradients must be those of the dense loss_graph(forward_graph)."""
+
+    @pytest.mark.parametrize("conf_targets", ["online", "fixed"])
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("preset", ["micro", "toy"])
+    def test_loss_and_grads_match_the_dense_grid(self, preset, n, conf_targets):
+        if preset == "micro":
+            bb, grid, labels, weights, targets = BB, GRID, LABELS, W, micro_batch(n=n, seed=n)
+        else:
+            cfg, targets = toy_batch(n)
+            bb, grid, labels, weights = cfg.backbone, cfg.grid, cfg.labels, cfg.loss
+        params = net.init_params(bb, grid, labels, seed=n)
+        value, grads, parts = net.multitask_loss(params, targets, weights, bb, grid, labels,
+                                                 conf_targets)
+        want, want_grads, want_parts = ad.value_and_grads(params.tensors, lambda pt: net.loss_graph(
+            net.forward_graph(pt, targets.images, bb, grid, labels),
+            targets, weights, grid, labels, conf_targets))
+        assert value == pytest.approx(want, rel=1e-12)
+        assert parts == pytest.approx(want_parts, rel=1e-12)
+        assert sorted(grads) == sorted(want_grads)
+        for name, g in want_grads.items():
+            # atol only guards entries that cancel to ~0 against terms of size ~max
+            np.testing.assert_allclose(grads[name], g, rtol=1e-10,
+                                       atol=1e-13 * np.abs(g).max(), err_msg=name)
+
+    def test_head_of_one_cell_is_the_dense_grid_there(self):
+        params = net.init_params(BB, GRID, LABELS, seed=3)
+        images = np.random.default_rng(3).uniform(size=(4, 3, 12, 12))
+        raw = net.forward(params, images, BB, GRID, LABELS)
+        pt = net.wrap_params(params, requires_grad=False)
+        cols = net.feature_columns(net.features_graph(pt, images, BB, GRID))
+        cells = np.array([[[0, 0, 0], [2, 1, 1]], [[1, 2, 0], [1, 2, 0]],
+                          [[2, 2, 1], [0, 1, 0]], [[1, 1, 1], [2, 0, 1]]])
+        got = net.head_at_cells(pt, cols, cells, GRID, LABELS).data
+        want = raw[np.arange(4)[:, None], cells[..., 1], cells[..., 0], cells[..., 2]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        conf = net.confidence_logits(pt, cols, GRID, LABELS).data
+        np.testing.assert_allclose(conf, raw[..., [LABELS.hand_slot - 1, -1]],
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestSgd:

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridpose import config, network as net, pipeline, synth
-from gridpose.errors import ConfigError, HashMismatch
+from gridpose import codec, config, network as net, pipeline, synth
+from gridpose.errors import ConfigError, HashMismatch, ShapeMismatch
 
 
 def tiny_config():
@@ -169,3 +169,68 @@ class TestPredictFrames:
                 for name in ("hand_points", "object_points", "action_probs", "object_probs"):
                     np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                                rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("saturated", [False, True])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_matches_dense_forward_decode_and_prune(self, model, batch_size, saturated):
+        cfg, params, frames = model
+        # a NaN pixel in frame 1 gives a patch of its cells NaN confidences
+        raster = frames[1].raster.copy()
+        raster[1, 30, 21] = np.nan
+        frames = [frames[0], replace(frames[1], raster=raster)] + frames[2:]
+        labels = cfg.labels
+        if saturated:
+            # hand confidences of depths 1 and 2 and object confidences of
+            # depth 2 round to exactly 1.0, so those cells tie
+            params = params.copy()
+            c = labels.cell_channels
+            params.tensors["head.b"][[c + labels.hand_slot - 1, 2 * c + labels.hand_slot - 1,
+                                      3 * c - 1]] = 60.0
+        got = pipeline.predict_frames(cfg, params, frames, batch_size=batch_size)
+        raw = net.forward(params, np.stack([f.raster for f in frames]),
+                          cfg.backbone, cfg.grid, labels)
+        assert len(got) == len(frames)
+        for i, (g, frame) in enumerate(zip(got, raw)):
+            want = codec.prune(codec.decode_grid(frame, cfg.grid, labels), cfg.grid, cfg.camera)
+            assert (g.hand_cell, g.object_cell) == (want.hand_cell, want.object_cell), i
+            for name in ("hand_points", "object_points", "action_probs", "object_probs",
+                         "hand_confidence", "object_confidence"):
+                np.testing.assert_allclose(getattr(g, name), getattr(want, name),
+                                           rtol=1e-12, atol=1e-12, err_msg=f"{name} {i}")
+        assert np.isnan(got[1].hand_confidence) and np.isnan(got[1].object_confidence)
+        if saturated:
+            # among the tied cells the lowest u-major index wins; NaN beats them
+            for p in got[:1] + got[2:]:
+                assert (p.hand_cell, p.hand_confidence) == ((0, 0, 1), 1.0)
+                assert (p.object_cell, p.object_confidence) == ((0, 0, 2), 1.0)
+
+    def test_training_and_prediction_never_run_the_dense_head(self, model, monkeypatch):
+        cfg, params, frames = model
+        targets = net.BatchTargets.from_scenes(frames[:4], cfg.grid, cfg.labels, cfg.camera,
+                                               np.stack([f.raster for f in frames[:4]]))
+        want_loss, _, _ = net.multitask_loss(params, targets, cfg.loss, cfg.backbone,
+                                             cfg.grid, cfg.labels)
+
+        def dense(*args, **kwargs):
+            raise AssertionError("the dense head ran")
+
+        for name in ("forward_graph", "forward", "loss_graph"):
+            monkeypatch.setattr(net, name, dense)
+        loss, _, _ = net.multitask_loss(params, targets, cfg.loss, cfg.backbone,
+                                        cfg.grid, cfg.labels)
+        assert loss == want_loss
+        net.sgd_epoch(params.copy(), targets, 0.01, cfg.loss, cfg.backbone, cfg.grid,
+                      cfg.labels, np.random.default_rng(0), batch_size=2)
+        assert len(pipeline.predict_frames(cfg, params, frames, batch_size=7)) == len(frames)
+
+    def test_frame_without_raster_is_named(self, model):
+        cfg, params, frames = model
+        bare = synth.sample_scene((7, 99), cfg.scene, with_raster=False)
+        with pytest.raises(ShapeMismatch, match="frame 3 has no raster"):
+            pipeline.predict_frames(cfg, params, frames[:3] + [bare] + frames[3:], batch_size=2)
+
+    def test_raster_of_another_shape_is_named(self, model):
+        cfg, params, frames = model
+        small = replace(frames[5], raster=frames[5].raster[:, :28, :28])
+        with pytest.raises(ShapeMismatch, match=r"frame 5 has a raster of shape \(3, 28, 28\)"):
+            pipeline.predict_frames(cfg, params, frames[:5] + [small] + frames[6:])
