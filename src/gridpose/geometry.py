@@ -20,6 +20,7 @@ The pinhole model carries no distortion; undistort upstream if needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,17 +211,22 @@ def cuboid_corners(c: Cuboid) -> np.ndarray:
     return signs * c.half_extents()
 
 
+@functools.lru_cache(maxsize=64)
 def cuboid_control_points(c: Cuboid) -> ControlPointSet:
     """21 control points of a cuboid: 8 corners, 12 edge midpoints, centroid.
 
     Ordering is fixed: corners in binary order of the sign pattern, edge
     midpoints in lexicographic corner-pair order, centroid (origin) last.
+    The set is built once per half-extents and cached, so its points array
+    is read-only; transform it (Pose6D.apply) or copy it before writing.
     """
     corners = cuboid_corners(c)
-    midpoints = np.array([(corners[i] + corners[j]) / 2.0 for i, j in _CUBOID_EDGES])
+    a, b = np.array(_CUBOID_EDGES).T
+    midpoints = (corners[a] + corners[b]) / 2.0
     centroid = corners.mean(axis=0, keepdims=True)
-    pts = np.concatenate([corners, midpoints, centroid], axis=0)
-    return ControlPointSet(points=pts)
+    cps = ControlPointSet(points=np.concatenate([corners, midpoints, centroid], axis=0))
+    cps.points.setflags(write=False)
+    return cps
 
 
 def cell_diagonal_m(grid: GridSpec, cam: CameraIntrinsics) -> float:

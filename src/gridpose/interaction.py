@@ -100,6 +100,27 @@ def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
     return InteractionModel(cfg, p)
 
 
+def _layout(cfg: InteractionConfig, hand: np.ndarray, obj: np.ndarray,
+            action_probs, object_probs) -> np.ndarray:
+    """(..., input_width) rows from (..., 21, 3) hand and object points and,
+    when the config includes them, (..., n_actions) and (..., n_objects)
+    class probabilities."""
+    r = root_index(HAND)
+    root = hand[..., r: r + 1, :] if cfg.root_relative else np.zeros(3)
+    rows = hand.shape[:-2] + (COORD_CHANNELS,)
+    parts = [((hand - root) * cfg.input_scale).reshape(rows),
+             ((obj - root) * cfg.input_scale).reshape(rows)]
+    if cfg.include_class_probs:
+        if action_probs is None or object_probs is None:
+            raise WidthMismatch("config includes class probabilities but none were given")
+        action_probs = np.asarray(action_probs, dtype=float)
+        object_probs = np.asarray(object_probs, dtype=float)
+        if action_probs.shape[-1:] != (cfg.n_actions,) or object_probs.shape[-1:] != (cfg.n_objects,):
+            raise WidthMismatch("class probability widths disagree with the config")
+        parts += [action_probs, object_probs]
+    return np.concatenate(parts, axis=-1)
+
+
 def frame_input(
     cfg: InteractionConfig,
     hand_points: np.ndarray,
@@ -108,26 +129,28 @@ def frame_input(
     object_probs: np.ndarray | None = None,
 ) -> np.ndarray:
     """Flatten one frame's predictions into the classifier's input layout."""
-    hand = np.asarray(hand_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3)
-    obj = np.asarray(object_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3)
-    root = hand[root_index(HAND)].copy() if cfg.root_relative else np.zeros(3)
-    parts = [(hand - root).ravel() * cfg.input_scale, (obj - root).ravel() * cfg.input_scale]
-    if cfg.include_class_probs:
-        if action_probs is None or object_probs is None:
-            raise WidthMismatch("config includes class probabilities but none were given")
-        if len(action_probs) != cfg.n_actions or len(object_probs) != cfg.n_objects:
-            raise WidthMismatch("class probability widths disagree with the config")
-        parts.append(np.asarray(action_probs, dtype=float))
-        parts.append(np.asarray(object_probs, dtype=float))
-    return np.concatenate(parts)
+    return _layout(cfg, np.asarray(hand_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3),
+                   np.asarray(object_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3),
+                   action_probs, object_probs)
 
 
 def sequence_inputs(cfg: InteractionConfig, preds: list[FramePrediction]) -> np.ndarray:
-    """(T, input_width) array from pruned per-frame predictions."""
-    return np.stack([
-        frame_input(cfg, p.hand_points, p.object_points, p.action_probs, p.object_probs)
-        for p in preds
-    ])
+    """(T, input_width) array from pruned per-frame predictions.
+
+    The T frames' points (and class probabilities, when the config includes
+    them) are stacked and laid out in one pass; row t equals frame_input
+    of frame t.
+    """
+    def stacked(name):
+        rows = [getattr(p, name) for p in preds]
+        return None if any(r is None for r in rows) else np.stack(rows)
+
+    def points(name):
+        return np.asarray(stacked(name), dtype=float).reshape(len(preds), NUM_CONTROL_POINTS, 3)
+
+    probs = ((stacked("action_probs"), stacked("object_probs")) if cfg.include_class_probs
+             else (None, None))
+    return _layout(cfg, points("hand_points"), points("object_points"), *probs)
 
 
 def _features_graph(pt: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:

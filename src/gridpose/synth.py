@@ -10,6 +10,15 @@ the windows are evaluated as arrays, one per window radius, and
 max-composited into the planes with the off-image pixels masked, so the
 raster does not depend on the order of the windows.
 
+Scene geometry is built as arrays too. One Rodrigues builder, rodrigues,
+makes every rotation: a hand's five abductions and fifteen curls are one
+call each, and its joints are a cumulative sum along each finger. A
+sequence lays out the hand points and object poses of all its frames at
+once, and a cuboid's control points are built once per size
+(geometry.cuboid_control_points). The arrays reproduce the per-finger,
+per-frame scalar construction to the bit; the tests keep that
+construction as their oracle.
+
 Four built-in action generators define the synthetic verbs:
 
     0 approach  hand root moves monotonically toward the object centroid
@@ -166,10 +175,30 @@ _BONE_LENGTHS = np.array([
 ])
 
 
-def _axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
-    axis = axis / np.linalg.norm(axis)
-    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
-    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+# Unit splay directions, normalised as np.linalg.norm does (a BLAS dot).
+_SPLAY_DIRS = _SPLAY / np.sqrt(_SPLAY[:, None, :] @ _SPLAY[:, :, None])[:, 0]
+
+
+def rodrigues(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) rotations by angles[i] about axes[i]; axes need not be unit.
+
+    Each axis is normalised by sqrt(a @ a), written as a stacked
+    (1, 3) @ (3, 1) product because that is the dot np.linalg.norm takes:
+    a row-wise einsum or norm(axis=-1) rounds differently in the last bit.
+    """
+    axes = np.asarray(axes, dtype=float)
+    angles = np.asarray(angles, dtype=float)[:, None, None]
+    a = axes / np.sqrt(axes[:, None, :] @ axes[:, :, None])[:, 0]
+    k = np.zeros((len(a), 9))   # the cross-product matrix [a]x, row-major
+    k[:, [7, 2, 3]] = a
+    k[:, [5, 6, 1]] = -a
+    k = k.reshape(-1, 3, 3)
+    return np.eye(3) + np.sin(angles) * k + (1 - np.cos(angles)) * (k @ k)
+
+
+def _rotate(rotations: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """(N, 3) rows rotations[i] @ vectors[i]; np.matmul keeps each product's bits."""
+    return np.matmul(rotations, vectors[:, :, None])[:, :, 0]
 
 
 def hand_skeleton(rng: np.random.Generator, params: SceneParams) -> np.ndarray:
@@ -177,31 +206,33 @@ def hand_skeleton(rng: np.random.Generator, params: SceneParams) -> np.ndarray:
 
     Bone lengths are fixed (up to a global scale); the jitter is angular:
     per-finger abduction in the palm plane and cumulative curl toward the
-    palm normal at each of the three finger joints.
+    palm normal at each of the three finger joints. Each finger draws its
+    abduction, then its three curls; the five abductions and the fifteen
+    curls are then one rodrigues call each, and the joints of every finger
+    are one cumulative sum along its bones.
     """
     scale = rng.uniform(*params.hand_scale_range)
+    curl = params.curl_max / 3.0
+    jitter = rng.uniform([-params.abduct_max, 0.0, 0.0, 0.0],
+                         [params.abduct_max, curl, curl, curl], size=(5, 4))
+    normals = np.tile([0.0, 0.0, 1.0], (5, 1))
+    direction = _rotate(rodrigues(normals, jitter[:, 0]), _SPLAY_DIRS)
+    lateral = np.cross(direction, normals)
+    curls = np.cumsum(jitter[:, 1:], axis=1).ravel()   # each joint's curl from the knuckle
+    seg_dir = _rotate(rodrigues(np.repeat(lateral, 3, axis=0), curls),
+                      np.repeat(direction, 3, axis=0)).reshape(5, 3, 3)
+    steps = np.concatenate([_KNUCKLES[:, None, :] * scale,
+                            (scale * _BONE_LENGTHS)[:, :, None] * seg_dir], axis=1)
     pts = np.zeros((NUM_CONTROL_POINTS, 3))
-    z = np.array([0.0, 0.0, 1.0])
-    for f in range(5):
-        splay = _SPLAY[f] / np.linalg.norm(_SPLAY[f])
-        abduct = rng.uniform(-params.abduct_max, params.abduct_max)
-        direction = _axis_angle(z, abduct) @ splay
-        lateral = np.cross(direction, z)
-        curls = rng.uniform(0.0, params.curl_max / 3.0, size=3)
-        p = _KNUCKLES[f] * scale
-        pts[1 + 4 * f] = p
-        cum = 0.0
-        for k in range(3):
-            cum += curls[k]
-            seg_dir = _axis_angle(lateral, cum) @ direction
-            p = p + scale * _BONE_LENGTHS[f, k] * seg_dir
-            pts[2 + 4 * f + k] = p
+    pts[1:] = np.cumsum(steps, axis=1).reshape(-1, 3)
     return pts
 
 
 # -- scene sampling ----------------------------------------------------------
 
 def _volume_bounds(params: SceneParams) -> tuple[np.ndarray, np.ndarray]:
+    """Grid-coordinate bounds of the margin-shrunk volume; callers compute
+    them once and pass them to _sample_position and in_volume."""
     g = params.grid
     lo = np.array([params.margin_uv_cells, params.margin_uv_cells, params.margin_z_cells])
     hi = np.array([g.w - params.margin_uv_cells, g.h - params.margin_uv_cells,
@@ -211,27 +242,35 @@ def _volume_bounds(params: SceneParams) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sample_position(rng, params: SceneParams) -> np.ndarray:
+def _sample_position(rng, params: SceneParams, bounds) -> np.ndarray:
     """Uniform position in the (margin-shrunk) grid volume, camera frame."""
-    lo, hi = _volume_bounds(params)
-    return grid_to_camera(rng.uniform(lo, hi), params.cam, params.grid)
+    return grid_to_camera(rng.uniform(*bounds), params.cam, params.grid)
 
 
-def in_volume(point: np.ndarray, params: SceneParams) -> bool:
-    if point[2] <= 0:
+def in_volume(points: np.ndarray, params: SceneParams, bounds) -> bool:
+    """Whether every camera-frame point (..., 3) lies inside bounds = _volume_bounds(params)."""
+    points = np.asarray(points, dtype=float)
+    if np.any(points[..., 2] <= 0):
         return False
-    w = camera_to_grid(point, params.cam, params.grid)
-    lo, hi = _volume_bounds(params)
+    w = camera_to_grid(points, params.cam, params.grid)
+    lo, hi = bounds
     return bool(np.all(w >= lo) and np.all(w <= hi))
+
+
+def _unit_normal(rng) -> np.ndarray:
+    axis = rng.normal(size=3)
+    return axis / np.linalg.norm(axis)
+
+
+def _tilt(rng, params: SceneParams, skel: np.ndarray) -> np.ndarray:
+    """skel rotated by a bounded random tilt about a random axis."""
+    axis = _unit_normal(rng)
+    return skel @ rodrigues(axis[None], [rng.uniform(0.0, params.tilt_max)])[0].T
 
 
 def place_hand(rng, params: SceneParams, root: np.ndarray) -> np.ndarray:
     """Rotate a fresh skeleton by a bounded random tilt and move it to root."""
-    skel = hand_skeleton(rng, params)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.uniform(0.0, params.tilt_max)
-    return skel @ _axis_angle(axis, angle).T + np.asarray(root)
+    return _tilt(rng, params, hand_skeleton(rng, params)) + np.asarray(root)
 
 
 def object_cuboid(params: SceneParams, object_id: int) -> Cuboid:
@@ -241,49 +280,57 @@ def object_cuboid(params: SceneParams, object_id: int) -> Cuboid:
 
 
 def sample_object_pose(rng, params: SceneParams, centroid: np.ndarray) -> Pose6D:
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
+    axis = _unit_normal(rng)
     angle = rng.uniform(0.0, params.object_angle_max)
-    return Pose6D(_axis_angle(axis, angle), np.asarray(centroid))
+    return Pose6D(rodrigues(axis[None], [angle])[0], np.asarray(centroid))
 
 
-def build_frame(params: SceneParams, hand_points, pose: Pose6D, cuboid: Cuboid,
-                object_id: int, action_id: int, with_raster: bool = True) -> SceneFrame:
-    object_points = pose.apply(cuboid_control_points(cuboid).points)
-    if np.min(hand_points[:, 2]) <= 0 or np.min(object_points[:, 2]) <= 0:
+def build_frames(params: SceneParams, hand_points: np.ndarray, rotations: np.ndarray,
+                 translations: np.ndarray, cuboid: Cuboid, object_id: int, action_id: int,
+                 with_raster: bool = True) -> list[SceneFrame]:
+    """One frame per row of (T, 21, 3) hand points and (T, 3) object translations.
+
+    rotations is (T, 3, 3), or (1, 3, 3) for an orientation that every frame
+    shares; the object points of a shared orientation are rotated once. Each
+    frame's points are its own row of a fresh (T, 21, 3) stack.
+    """
+    object_points = (np.matmul(cuboid_control_points(cuboid).points, rotations.transpose(0, 2, 1))
+                     + translations[:, None, :])
+    if np.min(hand_points[..., 2]) <= 0 or np.min(object_points[..., 2]) <= 0:
         raise NonPositiveDepth("scene has control points behind the camera")
-    frame = SceneFrame(
-        hand_points=np.asarray(hand_points, dtype=float),
-        object_pose=pose,
-        cuboid=cuboid,
-        object_points=object_points,
-        object_id=int(object_id),
-        action_id=int(action_id),
-    )
-    if with_raster:
-        frame = replace(frame, raster=render(frame, params.cam, params.grid, params.render))
-    return frame
+    rotations = np.broadcast_to(rotations, (len(translations), 3, 3))
+    return [
+        SceneFrame(hand_points=hand, object_pose=Pose6D(rot, t), cuboid=cuboid,
+                   object_points=obj, object_id=int(object_id), action_id=int(action_id),
+                   raster=render_entities(params.cam, params.grid, params.render, hand, obj)
+                   if with_raster else None)
+        for hand, rot, t, obj in zip(hand_points, rotations, translations, object_points)
+    ]
 
 
 def sample_scene(seed: int, params: SceneParams, with_raster: bool = True) -> SceneFrame:
     """One random frame, fully determined by the seed."""
     rng = seeded_rng(seed, 0x5ce)
+    bounds = _volume_bounds(params)
     for _ in range(200):
-        root = _sample_position(rng, params)
+        root = _sample_position(rng, params, bounds)
         hand = place_hand(rng, params, root)
         object_id = int(rng.integers(params.labels.n_objects))
         action_id = int(rng.integers(params.labels.n_actions))
         cuboid = object_cuboid(params, object_id)
-        pose = sample_object_pose(rng, params, _sample_position(rng, params))
+        pose = sample_object_pose(rng, params, _sample_position(rng, params, bounds))
         pts = pose.apply(cuboid_control_points(cuboid).points)
         if np.min(hand[:, 2]) > 1e-3 and np.min(pts[:, 2]) > 1e-3:
-            return build_frame(params, hand, pose, cuboid, object_id, action_id, with_raster)
+            (frame,) = build_frames(params, hand[None], pose.rotation[None],
+                                    pose.translation[None], cuboid, object_id, action_id,
+                                    with_raster)
+            return frame
     raise ConfigOutOfRange("could not place a scene inside the volume; check margins")
 
 
 # -- sequences ---------------------------------------------------------------
 
-def _monotone_root_path(rng, params, centroid, decreasing: bool):
+def _monotone_root_path(rng, params, bounds, centroid, decreasing: bool):
     """Start/end hand-root positions on a ray through the object centroid."""
     for _ in range(200):
         direction = rng.normal(size=3)
@@ -291,53 +338,48 @@ def _monotone_root_path(rng, params, centroid, decreasing: bool):
         direction /= np.linalg.norm(direction)
         far = centroid + direction * rng.uniform(0.13, 0.20)
         near = centroid + direction * rng.uniform(0.03, 0.05)
-        if in_volume(far, params) and in_volume(near, params):
+        if in_volume(np.stack([far, near]), params, bounds):
             return (far, near) if decreasing else (near, far)
     raise ConfigOutOfRange("no valid approach path found; check margins")
 
 
 def sample_sequence(seed: int, action_id: int, object_id: int,
                     params: SceneParams, with_raster: bool = True) -> FrameSequence:
-    """A deterministic sequence for one (verb, noun) pair."""
+    """A deterministic sequence for one (verb, noun) pair.
+
+    Each verb lays out the hand points and object poses of all frames as
+    (T, ...) arrays; build_frames then cuts them into frames.
+    """
     if not (0 <= action_id < params.labels.n_actions):
         raise ConfigOutOfRange(f"action id {action_id} out of range")
     rng = seeded_rng(seed, 0x5e9, action_id, object_id)
     n = params.sequence_length
     cuboid = object_cuboid(params, object_id)
     skel_rng = seeded_rng(seed, 0xa17d, action_id, object_id)
+    bounds = _volume_bounds(params)
 
-    centroid = _sample_position(rng, params)
+    centroid = _sample_position(rng, params, bounds)
     base_rot = sample_object_pose(rng, params, centroid).rotation
-    hand_shape = hand_skeleton(skel_rng, params)
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    tilt = _axis_angle(axis, rng.uniform(0.0, params.tilt_max))
-    oriented_hand = hand_shape @ tilt.T
+    oriented_hand = _tilt(rng, params, hand_skeleton(skel_rng, params))
 
-    frames = []
+    t = np.arange(n)
+    rotations, centers = base_rot[None], np.tile(centroid, (n, 1))
     name = ACTION_NAMES[action_id]
     if name in ("approach", "retract"):
-        start, end = _monotone_root_path(rng, params, centroid, name == "approach")
-        for t in range(n):
-            a = t / (n - 1)
-            root = (1 - a) * start + a * end
-            pose = Pose6D(base_rot, centroid)
-            frames.append(build_frame(params, oriented_hand + root, pose, cuboid,
-                                      object_id, action_id, with_raster))
+        start, end = _monotone_root_path(rng, params, bounds, centroid, name == "approach")
+        a = (t / (n - 1))[:, None]
+        hands = oriented_hand + ((1 - a) * start + a * end)[:, None, :]
     elif name == "rotate":
-        spin_axis = rng.normal(size=3)
-        spin_axis /= np.linalg.norm(spin_axis)
+        spin_axis = _unit_normal(rng)
         step = rng.uniform(0.05, 0.10)
         offset = rng.normal(size=3)
         offset[2] *= 0.3
         offset = offset / np.linalg.norm(offset) * rng.uniform(0.08, 0.12)
         root = centroid + offset
-        if not in_volume(root, params):
+        if not in_volume(root, params, bounds):
             root = centroid - offset
-        for t in range(n):
-            pose = Pose6D(_axis_angle(spin_axis, step * t) @ base_rot, centroid)
-            frames.append(build_frame(params, oriented_hand + root, pose, cuboid,
-                                      object_id, action_id, with_raster))
+        hands = np.tile(oriented_hand + root, (n, 1, 1))
+        rotations = np.matmul(rodrigues(np.tile(spin_axis, (n, 1)), step * t), base_rot)
     elif name == "shake":
         direction = rng.normal(size=3)
         direction[2] *= 0.3
@@ -346,17 +388,15 @@ def sample_sequence(seed: int, action_id: int, object_id: int,
         grasp = direction * 0.0 + rng.normal(size=3) * 0.01
         cycles = rng.uniform(2.0, 3.0)
         phase = rng.uniform(0.0, 2 * np.pi)
-        for t in range(n):
-            wobble = amp * np.sin(2 * np.pi * cycles * t / n + phase)
-            center = centroid + direction * wobble
-            pose = Pose6D(base_rot, center)
-            frames.append(build_frame(params, oriented_hand + center + grasp, pose,
-                                      cuboid, object_id, action_id, with_raster))
+        wobble = amp * np.sin(2 * np.pi * cycles * t / n + phase)
+        centers = centroid + direction * wobble[:, None]
+        hands = oriented_hand + centers[:, None, :] + grasp
     else:  # pragma: no cover - guarded by SceneParams validation
         raise ConfigOutOfRange(f"no generator for action {action_id}")
 
     return FrameSequence(
-        frames=frames,
+        frames=build_frames(params, hands, rotations, centers, cuboid, object_id, action_id,
+                            with_raster),
         action_id=action_id,
         object_id=object_id,
         interaction_id=params.labels.interaction_index(action_id, object_id),
@@ -449,13 +489,6 @@ def render_entities(
     return planes
 
 
-def render(frame: SceneFrame, cam: CameraIntrinsics, grid: GridSpec,
-           spec: RenderSpec) -> np.ndarray:
-    return render_entities(cam, grid, spec,
-                           hand_points=frame.hand_points,
-                           object_points=frame.object_points)
-
-
 # -- augmentation ------------------------------------------------------------
 
 def translate_frame(frame: SceneFrame, du_px: int, dv_px: int,
@@ -517,10 +550,11 @@ def augment_frame(frame: SceneFrame, rng: np.random.Generator,
         w, h = params.grid.image_w, params.grid.image_h
         du = int(round(rng.uniform(-translate_frac, translate_frac) * w))
         dv = int(round(rng.uniform(-translate_frac, translate_frac) * h))
+        bounds = _volume_bounds(params)
         for _ in range(8):
             cand = translate_frame(out, du, dv, params.cam)
-            if (in_volume(cand.hand_points[root_index(HAND)], params)
-                    and in_volume(cand.object_points[root_index(OBJECT)], params)):
+            if in_volume(np.stack([cand.hand_points[root_index(HAND)],
+                                   cand.object_points[root_index(OBJECT)]]), params, bounds):
                 out = cand
                 break
             du //= 2

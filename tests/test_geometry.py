@@ -146,6 +146,23 @@ class TestCuboidControlPoints:
         with pytest.raises(ConfigError):
             geo.Cuboid(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("extents", [(0.0, 0.1, 0.1), (0.1, -0.1, 0.1), (0.1, 0.1, -0.0)])
+    def test_bad_extents_raise_past_the_cache(self, extents):
+        geo.cuboid_control_points(geo.Cuboid(*np.abs(extents) + 0.1))
+        with pytest.raises(ConfigError, match="half-extents"):
+            geo.cuboid_control_points(geo.Cuboid(*extents))
+
+    def test_cached_points_are_read_only(self):
+        c = geo.Cuboid(0.03, 0.04, 0.05)
+        cps = geo.cuboid_control_points(c)
+        assert geo.cuboid_control_points(geo.Cuboid(0.03, 0.04, 0.05)) is cps
+        before = cps.points.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            cps.points[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            cps.points += 1.0
+        np.testing.assert_array_equal(geo.cuboid_control_points(c).points, before)
+
 
 class TestSpecValidation:
     def test_grid_spec_rejects_zero_cells(self):

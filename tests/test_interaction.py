@@ -2,11 +2,13 @@
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridpose import autodiff as ad
+from gridpose import codec
 from gridpose import interaction as ia
 from gridpose.errors import EmptySequence, NonFiniteLoss, WidthMismatch
 from gridpose.geometry import HAND_PARTS
@@ -117,6 +119,40 @@ class TestFrameInput:
         with pytest.raises(WidthMismatch):
             ia.frame_input(cfg, rnd_points(rng), rnd_points(rng),
                            action_probs=np.full(5, 0.2), object_probs=np.full(3, 1 / 3))
+
+
+class TestSequenceInputs:
+    @staticmethod
+    def preds(rng, n, n_actions=4, n_objects=3):
+        return [codec.FramePrediction(
+            hand_points=rnd_points(rng), hand_confidence=0.9,
+            action_probs=rng.dirichlet(np.ones(n_actions)), hand_cell=(0, 0, 0),
+            object_points=rnd_points(rng), object_confidence=0.8,
+            object_probs=rng.dirichlet(np.ones(n_objects)), object_cell=(1, 1, 0))
+            for _ in range(n)]
+
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        ia.InteractionConfig(n_classes=12, root_relative=False, input_scale=10.0),
+        ia.InteractionConfig(n_classes=12, include_class_probs=True, n_actions=4, n_objects=3),
+    ], ids=["relative", "absolute", "class_probs"])
+    def test_rows_are_frame_inputs_to_the_bit(self, cfg):
+        preds = self.preds(np.random.default_rng(5), 7)
+        got = ia.sequence_inputs(cfg, preds)
+        want = np.stack([ia.frame_input(cfg, p.hand_points, p.object_points,
+                                        p.action_probs, p.object_probs) for p in preds])
+        assert got.shape == (7, cfg.input_width)
+        assert np.array_equal(got, want)
+
+    def test_missing_or_mismatched_class_probs_rejected(self):
+        cfg = ia.InteractionConfig(n_classes=12, include_class_probs=True,
+                                   n_actions=4, n_objects=3)
+        rng = np.random.default_rng(6)
+        preds = self.preds(rng, 3)
+        with pytest.raises(WidthMismatch, match="none were given"):
+            ia.sequence_inputs(cfg, preds[:2] + [replace(preds[2], object_probs=None)])
+        with pytest.raises(WidthMismatch, match="widths disagree"):
+            ia.sequence_inputs(cfg, self.preds(rng, 3, n_actions=5))
 
 
 def features(model, hand, obj):

@@ -1,5 +1,6 @@
 """Backbone forward pass, multi-task loss, gradient checks and SGD."""
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -42,8 +43,8 @@ def grad_check(params, targets, weights, bb, grid, labels, eps=1e-4, n_samples=2
 
     Online confidence targets are a function of the prediction that the
     loss deliberately treats as constant, so the check defaults to the
-    fixed variant (the analytic gradient matches FD of either variant as
-    long as both sides use the same convention; see loss_graph).
+    fixed variant; finite differences match the online variant only while
+    its targets are held (test_online_targets_match_fd_of_detached_loss).
     """
     def value():
         signs = []
@@ -244,12 +245,26 @@ class TestGradCheck:
         assert large > small
 
     def test_online_targets_match_fd_of_detached_loss(self):
-        # online confidence targets are constants to the gradient; grad_check
-        # evaluates the loss with the same convention, so it still agrees
+        # online confidence targets are constants to the gradient, so the
+        # finite differences hold them at their values at the unperturbed
+        # parameters: each loss evaluation replays the recorded hand and
+        # object targets in the order the loss asks for them
         targets = micro_batch(n=1)
         params = net.init_params(BB, GRID, LABELS, seed=5)
-        err = grad_check(params, targets, W, BB, GRID, LABELS,
-                             eps=1e-4, n_samples=60, seed=2, conf_targets="fixed")
+        online = net.confidence_from_grid_coords
+        recorded = []
+
+        def record(pred_w, gt_w, grid):
+            recorded.append(online(pred_w, gt_w, grid))
+            return recorded[-1]
+
+        with mock.patch.object(net, "confidence_from_grid_coords", record):
+            net.multitask_loss(params, targets, W, BB, GRID, LABELS, "online")
+        assert len(recorded) == 2 and not np.allclose(np.concatenate(recorded), 1.0)
+        replay = itertools.cycle(recorded)
+        with mock.patch.object(net, "confidence_from_grid_coords", lambda *_: next(replay)):
+            err = grad_check(params, targets, W, BB, GRID, LABELS,
+                             eps=1e-4, n_samples=60, seed=2, conf_targets="online")
         assert err < 1e-4
 
 

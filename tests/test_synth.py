@@ -1,6 +1,7 @@
 """Scene/sequence generators, renderer and dataset file round trips."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,6 +34,74 @@ PINNED_RASTER_SHA256 = (
     "17ce8abc61da9c552503b3efc291f98d417a38978fd784f322573753ee41e4ff",
     "46884fc65d96201cc3a28e4bc09799c7655d1a600252d9ce9b97a27f5ac51251",
 )
+
+# sha256 of hand_points, object_points, pose rotation and translation bytes of
+# toy_preset().scene geometry, recorded from the per-finger, per-frame scalar
+# geometry (ref_axis_angle, ref_hand_skeleton): sample_scene((2024, 0x6e0, i)),
+# i = 0..11, and, over all frames, sample_sequence((2024, 0x6e1, s), a,
+# (a + s) % 3) for every verb a and s = 0, 1.
+PINNED_SCENE_SHA256 = (
+    "972d68a53d80298198e7000a9bc50262d74405ca7859888f3e2414bccbb75e9c",
+    "86f45b54e838649c390f6f1666caafc975efdb9a6252af9b5d874ec4952ded47",
+    "fccfac9eaa42a9e1aae8075faedc77820ec1a1b3595c6c3bf4dfd5ad9205dcc7",
+    "3049f1333ef05c1eafcb818e93001f772a8ab72591a6940a90286dfb5197609a",
+    "360768cf2b9696b030328a47eed9468ae586f2d702e5f3e2947836bbf63c4051",
+    "4ef8b5b47ea23a46345020e9816c3c762105169de1e24e64b7d656f951444929",
+    "e046c987ce74414a0ad21546c3350cddeae9b84feccb65a8e4fdd356e420e448",
+    "c73dc8087c280859b8cf19803bed48179d066ebf0a39916536ccbdbbd853b792",
+    "624f29bdda82019e3926eb040cbbc87e9b3448993ee5cee59ba187700877d7a3",
+    "4adfba4db841e8ff330b2c3f05d9afa6d9d2867d6f329ca63a301cc1ed2c5721",
+    "d2144441061ccb6aa2a873a56044ef858ef8fe3d682ecc0e0b3561083965185d",
+    "a84f4b17e48cf31cde9f10717854c8845fe6679f4145c9705c3ea27ba380fc88",
+)
+PINNED_SEQUENCE_SHA256 = (
+    "f2f2f146084a085fdce360d497bbf452b8453f137eae2df0a6b227d45feb62e1",
+    "6304ddd60c3725d09a2917c87a5bffca48dfb23fb38bdea7f80edffe193fba00",
+    "6052bad1290b5953cff63f60b87eee27f1ea53388768041546c24bd56132ca6e",
+    "08fe2c46a1bd103fe5f212ebe019a1b0ac59b818d06e57f1d1baa346069c1913",
+    "3b812b581e94cda0d1d8bca457b1b194418ce98e2df850376f1d51550d6176cd",
+    "0073ad3f4af190640a8e6fb94c5e4edc8ab35a2f1fe03e53b78dee21ba630e38",
+    "145cdb21454c91b2b0894949679dd097ba4222d8b4831f2bb78f3bec9e92ba16",
+    "4143880c54dc4b927ef0aa2f5e7fcfb052dc943cc89c44296f3c23a7db0b35d0",
+)
+
+
+# -- reference geometry: one Rodrigues matrix per call, one finger per loop pass --
+
+def ref_axis_angle(axis, angle):
+    """Rotation by angle about one axis; the oracle for synth.rodrigues."""
+    axis = axis / np.linalg.norm(axis)
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+def ref_hand_skeleton(rng, params):
+    """Per-finger, per-joint hand skeleton; the oracle for synth.hand_skeleton."""
+    scale = rng.uniform(*params.hand_scale_range)
+    pts = np.zeros((21, 3))
+    z = np.array([0.0, 0.0, 1.0])
+    for f in range(5):
+        splay = synth._SPLAY[f] / np.linalg.norm(synth._SPLAY[f])
+        abduct = rng.uniform(-params.abduct_max, params.abduct_max)
+        direction = ref_axis_angle(z, abduct) @ splay
+        lateral = np.cross(direction, z)
+        curls = rng.uniform(0.0, params.curl_max / 3.0, size=3)
+        p = synth._KNUCKLES[f] * scale
+        pts[1 + 4 * f] = p
+        cum = 0.0
+        for k in range(3):
+            cum += curls[k]
+            seg_dir = ref_axis_angle(lateral, cum) @ direction
+            p = p + scale * synth._BONE_LENGTHS[f, k] * seg_dir
+            pts[2 + 4 * f + k] = p
+    return pts
+
+
+def geometry_digest(frames):
+    return hashlib.sha256(b"".join(
+        f.hand_points.tobytes() + f.object_points.tobytes()
+        + f.object_pose.rotation.tobytes() + f.object_pose.translation.tobytes()
+        for f in frames)).hexdigest()
 
 
 # -- reference renderer: one Gaussian window per call, in a Python loop --------
@@ -178,6 +247,58 @@ class TestHandSkeleton:
         np.testing.assert_allclose(pts[:, 2], 0.0, atol=1e-12)
 
 
+class TestGeometryMatchesReference:
+    """The array geometry against the scalar oracles, equal to the bit."""
+
+    def test_rodrigues(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = 1 + seed % 20
+            axes = rng.normal(size=(n, 3)) * rng.uniform(0.1, 10.0, size=(n, 1))
+            angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+            want = np.stack([ref_axis_angle(a, t) for a, t in zip(axes, angles)])
+            assert np.array_equal(synth.rodrigues(axes, angles), want), seed
+
+    def test_rodrigues_about_a_coordinate_axis(self):
+        axes = np.repeat(np.eye(3), 3, axis=0)
+        angles = np.tile([0.0, 0.3, -np.pi], 3)
+        want = np.stack([ref_axis_angle(a, t) for a, t in zip(axes, angles)])
+        got = synth.rodrigues(axes, angles)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("params", [
+        PARAMS,
+        synth.SceneParams(grid=GRID, cam=CAM, labels=LABELS, hand_scale_range=(1.0, 1.0),
+                          curl_max=0.0, abduct_max=0.0),
+        synth.SceneParams(grid=GRID, cam=CAM, labels=LABELS, curl_max=3.0, abduct_max=0.6),
+    ], ids=["default", "frozen", "wide"])
+    def test_hand_skeleton(self, params):
+        for seed in range(200):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = synth.hand_skeleton(got_rng, params)
+            want = ref_hand_skeleton(want_rng, params)
+            assert np.array_equal(got, want), seed
+            assert np.array_equal(np.signbit(got), np.signbit(want)), seed
+            # both drew the same numbers, so the next draw agrees too
+            assert got_rng.uniform() == want_rng.uniform()
+
+    def test_pinned_scene_geometry(self):
+        scene = config.toy_preset().scene
+        for i, digest in enumerate(PINNED_SCENE_SHA256):
+            frame = synth.sample_scene((2024, 0x6e0, i), scene, with_raster=False)
+            assert geometry_digest([frame]) == digest, f"scene {i}"
+
+    def test_pinned_sequence_geometry(self):
+        scene = config.toy_preset().scene
+        n_objects = scene.labels.n_objects
+        pairs = [(a, s) for a in range(len(synth.ACTION_NAMES)) for s in range(2)]
+        assert len(pairs) == len(PINNED_SEQUENCE_SHA256)
+        for (action, s), digest in zip(pairs, PINNED_SEQUENCE_SHA256):
+            seq = synth.sample_sequence((2024, 0x6e1, s), action, (action + s) % n_objects,
+                                        scene, with_raster=False)
+            assert geometry_digest(seq.frames) == digest, f"{synth.ACTION_NAMES[action]} {s}"
+
+
 class TestRender:
     def test_empty_scene_is_all_zero(self):
         raster = synth.render_entities(CAM, GRID, PARAMS.render)
@@ -205,7 +326,8 @@ class TestRender:
         frame = synth.sample_scene(11, PARAMS)
         du = int(GRID.cell_u_px)
         shifted = synth.translate_frame(frame, du, 0, CAM)
-        re_rendered = synth.render(shifted, CAM, GRID, PARAMS.render)
+        re_rendered = synth.render_entities(CAM, GRID, PARAMS.render,
+                                            shifted.hand_points, shifted.object_points)
         # cross-correlation argmax between the two hand planes
         a = frame.raster[0]
         b = re_rendered[0]
@@ -362,6 +484,43 @@ class TestSequences:
             synth.sample_sequence(0, 7, 0, PARAMS)
         with pytest.raises(ConfigOutOfRange):
             synth.object_cuboid(PARAMS, 5)
+
+    @pytest.mark.parametrize("margins", [dict(margin_uv_cells=3.5), dict(margin_z_cells=1.5),
+                                         dict(margin_uv_cells=4.0, margin_z_cells=2.0)])
+    def test_bad_margins_rejected(self, margins):
+        params = replace(PARAMS, **margins)
+        with pytest.raises(ConfigOutOfRange, match="margins leave no room"):
+            synth.sample_scene(0, params)
+        for action in range(len(synth.ACTION_NAMES)):
+            with pytest.raises(ConfigOutOfRange, match="margins leave no room"):
+                synth.sample_sequence(0, action, 0, params)
+
+
+class TestFramePointsOwnMemory:
+    """Frames carry writable points of their own, never the cached cuboid points."""
+
+    @staticmethod
+    def assert_own_memory(frames):
+        for i, f in enumerate(frames):
+            cached = geo.cuboid_control_points(f.cuboid).points
+            assert f.object_points.flags.writeable and f.hand_points.flags.writeable
+            assert not np.shares_memory(f.object_points, cached)
+            for g in frames[:i]:
+                assert not np.shares_memory(f.object_points, g.object_points)
+                assert not np.shares_memory(f.hand_points, g.hand_points)
+
+    def test_sampled_frames(self):
+        self.assert_own_memory([synth.sample_scene(s, PARAMS, with_raster=False)
+                                for s in range(4)])
+        for action in range(len(synth.ACTION_NAMES)):
+            self.assert_own_memory(synth.sample_sequence(3, action, 1, PARAMS,
+                                                         with_raster=False).frames)
+
+    def test_loaded_frames(self, tmp_path):
+        frames = [synth.sample_scene(s, PARAMS) for s in range(3)]
+        synth.save_frames(tmp_path, frames, [0, 0, 1])
+        loaded, _ = synth.load_frames(tmp_path)
+        self.assert_own_memory(loaded)
 
 
 class TestAugmentation:
