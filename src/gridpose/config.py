@@ -87,6 +87,10 @@ class AugConfig:
     photometric: bool = True
     translate_frac: float = 0.1
 
+    def __post_init__(self):
+        if not 0.0 <= self.translate_frac <= 1.0:
+            raise ConfigError("aug.translate_frac must lie in [0, 1]")
+
 
 @dataclass(frozen=True)
 class DataConfig:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,9 +56,9 @@ def gen_data(cfg: RunConfig) -> Path:
 
     for name, count, salt in (("train", cfg.data.train_frames, 1),
                               ("val", cfg.data.val_frames, 2)):
-        frames = [synth.sample_scene((cfg.seed, salt, i), cfg.scene)
+        frames = [synth.sample_scene((cfg.seed, salt, i), cfg.scene, with_raster=False)
                   for i in range(count)]
-        synth.save_frames(root / name, frames, seq_ids=list(range(count)))
+        _save_split(cfg, root / name, frames, list(range(count)))
 
     for name, count, salt in (("seq_train", cfg.data.train_sequences, 3),
                               ("seq_val", cfg.data.val_sequences, 4)):
@@ -66,10 +67,11 @@ def gen_data(cfg: RunConfig) -> Path:
             pair = i % cfg.labels.n_interactions
             seq = synth.sample_sequence((cfg.seed, salt, i),
                                         pair // cfg.labels.n_objects,
-                                        pair % cfg.labels.n_objects, cfg.scene)
+                                        pair % cfg.labels.n_objects, cfg.scene,
+                                        with_raster=False)
             frames.extend(seq.frames)
             ids.extend([i] * len(seq.frames))
-        synth.save_frames(root / name, frames, ids)
+        _save_split(cfg, root / name, frames, ids)
 
     (root / "config.txt").write_text(config_text)
     _write_manifest(root, cfg, {
@@ -78,6 +80,15 @@ def gen_data(cfg: RunConfig) -> Path:
                    "seq_val": cfg.data.val_sequences},
     })
     return root
+
+
+def _save_split(cfg: RunConfig, directory: Path, frames: list, seq_ids: list[int]) -> None:
+    """Render a split's frames in one synth.render_frames call and write them."""
+    hands = np.reshape([f.hand_points for f in frames], (-1, NUM_CONTROL_POINTS, 3))
+    objects = np.reshape([f.object_points for f in frames], (-1, NUM_CONTROL_POINTS, 3))
+    rasters = synth.render_frames(cfg.camera, cfg.grid, cfg.scene.render, hands, objects)
+    synth.save_frames(directory, [replace(f, raster=r) for f, r in zip(frames, rasters)],
+                      seq_ids)
 
 
 def _load_split(cfg: RunConfig, split: str):

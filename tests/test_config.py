@@ -208,6 +208,21 @@ class TestDataConfig:
             replace(config.toy_preset(), data=data))).data == data
 
 
+class TestAugConfig:
+    @pytest.mark.parametrize("frac", [1.5, -0.1, float("nan"), float("inf")])
+    def test_translate_frac_outside_unit_interval_rejected(self, frac):
+        with pytest.raises(ConfigError, match="translate_frac"):
+            config.AugConfig(translate_frac=frac)
+        flat = config.config_to_flat(config.toy_preset())
+        flat["aug.translate_frac"] = str(frac)
+        with pytest.raises(ConfigError, match="translate_frac"):
+            config.config_from_flat(flat)
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0])
+    def test_translate_frac_bounds_allowed(self, frac):
+        assert config.AugConfig(translate_frac=frac).translate_frac == frac
+
+
 class TestInteractionTrainConfig:
     """Stage-2 training settings; `optim.` cases check the stage-1 OptimConfig,
     which shares the range and schedule checks."""

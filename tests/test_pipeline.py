@@ -1,5 +1,7 @@
 """Stage orchestration: identical seeds must give identical bytes."""
 
+import hashlib
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,6 +29,37 @@ def tiny_config():
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+# sha256 over the path and bytes of every file in the four dataset splits
+# (frames.txt and rasters) that gen_data writes for pinned_data_config(),
+# recorded when every frame was rendered by its own render_entities call.
+PINNED_SPLITS_SHA256 = "6b5307949586365501cf78cd003072e21b4dc48d7497ea3cffe206ec63ebf31f"
+
+
+def pinned_data_config(data_dir):
+    # 18 train frames: more than one render_frames chunk
+    cfg = config.toy_preset(seed=2024, data_dir=str(data_dir))
+    return replace(cfg, scene=replace(cfg.scene, sequence_length=4),
+                   data=replace(cfg.data, train_frames=18, val_frames=2,
+                                train_sequences=3, val_sequences=2))
+
+
+class TestGenData:
+    def test_pinned_split_bytes(self, tmp_path):
+        root = pipeline.gen_data(pinned_data_config(tmp_path / "data"))
+        digest = hashlib.sha256()
+        files = [p for split in ("train", "val", "seq_train", "seq_val")
+                 for p in sorted((root / split).rglob("*")) if p.is_file()]
+        for p in files:
+            digest.update(str(p.relative_to(root)).encode() + b"\0" + p.read_bytes())
+        assert len(files) == 4 + 18 + 2 + 4 * (3 + 2)
+        assert digest.hexdigest() == PINNED_SPLITS_SHA256
+
+    def test_missing_split_directory_is_config_error(self, tmp_path):
+        cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "train" / "frames.txt"))):
+            pipeline.train_stage1(cfg)
 
 
 class TestDeterminism:

@@ -1,6 +1,8 @@
 """Scene/sequence generators, renderer and dataset file round trips."""
 
 import hashlib
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +13,7 @@ from gridpose import codec, config
 from gridpose import geometry as geo
 from gridpose import synth
 from gridpose.codec import LabelSpec
-from gridpose.errors import ConfigError, ConfigOutOfRange
+from gridpose.errors import ConfigError, ConfigOutOfRange, ShapeMismatch
 
 from conftest import rotation_geodesic
 
@@ -361,8 +363,10 @@ class TestRenderMatchesReference:
         # edge (0, 1) spans 49.5 px: 50 samples, and 49 * (1 / 49) != 1.0
         pts = np.array([[-0.15, 0.0, 0.5], [0.159375, 0.0, 0.5], [0.0, 0.05, 0.55]])
         edges = ((0, 1), (1, 2), (2, 0))
-        u, v, sigma, _, plane = synth._windows(pts, 1, edges, 3, CAM, GRID, PARAMS.render)
+        u, v, sigma, two_var, _, plane = synth._windows(pts[None], 1, edges, 3, CAM, GRID,
+                                                         PARAMS.render)
         stroke = sigma == 0.6   # blobs have sigma >= min_sigma_px = 0.8
+        assert np.all(two_var[stroke] == 2 * 0.6 ** 2)
         px = geo.project(pts, CAM)
         expect = [(1 - t) * px[a] + t * px[b] for a, b in edges
                   for t in np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(px[b] - px[a]))))]
@@ -429,6 +433,83 @@ class TestRenderMatchesReference:
             raster = synth.sample_scene((2024, i), scene).raster
             quantised = np.clip(np.round(raster * 255.0), 0, 255).astype(np.uint8)
             assert hashlib.sha256(quantised.tobytes()).hexdigest() == digest, f"frame {i}"
+
+
+def ref_render_frames(hands, objects, spec=PARAMS.render):
+    """render_frames by the per-window oracle, one frame at a time."""
+    h, w = GRID.image_h, GRID.image_w
+    return np.array([ref_render_entities(CAM, GRID, spec, hand, obj)
+                     for hand, obj in zip(hands, objects)]).reshape(-1, spec.channels, h, w)
+
+
+def scene_points(n, seed=0x7f):
+    frames = [synth.sample_scene((seed, i), PARAMS, with_raster=False) for i in range(n)]
+    return (np.array([f.hand_points for f in frames]).reshape(n, 21, 3),
+            np.array([f.object_points for f in frames]).reshape(n, 21, 3))
+
+
+class TestRenderFrames:
+    """The batched renderer against the per-window oracle, equal to the bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 17])
+    def test_matches_reference(self, n):
+        hands, objects = scene_points(n)
+        got = synth.render_frames(CAM, GRID, PARAMS.render, hands, objects)
+        assert got.shape == (n, 3, GRID.image_h, GRID.image_w)
+        assert np.array_equal(got, ref_render_frames(hands, objects))
+
+    def test_points_behind_camera(self):
+        hands, objects = scene_points(17, seed=0x81)
+        hands[0, 2, 2] = -0.05      # bone endpoint and blob
+        hands[5, 20, 2] = 0.0       # fingertip
+        hands[16, :, 2] = -0.1      # a whole hand behind the camera
+        objects[3, 3, 2] = -0.2     # box corner: three edges and a blob
+        objects[16, :8, 2] = -0.3   # a whole box behind the camera
+        got = synth.render_frames(CAM, GRID, PARAMS.render, hands, objects)
+        assert np.array_equal(got, ref_render_frames(hands, objects))
+        assert got[16].max() == 0.0
+
+    def test_one_entity(self):
+        hands, objects = scene_points(17, seed=0x82)
+        none = np.zeros((17, 0, 3))
+        hand_only = synth.render_frames(CAM, GRID, PARAMS.render, hands, none)
+        object_only = synth.render_frames(CAM, GRID, PARAMS.render, none, objects)
+        assert np.array_equal(hand_only, ref_render_frames(hands, [None] * 17))
+        assert np.array_equal(object_only, ref_render_frames([None] * 17, objects))
+        assert hand_only[:, 1].max() == 0.0 and object_only[:, 0].max() == 0.0
+
+    def test_one_channel(self):
+        gray = synth.RenderSpec(channels=1)
+        hands, objects = scene_points(17, seed=0x83)
+        got = synth.render_frames(CAM, GRID, gray, hands, objects)
+        assert got.shape == (17, 1, GRID.image_h, GRID.image_w)
+        assert np.array_equal(got, ref_render_frames(hands, objects, gray))
+
+    def test_frame_counts_must_agree(self):
+        hands, objects = scene_points(3)
+        with pytest.raises(ShapeMismatch):
+            synth.render_frames(CAM, GRID, PARAMS.render, hands, objects[:2])
+
+    @pytest.mark.parametrize("channels", [3, 1])
+    def test_peak_memory_is_output_plus_one_chunk(self, channels):
+        # numpy reports its buffers to tracemalloc, so the peak repeats
+        # exactly. Compositing 16 frames at a time needs 4.7 MiB (3
+        # channels) or 5.8 MiB (1 channel) over the output at these sizes;
+        # 32 frames at a time would need 8.9 and 11.2 MiB.
+        scene = config.toy_preset().scene
+        spec = replace(scene.render, channels=channels)
+        frames = [synth.sample_scene((2024, 0x3e3, i), scene, with_raster=False)
+                  for i in range(64)]
+        hands = np.stack([f.hand_points for f in frames])
+        objects = np.stack([f.object_points for f in frames])
+        synth.render_frames(scene.cam, scene.grid, spec, hands, objects)
+        tracemalloc.start()
+        try:
+            out = synth.render_frames(scene.cam, scene.grid, spec, hands, objects)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 7 * 2 ** 20
 
 
 class TestSequences:
@@ -542,6 +623,21 @@ class TestAugmentation:
         # depths unchanged
         np.testing.assert_array_equal(frame.hand_points[:, 2], moved.hand_points[:, 2])
 
+    @pytest.mark.parametrize("du,dv", [(60, 0), (-60, 0), (0, 56), (0, -57), (200, -200),
+                                       (55, 3), (-5, -55), (-56, 56), (7, -4)])
+    def test_raster_shift_past_the_image(self, du, dv):
+        frame = synth.sample_scene(19, PARAMS)
+        raster = frame.raster
+        h, w = raster.shape[1:]
+        ys, xs = np.arange(h) - dv, np.arange(w) - du
+        keep = ((ys >= 0) & (ys < h))[:, None] & ((xs >= 0) & (xs < w))[None, :]
+        want = np.where(keep, raster[:, np.clip(ys, 0, h - 1)][:, :, np.clip(xs, 0, w - 1)], 0.0)
+        moved = synth.translate_frame(frame, du, dv, CAM)
+        assert np.array_equal(moved.raster, want)
+        np.testing.assert_allclose(geo.project(moved.hand_points, CAM)
+                                   - geo.project(frame.hand_points, CAM),
+                                   [[du, dv]] * 21, atol=1e-9)
+
     def test_augment_frame_stays_in_volume(self):
         rng = np.random.default_rng(0)
         for seed in range(40):
@@ -616,6 +712,32 @@ class TestDatasetFiles:
         parts[5] = "x"
         path.write_text("\n".join([lines[0], " ".join(parts)]) + "\n")
         with pytest.raises(ConfigError, match="frames.txt:2: non-numeric"):
+            synth.load_frames(tmp_path)
+
+    def test_missing_record_file_is_config_error(self, tmp_path):
+        record_file = re.escape(f"{tmp_path / 'frames.txt'}: no dataset record")
+        with pytest.raises(ConfigError, match=record_file):
+            synth.load_frames(tmp_path)
+        with pytest.raises(ConfigError, match="no dataset record"):
+            synth.load_frames(tmp_path / "missing")
+
+    def test_missing_raster_file_is_config_error(self, tmp_path):
+        frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
+        synth.save_frames(tmp_path, frames, seq_ids=[0, 1])
+        (tmp_path / "rasters" / "frame_000001.ppm").unlink()
+        with pytest.raises(ConfigError, match=r"frames.txt:2: raster file .*frame_000001.ppm"):
+            synth.load_frames(tmp_path)
+
+    @pytest.mark.parametrize("field,value", [(5, "nan"), (40, "inf"), (70, "-inf"), (81, "NaN")])
+    def test_non_finite_record_field_is_config_error(self, tmp_path, field, value):
+        frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
+        synth.save_frames(tmp_path, frames, seq_ids=[0, 1])
+        path = tmp_path / "frames.txt"
+        lines = path.read_text().splitlines()
+        parts = lines[1].split()
+        parts[field] = value
+        path.write_text("\n".join([lines[0], " ".join(parts)]) + "\n")
+        with pytest.raises(ConfigError, match=f"frames.txt:2: non-finite .*'{value}'"):
             synth.load_frames(tmp_path)
 
     def test_sequences_regroup(self, tmp_path):
