@@ -38,8 +38,10 @@ class _StepSchedule:
     def _check_schedule(self, what: str) -> None:
         if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"{what} settings out of range")
-        if any(e >= self.epochs for e in self.schedule_epochs):
-            raise ConfigError(f"{what} schedule epochs must be < total epochs")
+        if any(not 0 <= e < self.epochs for e in self.schedule_epochs):
+            raise ConfigError(f"{what} schedule epochs must lie in [0, total epochs)")
+        if self.schedule_factor < 0:
+            raise ConfigError(f"{what} schedule_factor must be >= 0")
 
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for e in self.schedule_epochs if epoch >= e)
@@ -66,9 +68,6 @@ class InteractionTrainConfig(_StepSchedule):
     feature_width: int = 512
     lstm_width: int = 512
     lstm_layers: int = 2
-    include_class_probs: bool = False
-    root_relative: bool = True
-    input_scale: float = 10.0
     lr: float = 0.05
     epochs: int = 150
     batch_size: int = 16
@@ -142,12 +141,7 @@ class RunConfig:
             feature_width=it.feature_width,
             lstm_width=it.lstm_width,
             lstm_layers=it.lstm_layers,
-            include_class_probs=it.include_class_probs,
-            n_actions=self.labels.n_actions,
-            n_objects=self.labels.n_objects,
-            root_relative=it.root_relative,
             use_pair_map=use_pair_map,
-            input_scale=it.input_scale,
         )
 
 
@@ -164,7 +158,7 @@ def toy_preset(seed: int = 0, out_dir: str = "runs/toy", data_dir: str = "data/t
         optim=OptimConfig(lr=5e-3, epochs=30, batch_size=16,
                           schedule_epochs=(12, 24), schedule_factor=0.1),
         interaction=InteractionTrainConfig(
-            feature_width=64, lstm_width=48, lstm_layers=2, input_scale=10.0,
+            feature_width=64, lstm_width=48, lstm_layers=2,
             lr=0.08, epochs=120, batch_size=16, schedule_epochs=(80,)),
         aug=AugConfig(enabled=False),
         data=DataConfig(dir=data_dir, train_frames=500, val_frames=100,
@@ -204,9 +198,6 @@ def paper_preset(seed: int = 0, out_dir: str = "runs/paper", data_dir: str = "da
         seed=seed,
         out_dir=out_dir,
     )
-
-
-PRESETS = {"toy": toy_preset, "paper": paper_preset}
 
 
 # -- flat text form -------------------------------------------------------------

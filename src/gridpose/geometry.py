@@ -40,8 +40,6 @@ def root_index(role: str) -> int:
 
 # Hand skeleton layout: joint 0 is the wrist; fingers follow in order
 # thumb, index, middle, ring, pinky, each contributing MCP, PIP, DIP, TIP.
-FINGERS = ("thumb", "index", "middle", "ring", "pinky")
-
 HAND_PARTS = {
     "wrist": (0,),
     "mcp": (1, 5, 9, 13, 17),

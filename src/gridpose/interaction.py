@@ -11,9 +11,9 @@ The map runs once over all B·T frames of a batch, and each LSTM layer is
 one autodiff node over the whole sequence (autodiff.lstm), not a graph
 built step by step.
 
-Per-frame inputs are camera-frame meters, by default centered on the
-hand root so the classifier sees relative geometry, optionally extended
-with the per-frame action/object class probabilities.
+Each frame's input is its hand and object control points, relative to
+the hand root so the classifier sees relative geometry, times
+INPUT_SCALE. There is no option to add stage 1's class probabilities.
 
 Training runs the minibatch loop in autodiff (sgd_epoch), which both stages
 share.
@@ -30,6 +30,9 @@ from .codec import COORD_CHANNELS, FramePrediction, softmax
 from .errors import ConfigError, EmptySequence, NonFiniteLoss, WidthMismatch
 from .geometry import HAND, HAND_PARTS, NUM_CONTROL_POINTS, root_index
 
+# metres to decimetres: desk-scale offsets from the hand root land near unit scale
+INPUT_SCALE = 10.0
+
 
 @dataclass(frozen=True)
 class InteractionConfig:
@@ -37,27 +40,17 @@ class InteractionConfig:
     feature_width: int = 512
     lstm_width: int = 512
     lstm_layers: int = 2
-    include_class_probs: bool = False
-    n_actions: int = 0
-    n_objects: int = 0
-    root_relative: bool = True
     use_pair_map: bool = True
-    input_scale: float = 10.0
 
     def __post_init__(self):
         if self.n_classes < 1:
             raise ConfigError("class count must be >= 1")
         if self.lstm_layers < 1 or self.lstm_width < 1 or self.feature_width < 1:
             raise ConfigError("widths and layer counts must be >= 1")
-        if self.include_class_probs and (self.n_actions < 1 or self.n_objects < 1):
-            raise ConfigError("class-prob features need n_actions and n_objects")
 
     @property
     def input_width(self) -> int:
-        width = 2 * COORD_CHANNELS
-        if self.include_class_probs:
-            width += self.n_actions + self.n_objects
-        return width
+        return 2 * COORD_CHANNELS
 
     @property
     def rnn_input_width(self) -> int:
@@ -100,57 +93,15 @@ def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
     return InteractionModel(cfg, p)
 
 
-def _layout(cfg: InteractionConfig, hand: np.ndarray, obj: np.ndarray,
-            action_probs, object_probs) -> np.ndarray:
-    """(..., input_width) rows from (..., 21, 3) hand and object points and,
-    when the config includes them, (..., n_actions) and (..., n_objects)
-    class probabilities."""
-    r = root_index(HAND)
-    root = hand[..., r: r + 1, :] if cfg.root_relative else np.zeros(3)
-    rows = hand.shape[:-2] + (COORD_CHANNELS,)
-    parts = [((hand - root) * cfg.input_scale).reshape(rows),
-             ((obj - root) * cfg.input_scale).reshape(rows)]
-    if cfg.include_class_probs:
-        if action_probs is None or object_probs is None:
-            raise WidthMismatch("config includes class probabilities but none were given")
-        action_probs = np.asarray(action_probs, dtype=float)
-        object_probs = np.asarray(object_probs, dtype=float)
-        if action_probs.shape[-1:] != (cfg.n_actions,) or object_probs.shape[-1:] != (cfg.n_objects,):
-            raise WidthMismatch("class probability widths disagree with the config")
-        parts += [action_probs, object_probs]
-    return np.concatenate(parts, axis=-1)
-
-
-def frame_input(
-    cfg: InteractionConfig,
-    hand_points: np.ndarray,
-    object_points: np.ndarray,
-    action_probs: np.ndarray | None = None,
-    object_probs: np.ndarray | None = None,
-) -> np.ndarray:
-    """Flatten one frame's predictions into the classifier's input layout."""
-    return _layout(cfg, np.asarray(hand_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3),
-                   np.asarray(object_points, dtype=float).reshape(NUM_CONTROL_POINTS, 3),
-                   action_probs, object_probs)
-
-
 def sequence_inputs(cfg: InteractionConfig, preds: list[FramePrediction]) -> np.ndarray:
-    """(T, input_width) array from pruned per-frame predictions.
-
-    The T frames' points (and class probabilities, when the config includes
-    them) are stacked and laid out in one pass; row t equals frame_input
-    of frame t.
+    """(T, input_width) array from pruned per-frame predictions: row t holds
+    frame t's hand and then object points, relative to its hand root, times
+    INPUT_SCALE. The layout is the same for every config; cfg is not read.
     """
-    def stacked(name):
-        rows = [getattr(p, name) for p in preds]
-        return None if any(r is None for r in rows) else np.stack(rows)
-
-    def points(name):
-        return np.asarray(stacked(name), dtype=float).reshape(len(preds), NUM_CONTROL_POINTS, 3)
-
-    probs = ((stacked("action_probs"), stacked("object_probs")) if cfg.include_class_probs
-             else (None, None))
-    return _layout(cfg, points("hand_points"), points("object_points"), *probs)
+    points = np.asarray([(p.hand_points, p.object_points) for p in preds], dtype=float)
+    points = points.reshape(len(preds), 2 * NUM_CONTROL_POINTS, 3)
+    r = root_index(HAND)
+    return ((points - points[:, r: r + 1]) * INPUT_SCALE).reshape(len(preds), 2 * COORD_CHANNELS)
 
 
 def _features_graph(pt: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:

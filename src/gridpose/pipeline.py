@@ -146,8 +146,24 @@ def train_stage1(cfg: RunConfig) -> Path:
     return ckpt
 
 
+def _shapes(tensors: dict) -> dict:
+    return {k: v.shape for k, v in tensors.items()}
+
+
+def _check_tensors(ckpt_path, tensors: dict, want: dict) -> None:
+    """ConfigError unless the checkpoint's tensors have the names and shapes of want."""
+    got = _shapes(tensors)
+    wrong = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+    if wrong:
+        raise ConfigError(f"{ckpt_path} does not hold the model's tensors: " + ", ".join(
+            f"{k}: {got.get(k, 'missing')}, want {want.get(k, 'none')}" for k in wrong))
+
+
 def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
-    """Load a stage-1 checkpoint, verifying it belongs to this config."""
+    """Load a stage-1 checkpoint, verifying it belongs to this config and
+    holds the tensors of its backbone."""
+    # drawn before the load, so the check adds nothing to its peak memory
+    want = _shapes(net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed).tensors)
     tensors, header = net.load_checkpoint(ckpt_path)
     expect_sig = net.model_signature(cfg.backbone, cfg.grid, cfg.labels)
     if header.get("config_hash") != config_hash(cfg):
@@ -157,6 +173,7 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
         )
     if header.get("signature") != expect_sig:
         raise HashMismatch("checkpoint tensor signature does not match the model config")
+    _check_tensors(ckpt_path, tensors, want)
     return net.ModelParams(tensors, expect_sig)
 
 
@@ -257,7 +274,8 @@ def train_stage2(cfg: RunConfig, backbone_ckpt) -> tuple[Path, Path]:
 
 
 def load_interaction(cfg: RunConfig, ckpt_path, backbone_ckpt=None) -> ia.InteractionModel:
-    """Load a stage-2 checkpoint; any other kind of checkpoint is a ConfigError."""
+    """Load a stage-2 checkpoint; any other kind of checkpoint, or one
+    without the tensors of its model, is a ConfigError."""
     tensors, header = net.load_checkpoint(ckpt_path)
     if header.get("kind") != "interaction" or "use_pair_map" not in header:
         raise ConfigError(f"{ckpt_path} is not an interaction checkpoint: kind "
@@ -268,6 +286,7 @@ def load_interaction(cfg: RunConfig, ckpt_path, backbone_ckpt=None) -> ia.Intera
         if header.get("backbone_hash") != net.file_hash(backbone_ckpt):
             raise HashMismatch("interaction checkpoint references a different backbone")
     icfg = cfg.interaction_model_config(use_pair_map=bool(header["use_pair_map"]))
+    _check_tensors(ckpt_path, tensors, _shapes(ia.init_interaction(icfg, cfg.seed).params))
     return ia.InteractionModel(icfg, tensors)
 
 

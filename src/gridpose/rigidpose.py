@@ -29,20 +29,17 @@ class Pose6D:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
 
 
-def procrustes_align(src, dst, corners_only: bool = False) -> Pose6D:
+def procrustes_align(src, dst) -> Pose6D:
     """Least-squares rigid transform mapping src points onto dst points.
 
     Solves argmin over (R, t) of sum ||R*src_i + t - dst_i||^2 via centroid
     subtraction, SVD of the cross-covariance and the determinant sign fix
-    that excludes reflections. With corners_only, only the first 8 points
-    (the box corners) enter the solve.
+    that excludes reflections.
 
     Raises DegenerateConfiguration when the src covariance has rank < 2.
     """
     s = np.asarray(src, dtype=float)
     d = np.asarray(dst, dtype=float)
-    if corners_only:
-        s, d = s[:8], d[:8]
     if s.shape != d.shape:
         raise DegenerateConfiguration(f"point sets disagree in shape: {s.shape} vs {d.shape}")
 

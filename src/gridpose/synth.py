@@ -86,6 +86,9 @@ class RenderSpec:
     def __post_init__(self):
         if self.channels not in (1, 3):
             raise ConfigError("render channels must be 1 or 3")
+        # every blob's sigma is max(min_sigma_px, a multiple of blob_radius_m)
+        if self.min_sigma_px <= 0 or self.blob_radius_m < 0:
+            raise ConfigError("render.min_sigma_px must be > 0 and render.blob_radius_m >= 0")
 
 
 @dataclass(frozen=True)

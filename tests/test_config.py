@@ -24,8 +24,7 @@ def variant_config():
                       render=synth.RenderSpec(channels=1, bone_gain=0.3)),
         backbone=replace(cfg.backbone, in_channels=1),
         optim=replace(cfg.optim, lr=1 / 3, schedule_epochs=(), conf_targets="fixed"),
-        interaction=replace(cfg.interaction, include_class_probs=True,
-                            root_relative=False, schedule_epochs=()),
+        interaction=replace(cfg.interaction, lstm_layers=1, schedule_epochs=()),
         aug=config.AugConfig(enabled=True, photometric=False, translate_frac=0.05),
         data=replace(cfg.data, train_frames=64, val_frames=7),
     )
@@ -36,10 +35,10 @@ CONFIGS = {"toy": config.toy_preset, "variant": variant_config}
 # (config_hash, sha256 of config_to_text). Checkpoints record the config hash,
 # so a change here stops every saved checkpoint from loading.
 PINNED = {
-    "toy": ("95a9b94365ebe7688dd57ae6368ecff0e2236b3eeebabb000db73d0ebd2a811d",
-            "12cb5237e332e4fca1f80df96d26df788ff34fed74438c5d551a979c9a6c00af"),
-    "variant": ("d308df2fa72d4369e5d39c88f71cb1279ffb88c84238720cda3d4f7d0a8e44ee",
-                "9a93fa2d69d723a90b65b8648be5a59dfb4070b54abb111c91f22104e8679bd6"),
+    "toy": ("9afd7a0e938f0664274603f4133cbe7d2d985b48dd2a5ab5f9fae278f5fe60f5",
+            "006d57affaef405c2e57dad3dc894fe294dd46b1186b4888e684c04f660a8d3e"),
+    "variant": ("30f46691983a1a5e0385753500d823b88d42dbf1c26481109bcd092afd7e7d45",
+                "629cff6668f57b31dbd0cacabc832186999046537c9bdf93adf1ce62f319466e"),
 }
 
 
@@ -238,6 +237,9 @@ class TestInteractionTrainConfig:
         ("optim.lr", -0.1), ("optim.epochs", 0), ("optim.batch_size", 0),
         ("optim.conf_targets", "x"),
         pytest.param("optim.schedule_epochs", (12, 30), id="optim.schedule_epochs-12,30"),
+        ("schedule_factor", -0.1), ("optim.schedule_factor", -0.1),
+        pytest.param("schedule_epochs", (-1,), id="schedule_epochs--1"),
+        pytest.param("optim.schedule_epochs", (-1, 12), id="optim.schedule_epochs--1,12"),
     ])
     def test_out_of_range_setting_rejected(self, field, value):
         section, _, name = field.rpartition(".")

@@ -1,8 +1,12 @@
-"""Every import in the package and the tests is used.
+"""Every import in the package and the tests is used, and so is every
+top-level name the package defines.
 
 A standard-library stand-in for a linter's unused-import rule: a name
 bound by an import must be read somewhere in the same module, as a name,
-as the root of an attribute chain or inside a string annotation.
+as the root of an attribute chain or inside a string annotation. A
+top-level function, class or assigned name of the package must be read
+somewhere in src, bench or tests: loaded as a name, read as an attribute
+or imported.
 """
 
 import ast
@@ -11,7 +15,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "gridpose").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "gridpose").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = [p for d in ("src", "bench", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
 def _annotations(tree):
@@ -52,3 +58,48 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> dict[str, int]:
+    """Top-level functions, classes and assigned names, with their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update((n.id, node.lineno) for t in targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+    return defined
+
+
+def read_names(source: str) -> set[str]:
+    """Names a module loads, reads as attributes or imports."""
+    read = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            read.add(n.attr)
+        elif isinstance(n, ast.alias):
+            read.add(n.name)
+    return read
+
+
+def test_checker_flags_a_dead_name():
+    source = "import os\nA = 1\nB, C = 2, 3\ndef f(): return A\nclass K: pass\nK.x = os.sep\n"
+    assert defined_names(source) == {"A": 2, "B": 3, "C": 3, "f": 4, "K": 5}
+    assert read_names(source) == {"A", "K", "os", "sep"}
+    assert read_names("from a import B\nf.C\n") == {"B", "f", "C"}
+
+
+@pytest.fixture(scope="module")
+def read_anywhere():
+    return set().union(*(read_names(p.read_text()) for p in READERS))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_dead_names(path, read_anywhere):
+    defined = defined_names(path.read_text())
+    assert [f"line {line}: {name}" for name, line in defined.items()
+            if name not in read_anywhere] == []

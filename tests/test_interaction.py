@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +15,9 @@ from gridpose.geometry import HAND_PARTS
 from conftest import tanh
 
 
-CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
-                           lstm_layers=2, input_scale=1.0)
+CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16, lstm_layers=2)
 BASELINE = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
-                                lstm_layers=2, use_pair_map=False, input_scale=1.0)
+                                lstm_layers=2, use_pair_map=False)
 
 
 # -- reference: the LSTM composed step by step from elementwise graph ops ------
@@ -86,78 +84,48 @@ def rnd_points(rng, n=21):
     return rng.normal(scale=0.1, size=(n, 3))
 
 
+def frame_input(hand_points, object_points):
+    """Per-frame oracle of the classifier's input layout: the hand's and then
+    the object's points, relative to the hand root (joint 0), times INPUT_SCALE."""
+    hand = np.asarray(hand_points, dtype=float).reshape(21, 3)
+    obj = np.asarray(object_points, dtype=float).reshape(21, 3)
+    return np.concatenate([((hand - hand[0]) * ia.INPUT_SCALE).ravel(),
+                           ((obj - hand[0]) * ia.INPUT_SCALE).ravel()])
+
+
 class TestFrameInput:
     def test_width(self):
         rng = np.random.default_rng(0)
-        x = ia.frame_input(CFG, rnd_points(rng), rnd_points(rng))
+        x = frame_input(rnd_points(rng), rnd_points(rng))
         assert x.shape == (CFG.input_width,) == (126,)
 
     def test_root_relative_centering(self):
         rng = np.random.default_rng(1)
         hand, obj = rnd_points(rng), rnd_points(rng)
-        a = ia.frame_input(CFG, hand, obj)
-        b = ia.frame_input(CFG, hand + 5.0, obj + 5.0)
+        a = frame_input(hand, obj)
+        b = frame_input(hand + 5.0, obj + 5.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
         assert np.all(a[:3] == 0.0)
 
-    def test_absolute_mode_flag(self):
-        cfg = ia.InteractionConfig(n_classes=6, feature_width=8, lstm_width=8,
-                                   root_relative=False, input_scale=1.0)
-        rng = np.random.default_rng(2)
-        hand, obj = rnd_points(rng), rnd_points(rng)
-        a = ia.frame_input(cfg, hand, obj)
-        b = ia.frame_input(cfg, hand + 1.0, obj + 1.0)
-        assert not np.allclose(a, b)
-
-    def test_class_prob_features(self):
-        cfg = ia.InteractionConfig(n_classes=6, feature_width=8, lstm_width=8,
-                                   include_class_probs=True, n_actions=4, n_objects=3)
-        rng = np.random.default_rng(3)
-        x = ia.frame_input(cfg, rnd_points(rng), rnd_points(rng),
-                           action_probs=np.full(4, 0.25), object_probs=np.full(3, 1 / 3))
-        assert x.shape == (126 + 7,)
-        with pytest.raises(WidthMismatch):
-            ia.frame_input(cfg, rnd_points(rng), rnd_points(rng),
-                           action_probs=np.full(5, 0.2), object_probs=np.full(3, 1 / 3))
-
 
 class TestSequenceInputs:
-    @staticmethod
-    def preds(rng, n, n_actions=4, n_objects=3):
-        return [codec.FramePrediction(
+    def test_rows_are_frame_inputs_to_the_bit(self):
+        rng = np.random.default_rng(5)
+        preds = [codec.FramePrediction(
             hand_points=rnd_points(rng), hand_confidence=0.9,
-            action_probs=rng.dirichlet(np.ones(n_actions)), hand_cell=(0, 0, 0),
+            action_probs=rng.dirichlet(np.ones(4)), hand_cell=(0, 0, 0),
             object_points=rnd_points(rng), object_confidence=0.8,
-            object_probs=rng.dirichlet(np.ones(n_objects)), object_cell=(1, 1, 0))
-            for _ in range(n)]
-
-    @pytest.mark.parametrize("cfg", [
-        CFG,
-        ia.InteractionConfig(n_classes=12, root_relative=False, input_scale=10.0),
-        ia.InteractionConfig(n_classes=12, include_class_probs=True, n_actions=4, n_objects=3),
-    ], ids=["relative", "absolute", "class_probs"])
-    def test_rows_are_frame_inputs_to_the_bit(self, cfg):
-        preds = self.preds(np.random.default_rng(5), 7)
-        got = ia.sequence_inputs(cfg, preds)
-        want = np.stack([ia.frame_input(cfg, p.hand_points, p.object_points,
-                                        p.action_probs, p.object_probs) for p in preds])
-        assert got.shape == (7, cfg.input_width)
+            object_probs=rng.dirichlet(np.ones(3)), object_cell=(1, 1, 0))
+            for _ in range(7)]
+        got = ia.sequence_inputs(CFG, preds)
+        want = np.stack([frame_input(p.hand_points, p.object_points) for p in preds])
+        assert got.shape == (7, CFG.input_width)
         assert np.array_equal(got, want)
-
-    def test_missing_or_mismatched_class_probs_rejected(self):
-        cfg = ia.InteractionConfig(n_classes=12, include_class_probs=True,
-                                   n_actions=4, n_objects=3)
-        rng = np.random.default_rng(6)
-        preds = self.preds(rng, 3)
-        with pytest.raises(WidthMismatch, match="none were given"):
-            ia.sequence_inputs(cfg, preds[:2] + [replace(preds[2], object_probs=None)])
-        with pytest.raises(WidthMismatch, match="widths disagree"):
-            ia.sequence_inputs(cfg, self.preds(rng, 3, n_actions=5))
 
 
 def features(model, hand, obj):
     """The interaction map of one frame's input, as the classifier applies it."""
-    x = ia.frame_input(model.cfg, hand, obj)[None, :]
+    x = frame_input(hand, obj)[None, :]
     pt = ad.wrap(model.params, requires_grad=False)
     return ia._features_graph(pt, ad.Tensor(x)).data[0]
 
@@ -182,9 +150,7 @@ class TestFeatures:
 
     def test_hand_object_swap_changes_output(self):
         # the map is not symmetric in its two point blocks for generic weights
-        model = ia.init_interaction(
-            ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
-                                 root_relative=False, input_scale=1.0), seed=2)
+        model = ia.init_interaction(CFG, seed=2)
         rng = np.random.default_rng(5)
         hand, obj = rnd_points(rng), rnd_points(rng)
         a = features(model, hand, obj)
@@ -394,8 +360,7 @@ class TestGradients:
     def test_training_reduces_loss_on_separable_toy(self):
         # two constant-signal classes must be trivially separable
         rng = np.random.default_rng(12)
-        cfg = ia.InteractionConfig(n_classes=2, feature_width=16, lstm_width=12,
-                                   lstm_layers=2, input_scale=1.0)
+        cfg = ia.InteractionConfig(n_classes=2, feature_width=16, lstm_width=12, lstm_layers=2)
         model = ia.init_interaction(cfg, seed=7)
         n = 24
         labels = np.arange(n) % 2

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridpose import codec, config, network as net, pipeline, synth
+from gridpose import codec, config, interaction as ia, network as net, pipeline, synth
 from gridpose.errors import ConfigError, HashMismatch, ShapeMismatch
 
 
@@ -155,6 +155,26 @@ class TestRunLocation:
         assert list(tmp_path.iterdir()) == []
 
 
+def mangled(tensors):
+    """The tensors without the last one and with the first cut to 2x2."""
+    names = list(tensors)
+    return {name: np.zeros((2, 2)) if name == names[0] else tensors[name]
+            for name in names[:-1]}
+
+
+class TestLoadBackbone:
+    def test_tensors_that_do_not_fit_the_model_rejected(self, tmp_path):
+        # the header is right; predict_frames would fail on the missing head.b
+        cfg = tiny_config()
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
+        path = tmp_path / "stage1.ckpt"
+        net.save_checkpoint(path, mangled(params.tensors), {
+            "config_hash": config.config_hash(cfg), "signature": params.signature})
+        with pytest.raises(ConfigError, match=r"conv0\.w: \(2, 2\), want \(16, 3, 3, 3\), "
+                                              r"head\.b: missing, want \(\d+,\)"):
+            pipeline.load_backbone(cfg, path)
+
+
 class TestLoadInteraction:
     @pytest.mark.parametrize("header", [
         pytest.param({"kind": "backbone"}, id="backbone"),
@@ -169,6 +189,20 @@ class TestLoadInteraction:
         net.save_checkpoint(path, params.tensors, {
             **header, "config_hash": config.config_hash(cfg), "signature": params.signature})
         with pytest.raises(ConfigError, match="not an interaction checkpoint"):
+            pipeline.load_interaction(cfg, path)
+
+    @pytest.mark.parametrize("use_pair_map,tensors", [
+        pytest.param(True, mangled, id="mangled"),
+        pytest.param(False, dict, id="pair-map-tensors-under-baseline-header"),
+    ])
+    def test_tensors_that_do_not_fit_the_model_rejected(self, tmp_path, use_pair_map, tensors):
+        cfg = tiny_config()
+        model = ia.init_interaction(cfg.interaction_model_config(), cfg.seed)
+        path = tmp_path / "stage2.ckpt"
+        net.save_checkpoint(path, tensors(model.params), {
+            "kind": "interaction", "use_pair_map": use_pair_map,
+            "config_hash": config.config_hash(cfg)})
+        with pytest.raises(ConfigError, match="does not hold the model's tensors"):
             pipeline.load_interaction(cfg, path)
 
 

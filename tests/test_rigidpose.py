@@ -105,7 +105,7 @@ class TestProcrustes:
         rng = np.random.default_rng(5)
         true = random_pose(rng)
         dst = true.apply(BOX)
-        est = rp.procrustes_align(BOX, dst, corners_only=True)
+        est = rp.procrustes_align(BOX[:8], dst[:8])
         assert rotation_geodesic(est.rotation, true.rotation) < 1e-9
 
 

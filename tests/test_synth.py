@@ -337,6 +337,17 @@ class TestRender:
         dv_hat, du_hat = np.unravel_index(np.argmax(corr), corr.shape)
         assert (du_hat, dv_hat) == (du, 0)
 
+    @pytest.mark.parametrize("spec", [
+        pytest.param(dict(min_sigma_px=0.0, blob_radius_m=0.0), id="zero-width"),
+        pytest.param(dict(min_sigma_px=0.0), id="zero-min-sigma"),
+        pytest.param(dict(min_sigma_px=-0.8), id="negative-min-sigma"),
+        pytest.param(dict(blob_radius_m=-0.01), id="negative-radius"),
+    ])
+    def test_blob_width_out_of_range_rejected(self, spec):
+        # a zero sigma divides by 2 sigma^2 = 0 and fills the raster with NaN
+        with pytest.raises(ConfigError, match="min_sigma_px must be > 0"):
+            synth.RenderSpec(**spec)
+
     def test_grayscale_mode(self):
         params = synth.SceneParams(grid=GRID, cam=CAM, labels=LABELS,
                                    render=synth.RenderSpec(channels=1))
