@@ -4,9 +4,10 @@ Config files are plain text, one `key = value` per line, `#` comments.
 Each key is a section prefix from _SECTIONS, a dot and a dataclass field
 name (`grid.h = 7` sets RunConfig.scene.grid.h); the empty prefix stands
 for RunConfig's own fields, which take no dot (`seed = 0`). A value is
-read by its field's type hint: lists are comma-separated
-(`backbone.channels = 16,32,64`) and the object size table separates
-triples with semicolons (`synth.object_sizes = 0.02,0.03,0.04;...`).
+read by its field's type hint, which is int, float, str or a tuple of
+them: lists are comma-separated (`backbone.channels = 16,32,64`) and
+the object size table separates triples with semicolons
+(`synth.object_sizes = 0.02,0.03,0.04;...`).
 A string holding `#`, a line break or outer spaces cannot be read back,
 so config_to_text raises ConfigError for one; the hash does not.
 The config hash is the SHA-256 of the canonicalized serialization
@@ -81,17 +82,6 @@ class InteractionTrainConfig(_StepSchedule):
 
 
 @dataclass(frozen=True)
-class AugConfig:
-    enabled: bool = False
-    photometric: bool = True
-    translate_frac: float = 0.1
-
-    def __post_init__(self):
-        if not 0.0 <= self.translate_frac <= 1.0:
-            raise ConfigError("aug.translate_frac must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class DataConfig:
     dir: str = "data"
     train_frames: int = 500
@@ -111,7 +101,6 @@ class RunConfig:
     loss: LossWeights
     optim: OptimConfig
     interaction: InteractionTrainConfig
-    aug: AugConfig
     data: DataConfig
     seed: int = 0
     out_dir: str = "runs/run"
@@ -160,7 +149,6 @@ def toy_preset(seed: int = 0, out_dir: str = "runs/toy", data_dir: str = "data/t
         interaction=InteractionTrainConfig(
             feature_width=64, lstm_width=48, lstm_layers=2,
             lr=0.08, epochs=120, batch_size=16, schedule_epochs=(80,)),
-        aug=AugConfig(enabled=False),
         data=DataConfig(dir=data_dir, train_frames=500, val_frames=100,
                         train_sequences=200, val_sequences=60),
         seed=seed,
@@ -175,6 +163,8 @@ def paper_preset(seed: int = 0, out_dir: str = "runs/paper", data_dir: str = "da
     The backbone stays a small strided stack; with synthetic desk scenes
     this preset exercises the machinery, it does not reproduce published
     accuracy (that needs the real recordings and the full-size network).
+    Stage 1 trains on the rendered frames as they are, without the
+    paper's colour and translation jitter.
     """
     grid = GridSpec(h=13, w=13, d=5, cell_u_px=32.0, cell_v_px=32.0, cell_z_m=0.15,
                     z_min=0.0, sharpness=2.0, cutoff_px=75.0, cutoff_m=0.075)
@@ -193,7 +183,6 @@ def paper_preset(seed: int = 0, out_dir: str = "runs/paper", data_dir: str = "da
                           schedule_epochs=(80, 160), schedule_factor=0.1),
         interaction=InteractionTrainConfig(feature_width=512, lstm_width=512,
                                            lstm_layers=2),
-        aug=AugConfig(enabled=True),
         data=DataConfig(dir=data_dir),
         seed=seed,
         out_dir=out_dir,
@@ -207,7 +196,7 @@ _SECTIONS = {
     ("scene", "grid"): "grid", ("scene", "cam"): "camera",
     ("scene", "labels"): "labels", ("scene", "render"): "render", ("scene",): "synth",
     ("backbone",): "backbone", ("loss",): "loss", ("optim",): "optim",
-    ("interaction",): "interaction", ("aug",): "aug", ("data",): "data", (): "",
+    ("interaction",): "interaction", ("data",): "data", (): "",
 }
 
 
@@ -229,8 +218,6 @@ _KEYS = frozenset(key for key, _, _ in _SCHEMA_LEAVES)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -240,10 +227,6 @@ def _fmt(value) -> str:
 
 
 def _parse(raw: str, hint):
-    if hint is bool:
-        if raw not in ("true", "false"):
-            raise ValueError(raw)
-        return raw == "true"
     if get_origin(hint) is not tuple:
         value = hint(raw)
         if hint is float and not math.isfinite(value):

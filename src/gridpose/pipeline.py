@@ -99,11 +99,10 @@ def _load_split(cfg: RunConfig, split: str):
     return frames, seq_ids
 
 
-def _frames_dataset(cfg: RunConfig, split: str):
+def _frames_dataset(cfg: RunConfig, split: str) -> net.BatchTargets:
     frames, _ = _load_split(cfg, split)
     images = np.stack([f.raster for f in frames])
-    return frames, net.BatchTargets.from_scenes(frames, cfg.grid, cfg.labels,
-                                                cfg.camera, images)
+    return net.BatchTargets.from_scenes(frames, cfg.grid, cfg.labels, cfg.camera, images)
 
 
 # -- stage 1 ---------------------------------------------------------------------
@@ -112,25 +111,14 @@ def train_stage1(cfg: RunConfig) -> Path:
     """Train the single-image network; returns the checkpoint path."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frames, dataset = _frames_dataset(cfg, "train")
+    dataset = _frames_dataset(cfg, "train")
     params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
     rng = synth.seeded_rng(cfg.seed, 0x51)
 
     log_lines = ["epoch,lr,loss"]
     for epoch in range(cfg.optim.epochs):
         lr = cfg.optim.lr_at(epoch)
-        if cfg.aug.enabled:
-            aug_rng = synth.seeded_rng(cfg.seed, 0xa06, epoch)
-            aug_frames = [synth.augment_frame(f, aug_rng, cfg.scene,
-                                              photometric=cfg.aug.photometric,
-                                              translate_frac=cfg.aug.translate_frac)
-                          for f in frames]
-            images = np.stack([f.raster for f in aug_frames])
-            epoch_set = net.BatchTargets.from_scenes(aug_frames, cfg.grid, cfg.labels,
-                                                     cfg.camera, images)
-        else:
-            epoch_set = dataset
-        loss = net.sgd_epoch(params, epoch_set, lr, cfg.loss, cfg.backbone,
+        loss = net.sgd_epoch(params, dataset, lr, cfg.loss, cfg.backbone,
                              cfg.grid, cfg.labels, rng,
                              batch_size=cfg.optim.batch_size,
                              conf_targets=cfg.optim.conf_targets)
@@ -218,16 +206,19 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
 
 
 def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
-    """Pruned per-frame predictions grouped into (N, T, width) inputs."""
+    """Pruned per-frame predictions grouped into (N, T, width) inputs, in
+    sequence id order, and each sequence's label, read from its first frame."""
     frames, seq_ids = _load_split(cfg, split)
-    seqs = synth.group_sequences(frames, seq_ids, cfg.labels)
     preds = predict_frames(cfg, params, frames)
-    by_seq: dict[int, list] = {}
-    for pred, sid in zip(preds, seq_ids):
-        by_seq.setdefault(sid, []).append(pred)
+    by_seq: dict[int, list[int]] = {}
+    for i, sid in enumerate(seq_ids):
+        by_seq.setdefault(sid, []).append(i)
+    groups = [by_seq[sid] for sid in sorted(by_seq)]
     icfg = cfg.interaction_model_config()
-    inputs = np.stack([ia.sequence_inputs(icfg, by_seq[sid]) for sid in sorted(by_seq)])
-    labels = np.array([s.interaction_id for s in seqs], dtype=int)
+    inputs = np.stack([ia.sequence_inputs(icfg, [preds[i] for i in g]) for g in groups])
+    firsts = [frames[g[0]] for g in groups]
+    labels = np.array([cfg.labels.interaction_index(f.action_id, f.object_id) for f in firsts],
+                      dtype=int)
     return inputs, labels
 
 

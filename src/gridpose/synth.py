@@ -46,7 +46,7 @@ with rasters stored as binary PGM (1 channel) or PPM (3 channels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +55,8 @@ from .codec import LabelSpec
 from .errors import ConfigError, ConfigOutOfRange, NonPositiveDepth, ShapeMismatch
 from .geometry import (
     _CUBOID_EDGES,
-    HAND,
     HAND_BONES,
     NUM_CONTROL_POINTS,
-    OBJECT,
     CameraIntrinsics,
     Cuboid,
     GridSpec,
@@ -66,7 +64,6 @@ from .geometry import (
     cuboid_control_points,
     grid_to_camera,
     project,
-    root_index,
 )
 from .rigidpose import Pose6D
 
@@ -529,86 +526,6 @@ def render_entities(
     return render_frames(cam, grid, spec, *points)[0]
 
 
-# -- augmentation ------------------------------------------------------------
-
-def _shift_slices(shift: int, size: int) -> tuple[slice, slice]:
-    """Destination and source slices of a whole-pixel shift along one axis;
-    both are empty once the shift reaches the size."""
-    n = max(0, size - abs(shift))
-    dst, src = max(0, shift), max(0, -shift)
-    return slice(dst, dst + n), slice(src, src + n)
-
-
-def translate_frame(frame: SceneFrame, du_px: int, dv_px: int,
-                    cam: CameraIntrinsics) -> SceneFrame:
-    """Shift the raster by whole pixels and re-derive all 3D labels.
-
-    Each point moves by (du*z/fx, dv*z/fy, 0) so its projection shifts by
-    exactly (du, dv) at unchanged depth. The stored object pose is shifted
-    by the centroid's displacement (the per-point map is a depth-dependent
-    shear, so the pose is exact at the centroid).
-    """
-    def shift_pts(pts):
-        pts = np.asarray(pts, dtype=float).copy()
-        pts[:, 0] += du_px * pts[:, 2] / cam.fx
-        pts[:, 1] += dv_px * pts[:, 2] / cam.fy
-        return pts
-
-    hand = shift_pts(frame.hand_points)
-    obj = shift_pts(frame.object_points)
-    tz = frame.object_pose.translation[2]
-    new_t = frame.object_pose.translation + np.array(
-        [du_px * tz / cam.fx, dv_px * tz / cam.fy, 0.0])
-    raster = frame.raster
-    if raster is not None:
-        shifted = np.zeros_like(raster)
-        ys, ys_src = _shift_slices(dv_px, raster.shape[1])
-        xs, xs_src = _shift_slices(du_px, raster.shape[2])
-        shifted[:, ys, xs] = raster[:, ys_src, xs_src]
-        raster = shifted
-    return replace(frame, hand_points=hand, object_points=obj,
-                   object_pose=Pose6D(frame.object_pose.rotation, new_t),
-                   raster=raster)
-
-
-def photometric_jitter(raster: np.ndarray, rng: np.random.Generator,
-                       max_frac: float = 0.5) -> np.ndarray:
-    """Random exposure/saturation/hue-style jitter on the raster only."""
-    out = raster.astype(float).copy()
-    exposure = 1.0 + rng.uniform(-max_frac, max_frac)
-    out *= exposure
-    if out.shape[0] == 3:
-        sat = 1.0 + rng.uniform(-max_frac, max_frac)
-        gray = out.mean(axis=0, keepdims=True)
-        out = gray + sat * (out - gray)
-        shift = rng.uniform(0.0, max_frac)
-        out = (1.0 - shift) * out + shift * np.roll(out, 1, axis=0)
-    return np.clip(out, 0.0, 1.0)
-
-
-def augment_frame(frame: SceneFrame, rng: np.random.Generator,
-                  params: SceneParams, photometric: bool = True,
-                  translate_frac: float = 0.1) -> SceneFrame:
-    """Training-time augmentation keeping labels consistent with the raster."""
-    out = frame
-    if translate_frac > 0:
-        w, h = params.grid.image_w, params.grid.image_h
-        du = int(round(rng.uniform(-translate_frac, translate_frac) * w))
-        dv = int(round(rng.uniform(-translate_frac, translate_frac) * h))
-        bounds = _volume_bounds(params)
-        for _ in range(8):
-            cand = translate_frame(out, du, dv, params.cam)
-            if in_volume(np.stack([cand.hand_points[root_index(HAND)],
-                                   cand.object_points[root_index(OBJECT)]]), params, bounds):
-                out = cand
-                break
-            du //= 2
-            dv //= 2
-    if photometric and out.raster is not None:
-        out = replace(out, raster=photometric_jitter(out.raster, rng))
-    return out
-
-
 # -- dataset files -------------------------------------------------------------
 
 def write_raster(path, raster: np.ndarray) -> None:
@@ -718,19 +635,3 @@ def load_frames(directory) -> tuple[list[SceneFrame], list[int]]:
         ))
         seq_ids.append(seq)
     return frames, seq_ids
-
-
-def group_sequences(frames: list[SceneFrame], seq_ids: list[int],
-                    labels: LabelSpec) -> list[FrameSequence]:
-    """Rebuild ordered sequences from per-frame records."""
-    by_seq: dict[int, list[SceneFrame]] = {}
-    for frame, seq in zip(frames, seq_ids):
-        by_seq.setdefault(seq, []).append(frame)
-    out = []
-    for seq in sorted(by_seq):
-        fs = by_seq[seq]
-        out.append(FrameSequence(
-            frames=fs, action_id=fs[0].action_id, object_id=fs[0].object_id,
-            interaction_id=labels.interaction_index(fs[0].action_id, fs[0].object_id),
-        ))
-    return out

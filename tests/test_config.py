@@ -25,7 +25,6 @@ def variant_config():
         backbone=replace(cfg.backbone, in_channels=1),
         optim=replace(cfg.optim, lr=1 / 3, schedule_epochs=(), conf_targets="fixed"),
         interaction=replace(cfg.interaction, lstm_layers=1, schedule_epochs=()),
-        aug=config.AugConfig(enabled=True, photometric=False, translate_frac=0.05),
         data=replace(cfg.data, train_frames=64, val_frames=7),
     )
 
@@ -35,10 +34,10 @@ CONFIGS = {"toy": config.toy_preset, "variant": variant_config}
 # (config_hash, sha256 of config_to_text). Checkpoints record the config hash,
 # so a change here stops every saved checkpoint from loading.
 PINNED = {
-    "toy": ("9afd7a0e938f0664274603f4133cbe7d2d985b48dd2a5ab5f9fae278f5fe60f5",
-            "006d57affaef405c2e57dad3dc894fe294dd46b1186b4888e684c04f660a8d3e"),
-    "variant": ("30f46691983a1a5e0385753500d823b88d42dbf1c26481109bcd092afd7e7d45",
-                "629cff6668f57b31dbd0cacabc832186999046537c9bdf93adf1ce62f319466e"),
+    "toy": ("793d81a8041300252f6a2c9bbbcaa59dacc585a06391261e82f74e18d0bfea25",
+            "85245e41a217b27a1a443592993101cc195ebf45e23663a18b4471d2339f5b52"),
+    "variant": ("830416c00e20ef4f52934fe40212122fd7159a423ae0173d66dc1632dd9135c1",
+                "4958fbcde3221f2cdda191fc57be4d922c34e1a13999814a2b8195c734aaa70b"),
 }
 
 
@@ -106,7 +105,7 @@ class TestFlatText:
             config.config_from_flat(config.parse_flat_text(text))
 
     @pytest.mark.parametrize("key,value", [
-        ("aug.enabled", "yes"), ("grid.h", "1.5"),
+        ("grid.h", "1.5"),
         ("backbone.channels", "16,x,64,64,96"), ("backbone.channels", "16,,64,64,96"),
         ("synth.hand_scale_range", "0.9"),
         ("synth.object_sizes", "0.02,0.03,0.04;0.05,0.06;0.07,0.08,0.09"),
@@ -137,6 +136,17 @@ class TestFlatText:
         assert len(set(keys)) == len(keys) == len(leaves)
         assert sorted(path for path, _ in config._SCHEMA_SECTIONS) == sorted(sections)
         assert sorted(config.config_to_flat(config.toy_preset())) == sorted(keys)
+
+    def test_every_leaf_has_a_type_the_parser_reads(self):
+        # _parse reads int, float and str, and tuples of them; it would read
+        # a bool field's "false" as bool("false"), which is True
+        def readable(hint):
+            if typing.get_origin(hint) is tuple:
+                return all(arg is ... or readable(arg) for arg in typing.get_args(hint))
+            return hint in (int, float, str)
+
+        unread = [(key, hint) for key, _, hint in config._SCHEMA_LEAVES if not readable(hint)]
+        assert unread == []
 
     def test_hash_accepts_run_location_outside_text_form(self):
         cfg = variant_config()
@@ -205,21 +215,6 @@ class TestDataConfig:
         data = replace(config.toy_preset().data, **dict.fromkeys(self.FIELDS, 0))
         assert config.config_from_flat(config.config_to_flat(
             replace(config.toy_preset(), data=data))).data == data
-
-
-class TestAugConfig:
-    @pytest.mark.parametrize("frac", [1.5, -0.1, float("nan"), float("inf")])
-    def test_translate_frac_outside_unit_interval_rejected(self, frac):
-        with pytest.raises(ConfigError, match="translate_frac"):
-            config.AugConfig(translate_frac=frac)
-        flat = config.config_to_flat(config.toy_preset())
-        flat["aug.translate_frac"] = str(frac)
-        with pytest.raises(ConfigError, match="translate_frac"):
-            config.config_from_flat(flat)
-
-    @pytest.mark.parametrize("frac", [0.0, 1.0])
-    def test_translate_frac_bounds_allowed(self, frac):
-        assert config.AugConfig(translate_frac=frac).translate_frac == frac
 
 
 class TestInteractionTrainConfig:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridpose import config
 from gridpose import geometry as geo
 from gridpose.errors import ConfigError, NonPositiveDepth
 from gridpose.rigidpose import Pose6D, random_rotation
@@ -91,6 +92,17 @@ class TestBackprojectGrid:
         g = np.array([wu, wv, wz])
         back = geo.camera_to_grid(geo.grid_to_camera(g, cam, grid), cam, grid)
         np.testing.assert_allclose(back, g, rtol=1e-9, atol=1e-9)
+
+
+class TestCellDiagonal:
+    def test_toy_preset(self):
+        # the central cell's corners (3, 3, 1) and (4, 4, 2) lie at depths 0.45
+        # and 0.6 m, -4 and +4 px off the principal point at fx = fy = 80:
+        # x and y run from -0.0225 to 0.03 m, z by one 0.15 m cell
+        cfg = config.toy_preset()
+        diag = geo.cell_diagonal_m(cfg.grid, cfg.camera)
+        assert diag == pytest.approx(np.sqrt(2 * 0.0525 ** 2 + 0.15 ** 2), rel=1e-12)
+        assert round(diag, 5) == 0.16737
 
 
 class TestCuboidControlPoints:

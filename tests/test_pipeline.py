@@ -301,3 +301,35 @@ class TestPredictFrames:
         small = replace(frames[5], raster=frames[5].raster[:, :28, :28])
         with pytest.raises(ShapeMismatch, match=r"frame 5 has a raster of shape \(3, 28, 28\)"):
             pipeline.predict_frames(cfg, params, frames[:5] + [small] + frames[6:])
+
+
+class TestSequenceDataset:
+    def test_sequences_in_id_order_labelled_by_their_first_frame(self, tmp_path):
+        cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
+        late = synth.sample_sequence(1, 2, 1, cfg.scene)
+        early = synth.sample_sequence(2, 0, 2, cfg.scene)
+        synth.save_frames(tmp_path / "seq_val", late.frames + early.frames, [7] * 4 + [3] * 4)
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
+        inputs, labels = pipeline._sequence_dataset(cfg, params, "seq_val")
+        preds = pipeline.predict_frames(cfg, params, synth.load_frames(tmp_path / "seq_val")[0])
+        icfg = cfg.interaction_model_config()
+        np.testing.assert_array_equal(inputs, np.stack([ia.sequence_inputs(icfg, preds[4:]),
+                                                        ia.sequence_inputs(icfg, preds[:4])]))
+        assert labels.tolist() == [early.interaction_id, late.interaction_id]
+
+
+class TestPoseNoiseSweep:
+    @pytest.fixture(scope="class")
+    def rows(self):
+        return pipeline.pose_noise_sweep(config.toy_preset(), trials=40)
+
+    def test_rows_follow_noise_levels(self, rows):
+        assert [r["level"] for r in rows] == list(pipeline.NOISE_LEVELS)
+
+    def test_noise_free_points_recover_the_pose(self, rows):
+        assert rows[0]["procrustes_add"] < 1e-12
+        assert rows[0]["pnp_add"] < 1e-12
+
+    def test_procrustes_error_grows_with_noise(self, rows):
+        adds = [r["procrustes_add"] for r in rows]
+        assert all(a < b for a, b in zip(adds, adds[1:])), adds

@@ -301,6 +301,15 @@ class TestGeometryMatchesReference:
             assert geometry_digest(seq.frames) == digest, f"{synth.ACTION_NAMES[action]} {s}"
 
 
+def shift_points(points, du, dv):
+    """Points moved by (du*z/fx, dv*z/fy, 0): each projection moves by exactly
+    (du, dv) pixels at unchanged depth."""
+    out = np.array(points, dtype=float)
+    out[:, 0] += du * out[:, 2] / CAM.fx
+    out[:, 1] += dv * out[:, 2] / CAM.fy
+    return out
+
+
 class TestRender:
     def test_empty_scene_is_all_zero(self):
         raster = synth.render_entities(CAM, GRID, PARAMS.render)
@@ -327,9 +336,9 @@ class TestRender:
     def test_one_cell_shift_moves_raster_by_cell_pixels(self):
         frame = synth.sample_scene(11, PARAMS)
         du = int(GRID.cell_u_px)
-        shifted = synth.translate_frame(frame, du, 0, CAM)
         re_rendered = synth.render_entities(CAM, GRID, PARAMS.render,
-                                            shifted.hand_points, shifted.object_points)
+                                            shift_points(frame.hand_points, du, 0),
+                                            shift_points(frame.object_points, du, 0))
         # cross-correlation argmax between the two hand planes
         a = frame.raster[0]
         b = re_rendered[0]
@@ -386,20 +395,20 @@ class TestRenderMatchesReference:
 
     @pytest.mark.parametrize("du,dv", [(-30, 0), (30, 0), (0, -30), (0, 30)])
     def test_clipped_at_each_border(self, du, dv):
-        frame = synth.translate_frame(synth.sample_scene(5, PARAMS, with_raster=False),
-                                      du, dv, CAM)
-        uv = geo.project(np.concatenate([frame.hand_points, frame.object_points]), CAM)
+        frame = synth.sample_scene(5, PARAMS, with_raster=False)
+        hand, obj = (shift_points(p, du, dv) for p in (frame.hand_points, frame.object_points))
+        uv = geo.project(np.concatenate([hand, obj]), CAM)
         axis, size = (0, GRID.image_w) if du else (1, GRID.image_h)
         outside = (uv[:, axis] < 0) | (uv[:, axis] >= size)
         assert outside.any() and not outside.all()
-        raster = assert_matches_reference(frame.hand_points, frame.object_points)
+        raster = assert_matches_reference(hand, obj)
         assert raster.max() > 0
 
     @pytest.mark.parametrize("du,dv", [(-200, 0), (200, 0), (0, -200), (0, 200)])
     def test_wholly_outside_image(self, du, dv):
-        frame = synth.translate_frame(synth.sample_scene(5, PARAMS, with_raster=False),
-                                      du, dv, CAM)
-        raster = assert_matches_reference(frame.hand_points, frame.object_points)
+        frame = synth.sample_scene(5, PARAMS, with_raster=False)
+        raster = assert_matches_reference(shift_points(frame.hand_points, du, dv),
+                                          shift_points(frame.object_points, du, dv))
         assert np.all(raster == 0.0)
 
     def test_near_point_uses_a_second_window_radius(self):
@@ -615,55 +624,6 @@ class TestFramePointsOwnMemory:
         self.assert_own_memory(loaded)
 
 
-class TestAugmentation:
-    def test_translation_keeps_round_trip_exact(self):
-        frame = synth.sample_scene(17, PARAMS)
-        moved = synth.translate_frame(frame, 5, -3, CAM)
-        t = codec.frame_targets(moved, GRID, LABELS, CAM)
-        # decode the stored offsets back to camera points
-        coords_h = t.hand_offsets + np.asarray(t.hand_cell, dtype=float)
-        back = geo.grid_to_camera(coords_h, CAM, GRID)
-        assert np.abs(back - moved.hand_points).max() < 1e-9
-
-    def test_translation_shifts_projections_exactly(self):
-        frame = synth.sample_scene(17, PARAMS, with_raster=False)
-        moved = synth.translate_frame(frame, 4, 2, CAM)
-        before = geo.project(frame.hand_points, CAM)
-        after = geo.project(moved.hand_points, CAM)
-        np.testing.assert_allclose(after - before, [[4.0, 2.0]] * 21, atol=1e-9)
-        # depths unchanged
-        np.testing.assert_array_equal(frame.hand_points[:, 2], moved.hand_points[:, 2])
-
-    @pytest.mark.parametrize("du,dv", [(60, 0), (-60, 0), (0, 56), (0, -57), (200, -200),
-                                       (55, 3), (-5, -55), (-56, 56), (7, -4)])
-    def test_raster_shift_past_the_image(self, du, dv):
-        frame = synth.sample_scene(19, PARAMS)
-        raster = frame.raster
-        h, w = raster.shape[1:]
-        ys, xs = np.arange(h) - dv, np.arange(w) - du
-        keep = ((ys >= 0) & (ys < h))[:, None] & ((xs >= 0) & (xs < w))[None, :]
-        want = np.where(keep, raster[:, np.clip(ys, 0, h - 1)][:, :, np.clip(xs, 0, w - 1)], 0.0)
-        moved = synth.translate_frame(frame, du, dv, CAM)
-        assert np.array_equal(moved.raster, want)
-        np.testing.assert_allclose(geo.project(moved.hand_points, CAM)
-                                   - geo.project(frame.hand_points, CAM),
-                                   [[du, dv]] * 21, atol=1e-9)
-
-    def test_augment_frame_stays_in_volume(self):
-        rng = np.random.default_rng(0)
-        for seed in range(40):
-            frame = synth.sample_scene(seed, PARAMS)
-            out = synth.augment_frame(frame, rng, PARAMS)
-            codec.frame_targets(out, GRID, LABELS, CAM)
-
-    def test_photometric_keeps_labels_and_range(self):
-        frame = synth.sample_scene(23, PARAMS)
-        rng = np.random.default_rng(1)
-        out = synth.photometric_jitter(frame.raster, rng)
-        assert out.shape == frame.raster.shape
-        assert out.min() >= 0.0 and out.max() <= 1.0
-
-
 class TestDatasetFiles:
     def test_raster_file_round_trip(self, tmp_path):
         frame = synth.sample_scene(2, PARAMS)
@@ -759,11 +719,12 @@ class TestDatasetFiles:
             ids.extend([k] * len(seq.frames))
         synth.save_frames(tmp_path, frames, ids)
         loaded, loaded_ids = synth.load_frames(tmp_path)
-        grouped = synth.group_sequences(loaded, loaded_ids, LABELS)
-        assert len(grouped) == 3
-        for orig, back in zip(seqs, grouped):
-            assert back.interaction_id == orig.interaction_id
-            assert len(back.frames) == len(orig.frames)
+        assert loaded_ids == ids
+        for k, seq in enumerate(seqs):
+            back = [f for f, sid in zip(loaded, loaded_ids) if sid == k]
+            assert len(back) == len(seq.frames)
+            assert {LABELS.interaction_index(f.action_id, f.object_id)
+                    for f in back} == {seq.interaction_id}
 
     def test_save_load_is_deterministic(self, tmp_path):
         frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
