@@ -105,12 +105,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/run"
 
-    def __post_init__(self):
-        if self.backbone.in_channels != self.scene.render.channels:
-            raise ConfigError(
-                f"backbone.in_channels={self.backbone.in_channels} but frames are "
-                f"rendered with render.channels={self.scene.render.channels}")
-
     @property
     def grid(self) -> GridSpec:
         return self.scene.grid

@@ -32,6 +32,10 @@ OBJECT = "object"
 
 NUM_CONTROL_POINTS = 21
 
+# Planes of every raster and of the backbone's input: the hand and the object
+# (both depth-coded), then point identity.
+IMAGE_CHANNELS = 3
+
 # Root point per role: the hand skeleton starts at the wrist, the cuboid
 # control points end with the centroid (corners, then midpoints, then centroid).
 def root_index(role: str) -> int:

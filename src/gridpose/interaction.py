@@ -131,20 +131,10 @@ def logits_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig,
     return x[:, -1] @ pt["out.w"] + pt["out.b"]
 
 
-def classify_sequence(model: InteractionModel, seq) -> np.ndarray:
-    """Probability vector over interaction classes for one sequence.
-
-    Accepts a list of FramePredictions or a precomputed (T, input_width)
-    array. Raises EmptySequence on zero frames.
-    """
-    if isinstance(seq, np.ndarray):
-        inputs = seq
-    else:
-        if len(seq) == 0:
-            raise EmptySequence("cannot classify an empty sequence")
-        inputs = sequence_inputs(model.cfg, seq)
-    if inputs.shape[0] == 0:
-        raise EmptySequence("cannot classify an empty sequence")
+def classify_sequence(model: InteractionModel, inputs: np.ndarray) -> np.ndarray:
+    """Probability vector over interaction classes for one (T, input_width)
+    sequence, as sequence_inputs makes it; zero frames raise EmptySequence
+    (from logits_graph)."""
     pt = ad.wrap(model.params, requires_grad=False)
     logits = logits_graph(pt, model.cfg, inputs[None, ...])
     return softmax(logits.data[0])

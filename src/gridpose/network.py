@@ -41,7 +41,8 @@ from . import autodiff as ad
 from . import codec
 from .codec import COORD_CHANNELS, LabelSpec, confidence_from_grid_coords, frame_targets
 from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
-from .geometry import HAND, NUM_CONTROL_POINTS, OBJECT, CameraIntrinsics, GridSpec, root_index
+from .geometry import (HAND, IMAGE_CHANNELS, NUM_CONTROL_POINTS, OBJECT, CameraIntrinsics,
+                       GridSpec, root_index)
 
 CHECKPOINT_FORMAT = 1
 
@@ -54,7 +55,6 @@ class BackboneConfig:
 
     channels: tuple[int, ...] = (16, 32, 64, 64, 96)
     strides: tuple[int, ...] = (2, 2, 2, 1, 1)
-    in_channels: int = 3
     kernel: int = 3
     leak: float = 0.1
 
@@ -88,9 +88,11 @@ def output_channels(grid: GridSpec, labels: LabelSpec) -> int:
 
 
 def model_signature(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec) -> str:
-    """Digest tying a parameter set to the config that shaped it."""
+    """Digest tying a parameter set to the config that shaped it. The literal
+    3 is the input channel count, kept so that signatures stay as they were
+    when it was a config field."""
     doc = {
-        "backbone": [bb.channels, bb.strides, bb.in_channels, bb.kernel, bb.leak],
+        "backbone": [bb.channels, bb.strides, 3, bb.kernel, bb.leak],
         "grid": [grid.h, grid.w, grid.d],
         "labels": [NUM_CONTROL_POINTS, labels.n_actions, labels.n_objects],
     }
@@ -112,7 +114,7 @@ def init_params(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec, seed: int
     """Fan-in scaled uniform init, fully determined by the seed."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6e65)))
     tensors: dict[str, np.ndarray] = {}
-    c_in = bb.in_channels
+    c_in = IMAGE_CHANNELS
     for i, (c_out, _) in enumerate(zip(bb.channels, bb.strides)):
         fan_in = c_in * bb.kernel * bb.kernel
         s = 1.0 / np.sqrt(fan_in)
@@ -130,8 +132,8 @@ def wrap_params(params: ModelParams, requires_grad: bool = True) -> dict[str, ad
 
 
 def _check_image_shape(images: np.ndarray, bb: BackboneConfig, grid: GridSpec) -> None:
-    if images.ndim != 4 or images.shape[1] != bb.in_channels:
-        raise ShapeMismatch(f"images must be (B, {bb.in_channels}, H, W), got {images.shape}")
+    if images.ndim != 4 or images.shape[1] != IMAGE_CHANNELS:
+        raise ShapeMismatch(f"images must be (B, {IMAGE_CHANNELS}, H, W), got {images.shape}")
     if images.shape[2] != grid.image_h or images.shape[3] != grid.image_w:
         raise ShapeMismatch(
             f"image is {images.shape[2]}x{images.shape[3]}, grid wants "
@@ -306,7 +308,6 @@ def _loss_terms(
     targets: BatchTargets,
     weights: LossWeights,
     grid: GridSpec,
-    labels: LabelSpec,
     conf_targets: str,
 ) -> tuple[ad.Tensor, dict[str, float]]:
     """The loss from what it reads of the raw grid: the (B, h, w, d, 2) hand
@@ -396,7 +397,7 @@ def loss_graph(
     conf = raw[..., np.array([labels.hand_slot - 1, labels.cell_channels - 1])]
     return _loss_terms(conf, at(targets.hand_cells)[:, : labels.hand_slot],
                        at(targets.object_cells)[:, labels.hand_slot:],
-                       targets, weights, grid, labels, conf_targets)
+                       targets, weights, grid, conf_targets)
 
 
 def multitask_loss(
@@ -420,7 +421,7 @@ def multitask_loss(
                            grid, labels)
         return _loss_terms(confidence_logits(pt, cols, grid, labels),
                            at[:, 0, : labels.hand_slot], at[:, 1, labels.hand_slot:],
-                           targets, weights, grid, labels, conf_targets)
+                           targets, weights, grid, conf_targets)
 
     return ad.value_and_grads(params.tensors, loss)
 

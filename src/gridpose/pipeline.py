@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__, autodiff as ad, codec, interaction as ia, metrics, network as net, synth
 from .config import RunConfig, config_hash, config_to_text
 from .errors import ConfigError, HashMismatch, NumericError, ShapeMismatch
-from .geometry import NUM_CONTROL_POINTS, cell_diagonal_m, cuboid_control_points, project
+from .geometry import (IMAGE_CHANNELS, NUM_CONTROL_POINTS, cell_diagonal_m, cuboid_control_points,
+                       project)
 from .rigidpose import Pose6D, pnp_dlt, procrustes_align, random_rotation
 
 
@@ -171,7 +172,7 @@ def _stack_rasters(cfg: RunConfig, frames, start: int) -> np.ndarray:
     """The rasters of frames as one image batch; a frame without a raster or
     with one of another shape is a ShapeMismatch that names its index,
     counted from start."""
-    shape = (cfg.backbone.in_channels, cfg.grid.image_h, cfg.grid.image_w)
+    shape = (IMAGE_CHANNELS, cfg.grid.image_h, cfg.grid.image_w)
     for i, frame in enumerate(frames, start):
         if frame.raster is None:
             raise ShapeMismatch(f"frame {i} has no raster; the backbone wants {shape}")
@@ -207,13 +208,22 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
 
 def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
     """Pruned per-frame predictions grouped into (N, T, width) inputs, in
-    sequence id order, and each sequence's label, read from its first frame."""
+    sequence id order, and each sequence's label, read from its first frame.
+    Sequences of unequal length are a ConfigError that names them."""
     frames, seq_ids = _load_split(cfg, split)
-    preds = predict_frames(cfg, params, frames)
     by_seq: dict[int, list[int]] = {}
     for i, sid in enumerate(seq_ids):
         by_seq.setdefault(sid, []).append(i)
-    groups = [by_seq[sid] for sid in sorted(by_seq)]
+    ids = sorted(by_seq)
+    groups = [by_seq[sid] for sid in ids]
+    lengths = [len(g) for g in groups]
+    common = max(lengths, key=lengths.count)
+    odd = {sid: n for sid, n in zip(ids, lengths) if n != common}
+    if odd:
+        raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: sequences (id: frames) "
+                          f"{odd} differ in length from the other {len(groups) - len(odd)}, "
+                          f"which hold {common} frames each")
+    preds = predict_frames(cfg, params, frames)
     icfg = cfg.interaction_model_config()
     inputs = np.stack([ia.sequence_inputs(icfg, [preds[i] for i in g]) for g in groups])
     firsts = [frames[g[0]] for g in groups]
@@ -293,8 +303,11 @@ def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
     control points with isotropic Gaussian noise whose scale grows
     linearly with each point's depth (sigma = level * z / z_ref). Both
     recovery routes consume the same noisy points: Procrustes aligns in
-    3D, the PnP baseline only sees their 2D projections.
+    3D, the PnP baseline only sees their 2D projections. trials below 1
+    is a ConfigError.
     """
+    if trials < 1:
+        raise ConfigError(f"the pose noise sweep needs at least 1 trial, got {trials}")
     rng = synth.seeded_rng(cfg.seed, 0xadd)
     z_ref = cfg.grid.z_min + 0.5 * cfg.grid.d * cfg.grid.cell_z_m
     rows = []
@@ -337,6 +350,7 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
              stage2_ckpt=None, baseline_ckpt=None,
              noise_trials: int = 200) -> dict:
     """Full metric suite on the validation splits; writes CSV/JSON reports."""
+    sweep = pose_noise_sweep(cfg, trials=noise_trials)   # before any report is written
     report = Path(report_dir)
     report.mkdir(parents=True, exist_ok=True)
     params = load_backbone(cfg, backbone_ckpt)
@@ -401,7 +415,6 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
         "single_image_interaction_accuracy": pair_acc,
     }
 
-    sweep = pose_noise_sweep(cfg, trials=noise_trials)
     with open(report / "pose_noise_sweep.csv", "w") as f:
         f.write("level,procrustes_add,pnp_add\n")
         for row in sweep:

@@ -41,7 +41,7 @@ Dataset files are line-delimited text records
     <9 rotation floats row-major> <3 translation floats>
     <3 half-extents> <raster file reference>
 
-with rasters stored as binary PGM (1 channel) or PPM (3 channels).
+with rasters stored as 8-bit binary PPM (P6), one file per frame.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .errors import ConfigError, ConfigOutOfRange, NonPositiveDepth, ShapeMismat
 from .geometry import (
     _CUBOID_EDGES,
     HAND_BONES,
+    IMAGE_CHANNELS,
     NUM_CONTROL_POINTS,
     CameraIntrinsics,
     Cuboid,
@@ -72,17 +73,14 @@ ACTION_NAMES = ("approach", "retract", "rotate", "shake")
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Raster appearance: channel count and stroke geometry."""
+    """Raster appearance: blob and stroke geometry."""
 
-    channels: int = 3
     blob_radius_m: float = 0.010
     min_sigma_px: float = 0.8
     bone_gain: float = 0.45
     depth_floor: float = 0.15
 
     def __post_init__(self):
-        if self.channels not in (1, 3):
-            raise ConfigError("render channels must be 1 or 3")
         # every blob's sigma is max(min_sigma_px, a multiple of blob_radius_m)
         if self.min_sigma_px <= 0 or self.blob_radius_m < 0:
             raise ConfigError("render.min_sigma_px must be > 0 and render.blob_radius_m >= 0")
@@ -127,7 +125,7 @@ class SceneParams:
 
 @dataclass(frozen=True, eq=False)
 class SceneFrame:
-    """Ground truth for one frame; raster is (channels, H, W) in [0, 1]."""
+    """Ground truth for one frame; raster is (IMAGE_CHANNELS, H, W) in [0, 1]."""
 
     hand_points: np.ndarray
     object_pose: Pose6D
@@ -485,11 +483,10 @@ def _composite(planes: np.ndarray, u, v, sigma, two_var, amp, plane) -> None:
 
 def render_frames(cam: CameraIntrinsics, grid: GridSpec, spec: RenderSpec,
                   hand_points: np.ndarray, object_points: np.ndarray) -> np.ndarray:
-    """Rasters (N, channels, H, W) of N frames' hand (N, P, 3) and object (N, Q, 3) points.
+    """Rasters (N, IMAGE_CHANNELS, H, W) of N frames' hand (N, P, 3) and object (N, Q, 3) points.
 
     Channel 0 carries the hand (depth-coded), channel 1 the object
-    (depth-coded), channel 2 point identity; with channels=1 everything
-    is max-composited into a single plane. A hand of 21 points gets its
+    (depth-coded), channel 2 point identity. A hand of 21 points gets its
     bones, an object its first 8 points and, with all 8, the box edges;
     an entity with no points draws nothing.
     """
@@ -500,15 +497,12 @@ def render_frames(cam: CameraIntrinsics, grid: GridSpec, spec: RenderSpec,
     hand_edges = HAND_BONES if hand.shape[1] == NUM_CONTROL_POINTS else ()
     obj_edges = _CUBOID_EDGES if obj.shape[1] == 8 else ()
     h, w = grid.image_h, grid.image_w
-    out = np.zeros((len(hand), spec.channels, h, w))
+    out = np.zeros((len(hand), IMAGE_CHANNELS, h, w))
     for s in range(0, len(hand), RENDER_CHUNK):
         chunk = slice(s, s + RENDER_CHUNK)
-        planes = out[chunk] if spec.channels == 3 else np.zeros((len(hand[chunk]), 3, h, w))
         windows = zip(_windows(hand[chunk], 0, hand_edges, hand.shape[1], cam, grid, spec),
                       _windows(obj[chunk], 1, obj_edges, 8.0, cam, grid, spec))
-        _composite(planes.reshape(-1, h, w), *(np.concatenate(col) for col in windows))
-        if spec.channels == 1:
-            out[chunk] = planes.max(axis=1, keepdims=True)
+        _composite(out[chunk].reshape(-1, h, w), *(np.concatenate(col) for col in windows))
     return out
 
 
@@ -519,7 +513,7 @@ def render_entities(
     hand_points: np.ndarray | None = None,
     object_points: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raster (channels, H, W) of one frame, the one-frame case of render_frames;
+    """Raster (IMAGE_CHANNELS, H, W) of one frame, the one-frame case of render_frames;
     a missing entity draws nothing, so no entities give zeros."""
     points = [np.zeros((1, 0, 3)) if p is None else np.asarray(p, dtype=float)[None]
               for p in (hand_points, object_points)]
@@ -529,21 +523,15 @@ def render_entities(
 # -- dataset files -------------------------------------------------------------
 
 def write_raster(path, raster: np.ndarray) -> None:
-    """8-bit binary PGM (1 channel) or PPM (3 channels)."""
-    path = Path(path)
+    """An (IMAGE_CHANNELS, H, W) raster in [0, 1] as an 8-bit binary PPM (P6)."""
     arr = np.clip(np.round(np.asarray(raster) * 255.0), 0, 255).astype(np.uint8)
-    c, h, w = arr.shape
-    if c == 1:
-        header = f"P5\n{w} {h}\n255\n".encode()
-        body = arr[0].tobytes()
-    else:
-        header = f"P6\n{w} {h}\n255\n".encode()
-        body = arr.transpose(1, 2, 0).tobytes()
-    path.write_bytes(header + body)
+    _, h, w = arr.shape
+    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + arr.transpose(1, 2, 0).tobytes())
 
 
 def read_raster(path) -> np.ndarray:
-    """Read an 8-bit binary PGM/PPM; a malformed or truncated file raises ConfigError."""
+    """Read an 8-bit binary PPM (P6) as an (IMAGE_CHANNELS, H, W) raster in [0, 1];
+    any other format, or a malformed or truncated file, raises ConfigError."""
     data = Path(path).read_bytes()
     fields_out = []
     pos = 0
@@ -560,19 +548,19 @@ def read_raster(path) -> np.ndarray:
         fields_out.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     magic, dims = fields_out[0], fields_out[1:]
-    if magic not in (b"P5", b"P6"):
+    if magic != b"P6":
         raise ConfigError(f"{path}: unsupported raster magic {magic!r}")
     if not all(t.isdigit() for t in dims):
         raise ConfigError(f"{path}: malformed raster header {b' '.join(fields_out)!r}")
     w, h, maxval = (int(t) for t in dims)
     if maxval != 255:
         raise ConfigError(f"{path}: only 8-bit rasters are supported, maxval is {maxval}")
-    channels = 1 if magic == b"P5" else 3
-    body = data[pos: pos + h * w * channels]
-    if len(body) != h * w * channels:
+    size = h * w * IMAGE_CHANNELS
+    body = data[pos: pos + size]
+    if len(body) != size:
         raise ConfigError(f"{path}: raster body has {len(body)} bytes, "
-                          f"a {w}x{h}x{channels} image needs {h * w * channels}")
-    img = np.frombuffer(body, dtype=np.uint8).reshape(h, w, channels).transpose(2, 0, 1)
+                          f"a {w}x{h}x{IMAGE_CHANNELS} image needs {size}")
+    img = np.frombuffer(body, dtype=np.uint8).reshape(h, w, IMAGE_CHANNELS).transpose(2, 0, 1)
     return img.astype(float) / 255.0
 
 
@@ -582,7 +570,7 @@ def save_frames(directory, frames: list[SceneFrame], seq_ids: list[int]) -> None
     (directory / "rasters").mkdir(parents=True, exist_ok=True)
     lines = []
     for i, (frame, seq) in enumerate(zip(frames, seq_ids)):
-        ref = f"rasters/frame_{i:06d}." + ("pgm" if frame.raster.shape[0] == 1 else "ppm")
+        ref = f"rasters/frame_{i:06d}.ppm"
         write_raster(directory / ref, frame.raster)
         fieldvals = [str(i), str(int(seq)), str(frame.action_id), str(frame.object_id)]
         fieldvals += [f"{x:.17g}" for x in frame.hand_points.ravel()]

@@ -21,8 +21,8 @@ def variant_config():
         cfg,
         scene=replace(cfg.scene, sequence_length=8, tilt_max=0.3, margin_z_cells=0.5,
                       object_sizes=((0.02, 0.03, 0.04),) * 3,
-                      render=synth.RenderSpec(channels=1, bone_gain=0.3)),
-        backbone=replace(cfg.backbone, in_channels=1),
+                      render=synth.RenderSpec(bone_gain=0.3)),
+        backbone=replace(cfg.backbone, kernel=5),
         optim=replace(cfg.optim, lr=1 / 3, schedule_epochs=(), conf_targets="fixed"),
         interaction=replace(cfg.interaction, lstm_layers=1, schedule_epochs=()),
         data=replace(cfg.data, train_frames=64, val_frames=7),
@@ -34,10 +34,10 @@ CONFIGS = {"toy": config.toy_preset, "variant": variant_config}
 # (config_hash, sha256 of config_to_text). Checkpoints record the config hash,
 # so a change here stops every saved checkpoint from loading.
 PINNED = {
-    "toy": ("793d81a8041300252f6a2c9bbbcaa59dacc585a06391261e82f74e18d0bfea25",
-            "85245e41a217b27a1a443592993101cc195ebf45e23663a18b4471d2339f5b52"),
-    "variant": ("830416c00e20ef4f52934fe40212122fd7159a423ae0173d66dc1632dd9135c1",
-                "4958fbcde3221f2cdda191fc57be4d922c34e1a13999814a2b8195c734aaa70b"),
+    "toy": ("4da64a2e382820d567fd50dfea6ab88717a586a97e777b341d669c5fa89ec7e7",
+            "ac404ac34ac648ccdaccf255d92cc63c674de9e7c235ba23035c042f998adc76"),
+    "variant": ("1b0b446592e61c39f87a47d17468cf5eb8b42d62f079882075bf6f43ed581e5a",
+                "6c3449dd91c69853b1a625d405983705fd72e119189d96b709e34b007ca8a4b2"),
 }
 
 
@@ -177,25 +177,16 @@ class TestFlatText:
         with pytest.raises(ConfigError, match="unknown config keys"):
             config.config_from_flat(config.parse_flat_text(toy_text() + line + "\n"))
 
+    @pytest.mark.parametrize("key", ["render.channels", "backbone.in_channels"])
+    def test_image_channel_count_cannot_be_set(self, key):
+        # rasters and the backbone input always have geometry.IMAGE_CHANNELS planes
+        with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
+            config.config_from_flat(config.parse_flat_text(toy_text() + f"{key} = 3\n"))
+
     def test_paper_preset_is_out_of_range(self):
         # it asks for 10 actions, synth has generators for 4
         with pytest.raises(ConfigOutOfRange, match="action generators"):
             config.paper_preset()
-
-
-class TestInputChannels:
-    @pytest.mark.parametrize("in_channels,render", [(1, 3), (3, 1)])
-    def test_mismatch_rejected_through_replace(self, in_channels, render):
-        cfg = config.toy_preset()
-        with pytest.raises(ConfigError, match="in_channels"):
-            replace(cfg, backbone=replace(cfg.backbone, in_channels=in_channels),
-                    scene=replace(cfg.scene, render=synth.RenderSpec(channels=render)))
-
-    @pytest.mark.parametrize("key,value", [("backbone.in_channels", "1"),
-                                           ("render.channels", "1")])
-    def test_mismatch_rejected_through_flat_text(self, key, value):
-        with pytest.raises(ConfigError, match="in_channels"):
-            config.config_from_flat(config.parse_flat_text(with_value(key, value)))
 
 
 class TestDataConfig:

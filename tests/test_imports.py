@@ -1,12 +1,13 @@
 """Every import in the package and the tests is used, and so is every
-top-level name the package defines.
+top-level name the package defines and every parameter of its functions.
 
 A standard-library stand-in for a linter's unused-import rule: a name
 bound by an import must be read somewhere in the same module, as a name,
 as the root of an attribute chain or inside a string annotation. A
 top-level function, class or assigned name of the package must be read
 somewhere in src, bench or tests: loaded as a name, read as an attribute
-or imported.
+or imported. A parameter of a package function must be loaded in its body,
+unless UNREAD_PARAMETERS names it with a reason.
 """
 
 import ast
@@ -20,14 +21,17 @@ MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 READERS = [p for d in ("src", "bench", "tests") for p in sorted((ROOT / d).rglob("*.py"))]
 
 
+def _parameters(args: ast.arguments) -> list[ast.arg]:
+    return [arg for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            if arg is not None]
+
+
 def _annotations(tree):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node.returns
-            args = node.args
-            for arg in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
-                if arg is not None:
-                    yield arg.annotation
+            for arg in _parameters(node.args):
+                yield arg.annotation
         elif isinstance(node, ast.AnnAssign):
             yield node.annotation
 
@@ -103,3 +107,51 @@ def test_no_dead_names(path, read_anywhere):
     defined = defined_names(path.read_text())
     assert [f"line {line}: {name}" for name, line in defined.items()
             if name not in read_anywhere] == []
+
+
+# Parameters left unread on purpose, as module.qualified_name.parameter.
+UNREAD_PARAMETERS = {
+    "interaction.sequence_inputs.cfg":
+        "bench/workloads.py passes it; dropping it waits for the next benchmark revision",
+    "autodiff._released.g": "a sentinel that stands in for a backward, so it takes its gradient",
+}
+
+
+def unread_parameters(source: str, module: str) -> list[str]:
+    """Parameters that their function's body never loads, as
+    module.qualified_name.parameter. A nested function's reads count for
+    the functions around it; self and cls are not checked."""
+    unread = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                      ast.ClassDef)):
+                visit(child, prefix)
+                continue
+            name = f"{prefix}.{getattr(child, 'name', '<lambda>')}"
+            visit(child, name)
+            if isinstance(child, ast.ClassDef):
+                continue
+            body = child.body if isinstance(child.body, list) else [child.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(f"{name}.{arg.arg}" for arg in _parameters(child.args)
+                          if arg.arg not in loaded and arg.arg not in ("self", "cls"))
+
+    visit(ast.parse(source), module)
+    return unread
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("def f(a, b, *args, c=1, **kw):\n    return a + args[0] + kw['x']\n"
+              "class K:\n    def m(self, x):\n        return 1\n"
+              "def g(y):\n    def h(z):\n        return y\n    return h\n"
+              "square = lambda q, r: q * q\n")
+    assert sorted(unread_parameters(source, "mod")) == [
+        "mod.<lambda>.r", "mod.K.m.x", "mod.f.b", "mod.f.c", "mod.g.h.z"]
+
+
+def test_no_unread_parameters():
+    unread = [name for path in PACKAGE for name in unread_parameters(path.read_text(), path.stem)]
+    assert sorted(unread) == sorted(UNREAD_PARAMETERS)

@@ -216,8 +216,6 @@ class TestClassify:
     def test_empty_sequence_rejected(self):
         model = ia.init_interaction(CFG, seed=0)
         with pytest.raises(EmptySequence):
-            ia.classify_sequence(model, [])
-        with pytest.raises(EmptySequence):
             ia.classify_sequence(model, np.zeros((0, CFG.input_width)))
 
     def test_width_mismatch_rejected(self):

@@ -317,6 +317,15 @@ class TestSequenceDataset:
                                                         ia.sequence_inputs(icfg, preds[:4])]))
         assert labels.tolist() == [early.interaction_id, late.interaction_id]
 
+    def test_sequences_of_unequal_length_are_named(self, tmp_path):
+        cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
+        whole = synth.sample_sequence(1, 2, 1, cfg.scene)
+        cut = synth.sample_sequence(2, 0, 2, cfg.scene)
+        synth.save_frames(tmp_path / "seq_train", whole.frames + cut.frames[:3], [0] * 4 + [1] * 3)
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
+        with pytest.raises(ConfigError, match=r"'seq_train'.*\{1: 3\}.*other 1, which hold 4 "):
+            pipeline._sequence_dataset(cfg, params, "seq_train")
+
 
 class TestPoseNoiseSweep:
     @pytest.fixture(scope="class")
@@ -333,3 +342,14 @@ class TestPoseNoiseSweep:
     def test_procrustes_error_grows_with_noise(self, rows):
         adds = [r["procrustes_add"] for r in rows]
         assert all(a < b for a, b in zip(adds, adds[1:])), adds
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_trials_is_config_error(self, trials):
+        with pytest.raises(ConfigError, match=f"at least 1 trial, got {trials}"):
+            pipeline.pose_noise_sweep(config.toy_preset(), trials=trials)
+
+    def test_evaluate_without_trials_writes_no_report(self, tmp_path):
+        with pytest.raises(ConfigError, match="at least 1 trial, got 0"):
+            pipeline.evaluate(tiny_config(), tmp_path / "stage1.ckpt", tmp_path / "report",
+                              noise_trials=0)
+        assert not (tmp_path / "report").exists()

@@ -170,15 +170,13 @@ def ref_render_entities(cam, grid, spec, hand_points=None, object_points=None):
             ref_splat(planes[1], u, v, blob_sigma(p[2]), float(amp))
             ref_splat(planes[2], u, v, blob_sigma(p[2]), 0.25 + 0.75 * (k + 1) / 8.0)
 
-    if spec.channels == 1:
-        return planes.max(axis=0, keepdims=True)
     return planes
 
 
-def assert_matches_reference(hand=None, obj=None, spec=PARAMS.render):
+def assert_matches_reference(hand=None, obj=None):
     """The batched renderer against the loop: 1e-12 in float, equal as uint8."""
-    new = synth.render_entities(CAM, GRID, spec, hand_points=hand, object_points=obj)
-    ref = ref_render_entities(CAM, GRID, spec, hand_points=hand, object_points=obj)
+    new = synth.render_entities(CAM, GRID, PARAMS.render, hand_points=hand, object_points=obj)
+    ref = ref_render_entities(CAM, GRID, PARAMS.render, hand_points=hand, object_points=obj)
     assert new.shape == ref.shape
     assert np.abs(new - ref).max() <= 1e-12
     np.testing.assert_array_equal(np.round(new * 255).astype(np.uint8),
@@ -357,13 +355,6 @@ class TestRender:
         with pytest.raises(ConfigError, match="min_sigma_px must be > 0"):
             synth.RenderSpec(**spec)
 
-    def test_grayscale_mode(self):
-        params = synth.SceneParams(grid=GRID, cam=CAM, labels=LABELS,
-                                   render=synth.RenderSpec(channels=1))
-        frame = synth.sample_scene(3, params)
-        assert frame.raster.shape == (1, 56, 56)
-        assert frame.raster.max() <= 1.0
-
 
 class TestRenderMatchesReference:
     def test_seeded_scenes(self):
@@ -437,14 +428,8 @@ class TestRenderMatchesReference:
         assert_matches_reference(obj=obj)
         assert_matches_reference(obj=obj[:8])
 
-    def test_grayscale_and_empty(self):
-        gray = synth.RenderSpec(channels=1)
-        for seed in range(5):
-            frame = synth.sample_scene(seed, PARAMS, with_raster=False)
-            assert assert_matches_reference(frame.hand_points, frame.object_points,
-                                            spec=gray).shape == (1, 56, 56)
+    def test_no_entities(self):
         assert_matches_reference()
-        assert_matches_reference(spec=gray)
         assert_matches_reference(np.zeros((0, 3)), np.zeros((0, 3)))
 
     def test_pinned_raster_bytes(self):
@@ -455,11 +440,11 @@ class TestRenderMatchesReference:
             assert hashlib.sha256(quantised.tobytes()).hexdigest() == digest, f"frame {i}"
 
 
-def ref_render_frames(hands, objects, spec=PARAMS.render):
+def ref_render_frames(hands, objects):
     """render_frames by the per-window oracle, one frame at a time."""
     h, w = GRID.image_h, GRID.image_w
-    return np.array([ref_render_entities(CAM, GRID, spec, hand, obj)
-                     for hand, obj in zip(hands, objects)]).reshape(-1, spec.channels, h, w)
+    return np.array([ref_render_entities(CAM, GRID, PARAMS.render, hand, obj)
+                     for hand, obj in zip(hands, objects)]).reshape(-1, 3, h, w)
 
 
 def scene_points(n, seed=0x7f):
@@ -498,34 +483,24 @@ class TestRenderFrames:
         assert np.array_equal(object_only, ref_render_frames([None] * 17, objects))
         assert hand_only[:, 1].max() == 0.0 and object_only[:, 0].max() == 0.0
 
-    def test_one_channel(self):
-        gray = synth.RenderSpec(channels=1)
-        hands, objects = scene_points(17, seed=0x83)
-        got = synth.render_frames(CAM, GRID, gray, hands, objects)
-        assert got.shape == (17, 1, GRID.image_h, GRID.image_w)
-        assert np.array_equal(got, ref_render_frames(hands, objects, gray))
-
     def test_frame_counts_must_agree(self):
         hands, objects = scene_points(3)
         with pytest.raises(ShapeMismatch):
             synth.render_frames(CAM, GRID, PARAMS.render, hands, objects[:2])
 
-    @pytest.mark.parametrize("channels", [3, 1])
-    def test_peak_memory_is_output_plus_one_chunk(self, channels):
+    def test_peak_memory_is_output_plus_one_chunk(self):
         # numpy reports its buffers to tracemalloc, so the peak repeats
-        # exactly. Compositing 16 frames at a time needs 4.7 MiB (3
-        # channels) or 5.8 MiB (1 channel) over the output at these sizes;
-        # 32 frames at a time would need 8.9 and 11.2 MiB.
+        # exactly. Compositing 16 frames at a time needs 4.7 MiB over the
+        # output at these sizes; 32 frames at a time would need 8.9 MiB.
         scene = config.toy_preset().scene
-        spec = replace(scene.render, channels=channels)
         frames = [synth.sample_scene((2024, 0x3e3, i), scene, with_raster=False)
                   for i in range(64)]
         hands = np.stack([f.hand_points for f in frames])
         objects = np.stack([f.object_points for f in frames])
-        synth.render_frames(scene.cam, scene.grid, spec, hands, objects)
+        synth.render_frames(scene.cam, scene.grid, scene.render, hands, objects)
         tracemalloc.start()
         try:
-            out = synth.render_frames(scene.cam, scene.grid, spec, hands, objects)
+            out = synth.render_frames(scene.cam, scene.grid, scene.render, hands, objects)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -632,13 +607,6 @@ class TestDatasetFiles:
         # 8-bit quantization
         assert np.abs(back - frame.raster).max() <= 0.5 / 255.0 + 1e-12
 
-    def test_grayscale_raster_round_trip(self, tmp_path):
-        img = np.linspace(0, 1, 30 * 20).reshape(1, 20, 30)
-        synth.write_raster(tmp_path / "g.pgm", img)
-        back = synth.read_raster(tmp_path / "g.pgm")
-        assert back.shape == (1, 20, 30)
-        assert np.abs(back - img).max() <= 0.5 / 255.0 + 1e-12
-
     def test_raster_rewrite_is_byte_identical(self, tmp_path):
         frame = synth.sample_scene(2, PARAMS)
         synth.write_raster(tmp_path / "a.ppm", frame.raster)
@@ -653,13 +621,19 @@ class TestDatasetFiles:
             synth.read_raster(tmp_path / "f.ppm")
 
     def test_truncated_raster_header_is_config_error(self, tmp_path):
-        (tmp_path / "f.pgm").write_bytes(b"P5\n5 4\n")
+        (tmp_path / "f.ppm").write_bytes(b"P6\n5 4\n")
         with pytest.raises(ConfigError, match="header"):
-            synth.read_raster(tmp_path / "f.pgm")
+            synth.read_raster(tmp_path / "f.ppm")
 
     def test_16_bit_raster_is_config_error(self, tmp_path):
-        (tmp_path / "f.pgm").write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
+        (tmp_path / "f.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
         with pytest.raises(ConfigError, match="maxval"):
+            synth.read_raster(tmp_path / "f.ppm")
+
+    def test_grayscale_raster_is_config_error(self, tmp_path):
+        # a well-formed 8-bit PGM (P5): rasters are PPM (P6) only
+        (tmp_path / "f.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        with pytest.raises(ConfigError, match="unsupported raster magic b'P5'"):
             synth.read_raster(tmp_path / "f.pgm")
 
     def test_frames_round_trip(self, tmp_path):
