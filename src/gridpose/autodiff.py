@@ -562,6 +562,8 @@ def sgd_epoch(arrays: dict[str, np.ndarray], n: int, batch_grads, lr: float,
     """
     if lr < 0:
         raise ConfigError("learning rate must be >= 0")
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     if n < 1:
         raise ConfigError(f"an epoch needs at least one item, got {n}")
     order = rng.permutation(n)

@@ -199,7 +199,7 @@ def grid_to_camera_unchecked(coords: np.ndarray, cam: CameraIntrinsics, grid: Gr
 # Corner i carries sign pattern (bit 2 -> x, bit 1 -> y, bit 0 -> z),
 # bit 0 meaning the negative half-extent. Edges are corner-index pairs that
 # differ in exactly one bit, listed in lexicographic order.
-_CUBOID_EDGES = (
+CUBOID_EDGES = (
     (0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
     (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7),
 )
@@ -223,7 +223,7 @@ def cuboid_control_points(c: Cuboid) -> ControlPointSet:
     is read-only; transform it (Pose6D.apply) or copy it before writing.
     """
     corners = cuboid_corners(c)
-    a, b = np.array(_CUBOID_EDGES).T
+    a, b = np.array(CUBOID_EDGES).T
     midpoints = (corners[a] + corners[b]) / 2.0
     centroid = corners.mean(axis=0, keepdims=True)
     cps = ControlPointSet(points=np.concatenate([corners, midpoints, centroid], axis=0))

@@ -313,11 +313,11 @@ def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
     rows = []
     poses = []
     cuboids = []
-    bounds = synth._volume_bounds(cfg.scene)
+    bounds = synth.volume_bounds(cfg.scene)
     for _ in range(trials):
         object_id = int(rng.integers(cfg.labels.n_objects))
         cuboid = synth.object_cuboid(cfg.scene, object_id)
-        center = synth._sample_position(rng, cfg.scene, bounds)
+        center = synth.sample_position(rng, cfg.scene, bounds)
         poses.append(Pose6D(random_rotation(rng), center))
         cuboids.append(cuboid)
     noise_unit = [rng.standard_normal((NUM_CONTROL_POINTS, 3)) for _ in range(trials)]

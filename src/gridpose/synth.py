@@ -35,13 +35,15 @@ Four built-in action generators define the synthetic verbs:
     2 rotate    object orientation angle grows frame by frame, translation fixed
     3 shake     hand and grasped object oscillate along a line together
 
-Dataset files are line-delimited text records
-
-    frame_id seq_id action_id object_id  <63 hand floats>
-    <9 rotation floats row-major> <3 translation floats>
-    <3 half-extents> <raster file reference>
-
-with rasters stored as 8-bit binary PPM (P6), one file per frame.
+A dataset split is a directory of two .npy files. frames.npy is a 1-D
+array of FRAME_RECORD, one record per frame: its sequence, action and
+object ids, hand points, object rotation and translation, and the
+cuboid's half-extents. rasters.npy is the uint8 (N, IMAGE_CHANNELS, H, W)
+stack of the rasters, each value clip(round(255 x), 0, 255). load_frames
+rebuilds the object points from the pose and half-extents and divides the
+rasters by 255 in float64; numpy's reader checks the file headers, and
+load_frames checks that the two files fit each other and that every float
+field is finite.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ from pathlib import Path
 import numpy as np
 
 from .codec import LabelSpec
-from .errors import ConfigError, ConfigOutOfRange, NonPositiveDepth, ShapeMismatch
+from .errors import (ConfigError, ConfigOutOfRange, LengthMismatch, NonPositiveDepth,
+                     ShapeMismatch)
 from .geometry import (
-    _CUBOID_EDGES,
+    CUBOID_EDGES,
     HAND_BONES,
     IMAGE_CHANNELS,
     NUM_CONTROL_POINTS,
@@ -237,9 +240,9 @@ def hand_skeleton(rng: np.random.Generator, params: SceneParams) -> np.ndarray:
 
 # -- scene sampling ----------------------------------------------------------
 
-def _volume_bounds(params: SceneParams) -> tuple[np.ndarray, np.ndarray]:
+def volume_bounds(params: SceneParams) -> tuple[np.ndarray, np.ndarray]:
     """Grid-coordinate bounds of the margin-shrunk volume; callers compute
-    them once and pass them to _sample_position and in_volume."""
+    them once and pass them to sample_position and in_volume."""
     g = params.grid
     lo = np.array([params.margin_uv_cells, params.margin_uv_cells, params.margin_z_cells])
     hi = np.array([g.w - params.margin_uv_cells, g.h - params.margin_uv_cells,
@@ -249,13 +252,13 @@ def _volume_bounds(params: SceneParams) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _sample_position(rng, params: SceneParams, bounds) -> np.ndarray:
+def sample_position(rng, params: SceneParams, bounds) -> np.ndarray:
     """Uniform position in the (margin-shrunk) grid volume, camera frame."""
     return grid_to_camera(rng.uniform(*bounds), params.cam, params.grid)
 
 
 def in_volume(points: np.ndarray, params: SceneParams, bounds) -> bool:
-    """Whether every camera-frame point (..., 3) lies inside bounds = _volume_bounds(params)."""
+    """Whether every camera-frame point (..., 3) lies inside bounds = volume_bounds(params)."""
     points = np.asarray(points, dtype=float)
     if np.any(points[..., 2] <= 0):
         return False
@@ -321,14 +324,14 @@ def build_frames(params: SceneParams, hand_points: np.ndarray, rotations: np.nda
 def sample_scene(seed: int, params: SceneParams, with_raster: bool = True) -> SceneFrame:
     """One random frame, fully determined by the seed."""
     rng = seeded_rng(seed, 0x5ce)
-    bounds = _volume_bounds(params)
+    bounds = volume_bounds(params)
     for _ in range(200):
-        root = _sample_position(rng, params, bounds)
+        root = sample_position(rng, params, bounds)
         hand = place_hand(rng, params, root)
         object_id = int(rng.integers(params.labels.n_objects))
         action_id = int(rng.integers(params.labels.n_actions))
         cuboid = object_cuboid(params, object_id)
-        pose = sample_object_pose(rng, params, _sample_position(rng, params, bounds))
+        pose = sample_object_pose(rng, params, sample_position(rng, params, bounds))
         pts = pose.apply(cuboid_control_points(cuboid).points)
         if np.min(hand[:, 2]) > 1e-3 and np.min(pts[:, 2]) > 1e-3:
             (frame,) = build_frames(params, hand[None], pose.rotation[None],
@@ -366,9 +369,9 @@ def sample_sequence(seed: int, action_id: int, object_id: int,
     n = params.sequence_length
     cuboid = object_cuboid(params, object_id)
     skel_rng = seeded_rng(seed, 0xa17d, action_id, object_id)
-    bounds = _volume_bounds(params)
+    bounds = volume_bounds(params)
 
-    centroid = _sample_position(rng, params, bounds)
+    centroid = sample_position(rng, params, bounds)
     base_rot = sample_object_pose(rng, params, centroid).rotation
     oriented_hand = _tilt(rng, params, hand_skeleton(skel_rng, params))
 
@@ -495,7 +498,7 @@ def render_frames(cam: CameraIntrinsics, grid: GridSpec, spec: RenderSpec,
     if len(hand) != len(obj):
         raise ShapeMismatch(f"{len(hand)} hands and {len(obj)} objects are not frames")
     hand_edges = HAND_BONES if hand.shape[1] == NUM_CONTROL_POINTS else ()
-    obj_edges = _CUBOID_EDGES if obj.shape[1] == 8 else ()
+    obj_edges = CUBOID_EDGES if obj.shape[1] == 8 else ()
     h, w = grid.image_h, grid.image_w
     out = np.zeros((len(hand), IMAGE_CHANNELS, h, w))
     for s in range(0, len(hand), RENDER_CHUNK):
@@ -522,104 +525,72 @@ def render_entities(
 
 # -- dataset files -------------------------------------------------------------
 
-def write_raster(path, raster: np.ndarray) -> None:
-    """An (IMAGE_CHANNELS, H, W) raster in [0, 1] as an 8-bit binary PPM (P6)."""
-    arr = np.clip(np.round(np.asarray(raster) * 255.0), 0, 255).astype(np.uint8)
-    _, h, w = arr.shape
-    Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode() + arr.transpose(1, 2, 0).tobytes())
-
-
-def read_raster(path) -> np.ndarray:
-    """Read an 8-bit binary PPM (P6) as an (IMAGE_CHANNELS, H, W) raster in [0, 1];
-    any other format, or a malformed or truncated file, raises ConfigError."""
-    data = Path(path).read_bytes()
-    fields_out = []
-    pos = 0
-    while len(fields_out) < 4:
-        while pos < len(data) and data[pos: pos + 1].isspace():
-            pos += 1
-        if data[pos: pos + 1] == b"#":
-            while pos < len(data) and data[pos: pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos: pos + 1].isspace():
-            pos += 1
-        fields_out.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic, dims = fields_out[0], fields_out[1:]
-    if magic != b"P6":
-        raise ConfigError(f"{path}: unsupported raster magic {magic!r}")
-    if not all(t.isdigit() for t in dims):
-        raise ConfigError(f"{path}: malformed raster header {b' '.join(fields_out)!r}")
-    w, h, maxval = (int(t) for t in dims)
-    if maxval != 255:
-        raise ConfigError(f"{path}: only 8-bit rasters are supported, maxval is {maxval}")
-    size = h * w * IMAGE_CHANNELS
-    body = data[pos: pos + size]
-    if len(body) != size:
-        raise ConfigError(f"{path}: raster body has {len(body)} bytes, "
-                          f"a {w}x{h}x{IMAGE_CHANNELS} image needs {size}")
-    img = np.frombuffer(body, dtype=np.uint8).reshape(h, w, IMAGE_CHANNELS).transpose(2, 0, 1)
-    return img.astype(float) / 255.0
+# One record per frame of frames.npy: the frame's ids, hand and object pose, and box size.
+FRAME_RECORD = np.dtype([
+    ("seq_id", "<i8"), ("action_id", "<i8"), ("object_id", "<i8"),
+    ("hand_points", "<f8", (NUM_CONTROL_POINTS, 3)),
+    ("rotation", "<f8", (3, 3)), ("translation", "<f8", (3,)), ("half_extents", "<f8", (3,)),
+])
 
 
 def save_frames(directory, frames: list[SceneFrame], seq_ids: list[int]) -> None:
-    """Write frames.txt plus one raster file per frame under rasters/."""
+    """Write frames.npy, one FRAME_RECORD per frame, and rasters.npy, the rasters
+    as one uint8 (N, IMAGE_CHANNELS, H, W) stack; unequal lengths raise LengthMismatch."""
+    if len(frames) != len(seq_ids):
+        raise LengthMismatch(f"{len(frames)} frames but {len(seq_ids)} sequence ids")
     directory = Path(directory)
-    (directory / "rasters").mkdir(parents=True, exist_ok=True)
-    lines = []
-    for i, (frame, seq) in enumerate(zip(frames, seq_ids)):
-        ref = f"rasters/frame_{i:06d}.ppm"
-        write_raster(directory / ref, frame.raster)
-        fieldvals = [str(i), str(int(seq)), str(frame.action_id), str(frame.object_id)]
-        fieldvals += [f"{x:.17g}" for x in frame.hand_points.ravel()]
-        fieldvals += [f"{x:.17g}" for x in frame.object_pose.rotation.ravel()]
-        fieldvals += [f"{x:.17g}" for x in frame.object_pose.translation]
-        fieldvals += [f"{x:.17g}" for x in frame.cuboid.half_extents()]
-        fieldvals.append(ref)
-        lines.append(" ".join(fieldvals))
-    (directory / "frames.txt").write_text("\n".join(lines) + "\n")
+    directory.mkdir(parents=True, exist_ok=True)
+    records = np.zeros(len(frames), FRAME_RECORD)
+    shape = frames[0].raster.shape if frames else (IMAGE_CHANNELS, 0, 0)
+    rasters = np.zeros((len(frames), *shape), np.uint8)
+    for i, (f, seq) in enumerate(zip(frames, seq_ids)):
+        records[i] = (seq, f.action_id, f.object_id, f.hand_points, f.object_pose.rotation,
+                      f.object_pose.translation, f.cuboid.half_extents())
+        rasters[i] = np.clip(np.round(f.raster * 255.0), 0, 255)
+    np.save(directory / "frames.npy", records)
+    np.save(directory / "rasters.npy", rasters)
+
+
+def _load_array(path: Path) -> np.ndarray:
+    """One .npy array; a missing, truncated, malformed, pickled or .npz file is a ConfigError."""
+    try:
+        array = np.load(path, allow_pickle=False)
+    except FileNotFoundError as e:
+        raise ConfigError(f"{path}: no dataset file") from e
+    except (OSError, ValueError, EOFError) as e:
+        raise ConfigError(f"{path}: unreadable dataset file: {e}") from e
+    if not isinstance(array, np.ndarray):   # an .npz archive
+        array.close()
+        raise ConfigError(f"{path}: not a .npy array file")
+    return array
 
 
 def load_frames(directory) -> tuple[list[SceneFrame], list[int]]:
-    """Read what save_frames wrote; a missing file or a bad record raises ConfigError."""
+    """Read what save_frames wrote; a missing, unreadable or inconsistent file,
+    or a non-finite record field, raises ConfigError naming the file."""
     directory = Path(directory)
-    path = directory / "frames.txt"
-    try:
-        text = path.read_text()
-    except FileNotFoundError as e:
-        raise ConfigError(f"{path}: no dataset record file") from e
-    frames, seq_ids = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4 + 3 * NUM_CONTROL_POINTS + 12 + 3 + 1:
-            raise ConfigError(f"{path}:{lineno}: malformed dataset record with {len(parts)} fields")
-        try:
-            _, seq, action_id, object_id = (int(x) for x in parts[:4])
-            vals = np.array([float(x) for x in parts[4:-1]])
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: non-numeric dataset record field: {e}") from e
-        if not np.all(np.isfinite(vals)):
-            bad = parts[4 + np.flatnonzero(~np.isfinite(vals))[0]]
-            raise ConfigError(f"{path}:{lineno}: non-finite dataset record field {bad!r}")
-        hand, rest = np.split(vals, [3 * NUM_CONTROL_POINTS])
-        hand = hand.reshape(NUM_CONTROL_POINTS, 3)
-        rot = rest[:9].reshape(3, 3)
-        t = rest[9:12]
-        cuboid = Cuboid(*rest[12:15])
-        pose = Pose6D(rot, t)
-        try:
-            raster = read_raster(directory / parts[-1])
-        except FileNotFoundError as e:
-            raise ConfigError(f"{path}:{lineno}: raster file {directory / parts[-1]} "
-                              "not found") from e
+    records_path, rasters_path = directory / "frames.npy", directory / "rasters.npy"
+    records, rasters = _load_array(records_path), _load_array(rasters_path)
+    if records.dtype != FRAME_RECORD or records.ndim != 1:
+        raise ConfigError(f"{records_path}: records of dtype {records.dtype} and shape "
+                          f"{records.shape}, not a 1-D array of {FRAME_RECORD}")
+    if rasters.dtype != np.uint8 or rasters.ndim != 4 or rasters.shape[:2] != (
+            len(records), IMAGE_CHANNELS):
+        raise ConfigError(f"{rasters_path}: rasters of dtype {rasters.dtype} and shape "
+                          f"{rasters.shape}, not uint8 ({len(records)}, {IMAGE_CHANNELS}, H, W)")
+    for name in ("hand_points", "rotation", "translation", "half_extents"):
+        finite = np.isfinite(records[name])
+        bad = np.flatnonzero(~finite.all(axis=tuple(range(1, finite.ndim))))
+        if bad.size:
+            raise ConfigError(f"{records_path}: record {bad[0]} has a non-finite {name}")
+    images = rasters / 255.0
+    frames = []
+    for i, rec in enumerate(records):
+        cuboid = Cuboid(*rec["half_extents"])
+        pose = Pose6D(rec["rotation"], rec["translation"])
         frames.append(SceneFrame(
-            hand_points=hand, object_pose=pose, cuboid=cuboid,
+            hand_points=rec["hand_points"], object_pose=pose, cuboid=cuboid,
             object_points=pose.apply(cuboid_control_points(cuboid).points),
-            object_id=object_id, action_id=action_id, raster=raster,
+            object_id=int(rec["object_id"]), action_id=int(rec["action_id"]), raster=images[i],
         ))
-        seq_ids.append(seq)
-    return frames, seq_ids
+    return frames, records["seq_id"].tolist()

@@ -134,7 +134,7 @@ class TestCuboidControlPoints:
         c = geo.Cuboid(0.4, 0.2, 0.9)
         corners = geo.cuboid_corners(c)
         pts = geo.cuboid_control_points(c).points
-        for k, (i, j) in enumerate(geo._CUBOID_EDGES):
+        for k, (i, j) in enumerate(geo.CUBOID_EDGES):
             np.testing.assert_array_equal(pts[8 + k], (corners[i] + corners[j]) / 2.0)
 
     @settings(max_examples=50, deadline=None)
@@ -150,7 +150,7 @@ class TestCuboidControlPoints:
         c = geo.Cuboid(ex, ey, ez)
         direct = pose.apply(geo.cuboid_control_points(c).points)
         corners = pose.apply(geo.cuboid_corners(c))
-        rebuilt_mids = np.array([(corners[i] + corners[j]) / 2 for i, j in geo._CUBOID_EDGES])
+        rebuilt_mids = np.array([(corners[i] + corners[j]) / 2 for i, j in geo.CUBOID_EDGES])
         rebuilt = np.concatenate([corners, rebuilt_mids, corners.mean(axis=0, keepdims=True)])
         np.testing.assert_allclose(direct, rebuilt, atol=1e-12)
 

@@ -7,7 +7,8 @@ as the root of an attribute chain or inside a string annotation. A
 top-level function, class or assigned name of the package must be read
 somewhere in src, bench or tests: loaded as a name, read as an attribute
 or imported. A parameter of a package function must be loaded in its body,
-unless UNREAD_PARAMETERS names it with a reason.
+unless UNREAD_PARAMETERS names it with a reason. No package module reads
+another module's private (single-underscore) name.
 """
 
 import ast
@@ -155,3 +156,42 @@ def test_checker_flags_an_unread_parameter():
 def test_no_unread_parameters():
     unread = [name for path in PACKAGE for name in unread_parameters(path.read_text(), path.stem)]
     assert sorted(unread) == sorted(UNREAD_PARAMETERS)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list[str]:
+    """Reads of another module's private name: `from m import _x`, or an
+    attribute `_x` anywhere in a chain rooted at an imported name (`m._x`,
+    `m.K._x`). Dunder names are public; attributes of local names are not checked."""
+    tree = ast.parse(source)
+    imported, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {alias.asname or alias.name for alias in node.names}
+            found += [(node.lineno, alias.name) for alias in node.names if _private(alias.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in imported:
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_checker_flags_a_private_read():
+    source = ("from . import synth as s, __version__\nfrom .geometry import _EDGES, EDGES\n"
+              "import numpy as np\nclass K:\n    def m(self):\n        return self._x + K._y\n"
+              "s._bounds(1)\nnp.linalg._umath\nprint(s.__doc__, __version__, EDGES)\n")
+    assert private_reads(source) == ["line 2: _EDGES", "line 7: s._bounds",
+                                     "line 8: np.linalg._umath"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text()) == []

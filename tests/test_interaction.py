@@ -9,7 +9,7 @@ import pytest
 from gridpose import autodiff as ad
 from gridpose import codec
 from gridpose import interaction as ia
-from gridpose.errors import EmptySequence, NonFiniteLoss, WidthMismatch
+from gridpose.errors import ConfigError, EmptySequence, NonFiniteLoss, WidthMismatch
 from gridpose.geometry import HAND_PARTS
 
 from conftest import tanh
@@ -404,6 +404,17 @@ class TestSequenceSgd:
             ia.sgd_epoch_sequences(model, inputs, np.arange(4), 0.1,
                                    np.random.default_rng(2), batch_size=2)
 
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        model = ia.init_interaction(CFG, seed=0)
+        before = {k: v.copy() for k, v in model.params.items()}
+        inputs = np.random.default_rng(1).normal(size=(4, 3, CFG.input_width))
+        with pytest.raises(ConfigError, match="batch_size"):
+            ia.sgd_epoch_sequences(model, inputs, np.arange(4), 0.1,
+                                   np.random.default_rng(2), batch_size=batch_size)
+        for k in before:
+            np.testing.assert_array_equal(model.params[k], before[k])
 
 class TestWeightImportance:
     def test_uniform_weights_give_uniform_importance(self):

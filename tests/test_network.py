@@ -328,6 +328,13 @@ class TestSgd:
         for k in before:
             np.testing.assert_array_equal(params.tensors[k], before[k])
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        params = net.init_params(BB, GRID, LABELS, seed=0)
+        with pytest.raises(ConfigError, match="batch_size"):
+            net.sgd_epoch(params, micro_batch(n=3), 0.01, W, BB, GRID, LABELS,
+                          np.random.default_rng(0), batch_size=batch_size)
+
     def test_update_rule_is_exact_gradient_step(self):
         targets = micro_batch(n=1)
         params = net.init_params(BB, GRID, LABELS, seed=1)

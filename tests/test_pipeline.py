@@ -31,10 +31,16 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+SPLITS = ("train", "val", "seq_train", "seq_val")
+
 # sha256 over the path and bytes of every file in the four dataset splits
-# (frames.txt and rasters) that gen_data writes for pinned_data_config(),
-# recorded when every frame was rendered by its own render_entities call.
-PINNED_SPLITS_SHA256 = "6b5307949586365501cf78cd003072e21b4dc48d7497ea3cffe206ec63ebf31f"
+# (frames.npy and rasters.npy) that gen_data writes for pinned_data_config().
+PINNED_SPLITS_SHA256 = "de35247bd29769b9a2cc624af8655fa19c588807e4823dd38fbf7ff433adea82"
+
+# sha256 over every id, pose array and float raster that load_frames returns for
+# those splits, recorded when a split was a text record file plus one PPM file
+# per frame: the arrays read back do not depend on the file format.
+PINNED_LOADED_SHA256 = "7e0b7ef37ecf98613ce34eab00bb256b77c4e3dab349cafce4f2ab4bdef82857"
 
 
 def pinned_data_config(data_dir):
@@ -45,20 +51,44 @@ def pinned_data_config(data_dir):
                                 train_sequences=3, val_sequences=2))
 
 
+def loaded_digest(root: Path) -> str:
+    digest = hashlib.sha256()
+    for split in SPLITS:
+        frames, seq_ids = synth.load_frames(root / split)
+        assert all(type(s) is int for s in seq_ids)
+        digest.update(repr(seq_ids).encode())
+        for f in frames:
+            assert type(f.action_id) is int and type(f.object_id) is int
+            digest.update(repr((f.action_id, f.object_id)).encode())
+            for a in (f.hand_points, f.object_pose.rotation, f.object_pose.translation,
+                      f.cuboid.half_extents(), f.object_points, f.raster):
+                digest.update(f"{a.dtype.str}{a.shape}".encode() + a.tobytes())
+    return digest.hexdigest()
+
+
 class TestGenData:
     def test_pinned_split_bytes(self, tmp_path):
         root = pipeline.gen_data(pinned_data_config(tmp_path / "data"))
         digest = hashlib.sha256()
-        files = [p for split in ("train", "val", "seq_train", "seq_val")
-                 for p in sorted((root / split).rglob("*")) if p.is_file()]
+        files = [p for split in SPLITS for p in sorted((root / split).rglob("*")) if p.is_file()]
         for p in files:
             digest.update(str(p.relative_to(root)).encode() + b"\0" + p.read_bytes())
-        assert len(files) == 4 + 18 + 2 + 4 * (3 + 2)
+        assert len(files) == 2 * len(SPLITS)
         assert digest.hexdigest() == PINNED_SPLITS_SHA256
+        assert loaded_digest(root) == PINNED_LOADED_SHA256
+
+    def test_second_run_leaves_only_its_own_files(self, tmp_path):
+        cfg = pinned_data_config(tmp_path / "data")
+        pipeline.gen_data(cfg)
+        root = pipeline.gen_data(replace(cfg, data=replace(cfg.data, train_frames=4)))
+        for split in SPLITS:
+            assert sorted(p.name for p in (root / split).rglob("*")) == ["frames.npy",
+                                                                         "rasters.npy"]
+        assert len(synth.load_frames(root / "train")[0]) == 4
 
     def test_missing_split_directory_is_config_error(self, tmp_path):
         cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
-        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "train" / "frames.txt"))):
+        with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "train" / "frames.npy"))):
             pipeline.train_stage1(cfg)
 
 
@@ -75,7 +105,7 @@ class TestDeterminism:
             pipeline.evaluate(cfg, stage1, "report", stage2, baseline, noise_trials=8)
             trees.append(tree_bytes(tmp_path / side))
         a, b = trees
-        assert {"run/stage1.ckpt", "run/stage1_log.csv", "data/train/frames.txt",
+        assert {"run/stage1.ckpt", "run/stage1_log.csv", "data/train/frames.npy",
                 "run/stage2.ckpt", "run/stage2_baseline.ckpt", "run/stage2_log.csv",
                 "report/summary.json", "report/importance.csv"} <= set(a)
         assert sorted(a) == sorted(b)

@@ -13,7 +13,7 @@ from gridpose import codec, config
 from gridpose import geometry as geo
 from gridpose import synth
 from gridpose.codec import LabelSpec
-from gridpose.errors import ConfigError, ConfigOutOfRange, ShapeMismatch
+from gridpose.errors import ConfigError, ConfigOutOfRange, LengthMismatch, ShapeMismatch
 
 from conftest import rotation_geodesic
 
@@ -160,7 +160,7 @@ def ref_render_entities(cam, grid, spec, hand_points=None, object_points=None):
     if object_points is not None:
         pts = np.asarray(object_points, dtype=float)
         if pts.shape[0] >= 8:
-            for a, b in geo._CUBOID_EDGES:
+            for a, b in geo.CUBOID_EDGES:
                 ref_stroke(planes[1], pts[a], pts[b], cam, grid, spec, spec.bone_gain)
         for k, p in enumerate(pts[:8]):
             if p[2] <= 0:
@@ -599,90 +599,122 @@ class TestFramePointsOwnMemory:
         self.assert_own_memory(loaded)
 
 
+def two_frame_split(directory):
+    frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
+    synth.save_frames(directory, frames, seq_ids=[0, 1])
+    return frames
+
+
 class TestDatasetFiles:
-    def test_raster_file_round_trip(self, tmp_path):
-        frame = synth.sample_scene(2, PARAMS)
-        synth.write_raster(tmp_path / "f.ppm", frame.raster)
-        back = synth.read_raster(tmp_path / "f.ppm")
-        # 8-bit quantization
-        assert np.abs(back - frame.raster).max() <= 0.5 / 255.0 + 1e-12
-
-    def test_raster_rewrite_is_byte_identical(self, tmp_path):
-        frame = synth.sample_scene(2, PARAMS)
-        synth.write_raster(tmp_path / "a.ppm", frame.raster)
-        synth.write_raster(tmp_path / "b.ppm", synth.read_raster(tmp_path / "a.ppm"))
-        assert (tmp_path / "a.ppm").read_bytes() == (tmp_path / "b.ppm").read_bytes()
-
-    def test_truncated_raster_body_is_config_error(self, tmp_path):
-        synth.write_raster(tmp_path / "f.ppm", np.full((3, 4, 5), 0.5))
-        data = (tmp_path / "f.ppm").read_bytes()
-        (tmp_path / "f.ppm").write_bytes(data[:-31])
-        with pytest.raises(ConfigError, match="body"):
-            synth.read_raster(tmp_path / "f.ppm")
-
-    def test_truncated_raster_header_is_config_error(self, tmp_path):
-        (tmp_path / "f.ppm").write_bytes(b"P6\n5 4\n")
-        with pytest.raises(ConfigError, match="header"):
-            synth.read_raster(tmp_path / "f.ppm")
-
-    def test_16_bit_raster_is_config_error(self, tmp_path):
-        (tmp_path / "f.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
-        with pytest.raises(ConfigError, match="maxval"):
-            synth.read_raster(tmp_path / "f.ppm")
-
-    def test_grayscale_raster_is_config_error(self, tmp_path):
-        # a well-formed 8-bit PGM (P5): rasters are PPM (P6) only
-        (tmp_path / "f.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
-        with pytest.raises(ConfigError, match="unsupported raster magic b'P5'"):
-            synth.read_raster(tmp_path / "f.pgm")
-
     def test_frames_round_trip(self, tmp_path):
         frames = [synth.sample_scene(s, PARAMS) for s in range(4)]
         synth.save_frames(tmp_path, frames, seq_ids=list(range(4)))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["frames.npy", "rasters.npy"]
         loaded, seqs = synth.load_frames(tmp_path)
         assert seqs == [0, 1, 2, 3]
         for orig, back in zip(frames, loaded):
             np.testing.assert_array_equal(back.hand_points, orig.hand_points)
             np.testing.assert_array_equal(back.object_pose.rotation, orig.object_pose.rotation)
+            np.testing.assert_array_equal(back.object_pose.translation,
+                                          orig.object_pose.translation)
+            assert back.cuboid == orig.cuboid
             np.testing.assert_allclose(back.object_points, orig.object_points, atol=1e-12)
-            assert back.action_id == orig.action_id
+            assert (back.action_id, back.object_id) == (orig.action_id, orig.object_id)
+            # 8-bit quantization: clip(round(255 x)) / 255
+            assert back.raster.dtype == np.float64
+            np.testing.assert_array_equal(back.raster, np.round(orig.raster * 255.0) / 255.0)
             assert np.abs(back.raster - orig.raster).max() <= 0.5 / 255.0 + 1e-12
 
-    def test_non_numeric_record_field_is_config_error(self, tmp_path):
+    def test_unequal_lengths_rejected(self, tmp_path):
         frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
-        synth.save_frames(tmp_path, frames, seq_ids=[0, 1])
-        path = tmp_path / "frames.txt"
-        lines = path.read_text().splitlines()
-        parts = lines[1].split()
-        parts[5] = "x"
-        path.write_text("\n".join([lines[0], " ".join(parts)]) + "\n")
-        with pytest.raises(ConfigError, match="frames.txt:2: non-numeric"):
-            synth.load_frames(tmp_path)
+        for ids in ([0], [0, 1, 2]):
+            with pytest.raises(LengthMismatch, match=f"2 frames but {len(ids)} sequence ids"):
+                synth.save_frames(tmp_path, frames, ids)
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_record_file_is_config_error(self, tmp_path):
-        record_file = re.escape(f"{tmp_path / 'frames.txt'}: no dataset record")
+        record_file = re.escape(f"{tmp_path / 'frames.npy'}: no dataset file")
         with pytest.raises(ConfigError, match=record_file):
             synth.load_frames(tmp_path)
-        with pytest.raises(ConfigError, match="no dataset record"):
+        with pytest.raises(ConfigError, match="no dataset file"):
             synth.load_frames(tmp_path / "missing")
 
     def test_missing_raster_file_is_config_error(self, tmp_path):
-        frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
-        synth.save_frames(tmp_path, frames, seq_ids=[0, 1])
-        (tmp_path / "rasters" / "frame_000001.ppm").unlink()
-        with pytest.raises(ConfigError, match=r"frames.txt:2: raster file .*frame_000001.ppm"):
+        two_frame_split(tmp_path)
+        (tmp_path / "rasters.npy").unlink()
+        with pytest.raises(ConfigError, match=re.escape(f"{tmp_path / 'rasters.npy'}: no dataset file")):
             synth.load_frames(tmp_path)
 
-    @pytest.mark.parametrize("field,value", [(5, "nan"), (40, "inf"), (70, "-inf"), (81, "NaN")])
+    @pytest.mark.parametrize("name", ["frames.npy", "rasters.npy"])
+    @pytest.mark.parametrize("cut", [lambda data: data[:-31], lambda data: data[:20],
+                                     lambda data: b""], ids=["body", "header", "empty"])
+    def test_truncated_file_is_config_error(self, tmp_path, name, cut):
+        two_frame_split(tmp_path)
+        path = tmp_path / name
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: unreadable dataset file")):
+            synth.load_frames(tmp_path)
+
+    @pytest.mark.parametrize("name", ["frames.npy", "rasters.npy"])
+    def test_pickled_file_is_config_error(self, tmp_path, name):
+        two_frame_split(tmp_path)
+        np.save(tmp_path / name, np.array([{"seq_id": 0}], dtype=object), allow_pickle=True)
+        with pytest.raises(ConfigError, match=f"{name}: unreadable dataset file"):
+            synth.load_frames(tmp_path)
+
+    def test_text_and_archive_files_are_config_errors(self, tmp_path):
+        two_frame_split(tmp_path)
+        (tmp_path / "frames.npy").write_text("0 0 1 2 0.5\n")
+        with pytest.raises(ConfigError, match="frames.npy: unreadable dataset file"):
+            synth.load_frames(tmp_path)
+        with open(tmp_path / "frames.npy", "wb") as f:
+            np.savez(f, records=np.zeros(2, synth.FRAME_RECORD))
+        with pytest.raises(ConfigError, match="frames.npy: not a .npy array file"):
+            synth.load_frames(tmp_path)
+
+    @pytest.mark.parametrize("records", [
+        lambda r: r[["seq_id", "action_id", "object_id", "hand_points"]],
+        lambda r: r.astype([(n, "<f4" if n == "rotation" else t, *shape)
+                           for n, t, *shape in r.dtype.descr]),
+        lambda r: r.astype([(n, ">i8" if n == "seq_id" else t, *shape)
+                           for n, t, *shape in r.dtype.descr]),
+        lambda r: r["hand_points"],
+        lambda r: r.reshape(2, 1),
+    ], ids=["missing-field", "float32-field", "big-endian-id", "plain-array", "2-d"])
+    def test_records_of_another_layout_are_config_errors(self, tmp_path, records):
+        two_frame_split(tmp_path)
+        path = tmp_path / "frames.npy"
+        np.save(path, records(np.load(path)))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: records of dtype")):
+            synth.load_frames(tmp_path)
+
+    @pytest.mark.parametrize("rasters", [
+        lambda r: r.astype(np.float64) / 255.0,
+        lambda r: r.astype(np.uint16),
+        lambda r: r[0],
+        lambda r: r[:1],
+        lambda r: np.concatenate([r, r]),
+        lambda r: r[:, :1],
+    ], ids=["float", "uint16", "3-d", "fewer", "more", "one-channel"])
+    def test_rasters_that_do_not_fit_the_records_are_config_errors(self, tmp_path, rasters):
+        two_frame_split(tmp_path)
+        path = tmp_path / "rasters.npy"
+        np.save(path, rasters(np.load(path)))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: rasters of dtype")):
+            synth.load_frames(tmp_path)
+
+    # field: the 1-based position of one scalar in record 1's flat layout of 3 ids and 78 floats
+    @pytest.mark.parametrize("field,value", [(5, "nan"), (40, "inf"), (70, "-inf"), (76, "inf"),
+                                             (81, "NaN")])
     def test_non_finite_record_field_is_config_error(self, tmp_path, field, value):
-        frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
-        synth.save_frames(tmp_path, frames, seq_ids=[0, 1])
-        path = tmp_path / "frames.txt"
-        lines = path.read_text().splitlines()
-        parts = lines[1].split()
-        parts[field] = value
-        path.write_text("\n".join([lines[0], " ".join(parts)]) + "\n")
-        with pytest.raises(ConfigError, match=f"frames.txt:2: non-finite .*'{value}'"):
+        two_frame_split(tmp_path)
+        path = tmp_path / "frames.npy"
+        records = np.load(path)
+        records.view("<f8").reshape(len(records), -1)[1, field - 1] = float(value)
+        np.save(path, records)
+        layout = synth.FRAME_RECORD
+        name = [n for n in layout.names if layout.fields[n][1] <= 8 * (field - 1)][-1]
+        with pytest.raises(ConfigError, match=f"frames.npy: record 1 has a non-finite {name}$"):
             synth.load_frames(tmp_path)
 
     def test_sequences_regroup(self, tmp_path):
@@ -704,6 +736,5 @@ class TestDatasetFiles:
         frames = [synth.sample_scene(s, PARAMS) for s in range(2)]
         synth.save_frames(tmp_path / "a", frames, [0, 1])
         synth.save_frames(tmp_path / "b", frames, [0, 1])
-        assert (tmp_path / "a/frames.txt").read_bytes() == (tmp_path / "b/frames.txt").read_bytes()
-        assert (tmp_path / "a/rasters/frame_000000.ppm").read_bytes() == \
-               (tmp_path / "b/rasters/frame_000000.ppm").read_bytes()
+        for name in ("frames.npy", "rasters.npy"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
