@@ -1,24 +1,20 @@
-"""Pose and classification evaluation measures."""
+"""Pose and classification evaluation measures, and the report writers.
+
+Every curve is fraction_below over one error per frame. write_csv and
+write_json write every report, log and manifest as text with "\\n" line
+ends: CSV numbers as %.10g, JSON keys sorted and indented by 2.
+"""
 
 from __future__ import annotations
 
-import csv
 import json
-from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyModel, LengthMismatch, NonPositiveDepth
+from .errors import EmptyModel, LengthMismatch, NonPositiveDepth, NumericError
 from .geometry import CameraIntrinsics, project
-from .rigidpose import Pose6D
-
-
-@dataclass(frozen=True, eq=False)
-class PckCurve:
-    """Fraction of frames whose mean joint error falls under each threshold."""
-
-    thresholds: np.ndarray   # meters, ascending
-    fractions: np.ndarray    # in [0, 1], non-decreasing
+from .rigidpose import Pose6D, pnp_dlt, procrustes_align
 
 
 def _paired(pred, gt, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -35,16 +31,6 @@ def mean_frame_errors(pred_frames, gt_frames) -> np.ndarray:
     if p.ndim != 3:
         raise LengthMismatch(f"expected (frames, joints, 3) arrays, got {p.shape}")
     return np.linalg.norm(p - g, axis=2).mean(axis=1)
-
-
-def pck3d(pred_frames, gt_frames, thresholds) -> PckCurve:
-    """3D percentage-of-correct-keypoints curve over mean joint error."""
-    thresholds = np.asarray(thresholds, dtype=float)
-    if np.any(np.diff(thresholds) < 0):
-        raise LengthMismatch("thresholds must be ascending")
-    errors = mean_frame_errors(pred_frames, gt_frames)
-    fractions = (errors[None, :] < thresholds[:, None]).mean(axis=1)
-    return PckCurve(thresholds=thresholds, fractions=fractions)
 
 
 def add_metric(pose_pred: Pose6D, pose_gt: Pose6D, model_points) -> float:
@@ -68,11 +54,43 @@ def proj2d_error(pose_pred: Pose6D, pose_gt: Pose6D, model_points,
     return float(np.linalg.norm(project(a, cam) - project(b, cam), axis=1).mean())
 
 
+def object_pose_errors(ref, points, truth: Pose6D,
+                       cam: CameraIntrinsics) -> tuple[float, float, float]:
+    """(ADD, 2D projection error, PnP ADD) of an object whose reference
+    control points ref were predicted at the camera-frame points.
+
+    The first two score the Procrustes fit of ref to points, the last the
+    DLT PnP pose from the projections of points. Each is inf on its own when
+    its route raises NumericError; a point not at z > 1e-6 fails PnP.
+    """
+    add = proj = add_pnp = float("inf")
+    try:
+        est = procrustes_align(ref, points)
+        add = add_metric(est, truth, ref)
+        proj = proj2d_error(est, truth, ref, cam)
+    except NumericError:
+        pass
+    try:
+        if not np.all(np.asarray(points)[:, 2] > 1e-6):
+            raise NonPositiveDepth("points behind the camera")
+        add_pnp = add_metric(pnp_dlt(project(points, cam), ref, cam), truth, ref)
+    except NumericError:
+        pass
+    return add, proj, add_pnp
+
+
 def fraction_below(values, thresholds) -> np.ndarray:
     """Correct-pose style sweep: share of values under each threshold."""
     values = np.asarray(values, dtype=float)
     thresholds = np.asarray(thresholds, dtype=float)
     return (values[None, :] < thresholds[:, None]).mean(axis=1)
+
+
+def finite_mean(values) -> float:
+    """Mean of the finite values; inf when there is none."""
+    values = np.asarray(values, dtype=float)
+    finite = values[np.isfinite(values)]
+    return float(np.mean(finite)) if finite.size else float("inf")
 
 
 def classification_accuracy(pred_labels, gt_labels) -> float:
@@ -91,15 +109,13 @@ def mean_joint_error_mm(pred_frames, gt_frames) -> float:
 
 # -- report files --------------------------------------------------------------
 
-def write_curve_csv(path, thresholds, values) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["threshold", "fraction"])
-        for t, v in zip(thresholds, values):
-            writer.writerow([f"{t:.10g}", f"{v:.10g}"])
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row: strings as they are, numbers as %.10g."""
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else f"{v:.10g}" for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def write_json_summary(path, summary: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+def write_json(path, doc: dict) -> None:
+    """doc as JSON, keys sorted and indented by 2, with a final line end."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")

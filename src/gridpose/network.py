@@ -459,7 +459,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; a malformed header or body raises ConfigError."""
+    """Read a checkpoint; a malformed header or body, or bytes after the last
+    tensor, raise ConfigError."""
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode())
@@ -484,6 +485,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             if len(buf) != count * 4:
                 raise ConfigError(f"checkpoint truncated at tensor {name}")
             tensors[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float64)
+        if f.read(1):
+            raise ConfigError("checkpoint has bytes after its last tensor")
     return tensors, header
 
 

@@ -6,12 +6,20 @@ classifier (plus the plain recurrent baseline, trained on the same
 split for the paired comparison). Every run directory gets a manifest
 (config hash, seed, library versions) sufficient to reproduce the run,
 and no output embeds wall-clock time, so identical seeds give identical
-bytes.
+bytes. Each stage writes, its text through metrics.write_csv/write_json:
+
+- gen_data, in data.dir: {train,val,seq_train,seq_val}/{frames,rasters}.npy,
+  config.txt, manifest.json
+- train_stage1, in out_dir: stage1.ckpt, stage1_log.csv, manifest.json
+- train_stage2, in out_dir: stage2.ckpt, stage2_baseline.ckpt, stage2_log.csv,
+  manifest.json
+- evaluate, in report_dir: pck3d.csv, add_sweep.csv, proj2d_sweep.csv,
+  pose_noise_sweep.csv, importance.csv (given stage2_ckpt), summary.json,
+  manifest.json
 """
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -20,31 +28,19 @@ import numpy as np
 
 from . import __version__, autodiff as ad, codec, interaction as ia, metrics, network as net, synth
 from .config import RunConfig, config_hash, config_to_text
-from .errors import ConfigError, HashMismatch, NumericError, ShapeMismatch
-from .geometry import (IMAGE_CHANNELS, NUM_CONTROL_POINTS, cell_diagonal_m, cuboid_control_points,
-                       project)
-from .rigidpose import Pose6D, pnp_dlt, procrustes_align, random_rotation
+from .errors import ConfigError, HashMismatch, NumericError
+from .geometry import IMAGE_CHANNELS, NUM_CONTROL_POINTS, cell_diagonal_m, cuboid_control_points
+from .rigidpose import Pose6D, random_rotation
 
 
-def _manifest(cfg: RunConfig, extra: dict | None = None) -> dict:
-    doc = {
+def _write_manifest(directory: Path, cfg: RunConfig, extra: dict) -> None:
+    metrics.write_json(directory / "manifest.json", {
         "config_hash": config_hash(cfg),
         "seed": cfg.seed,
-        "versions": {
-            "gridpose": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(str(v) for v in sys.version_info[:3]),
-        },
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _write_manifest(directory: Path, cfg: RunConfig, extra: dict | None = None) -> None:
-    with open(directory / "manifest.json", "w") as f:
-        json.dump(_manifest(cfg, extra), f, indent=2, sort_keys=True)
-        f.write("\n")
+        "versions": {"gridpose": __version__, "numpy": np.__version__,
+                     "python": ".".join(str(v) for v in sys.version_info[:3])},
+        **extra,
+    })
 
 
 # -- data generation -----------------------------------------------------------
@@ -116,21 +112,21 @@ def train_stage1(cfg: RunConfig) -> Path:
     params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
     rng = synth.seeded_rng(cfg.seed, 0x51)
 
-    log_lines = ["epoch,lr,loss"]
+    log = []
     for epoch in range(cfg.optim.epochs):
         lr = cfg.optim.lr_at(epoch)
         loss = net.sgd_epoch(params, dataset, lr, cfg.loss, cfg.backbone,
                              cfg.grid, cfg.labels, rng,
                              batch_size=cfg.optim.batch_size,
                              conf_targets=cfg.optim.conf_targets)
-        log_lines.append(f"{epoch},{lr:.10g},{loss:.10g}")
+        log.append((epoch, lr, loss))
 
     ckpt = out / "stage1.ckpt"
     net.save_checkpoint(ckpt, params.tensors, {
         "kind": "backbone", "epoch": cfg.optim.epochs, "seed": cfg.seed,
         "config_hash": config_hash(cfg), "signature": params.signature,
     })
-    (out / "stage1_log.csv").write_text("\n".join(log_lines) + "\n")
+    metrics.write_csv(out / "stage1_log.csv", ("epoch", "lr", "loss"), log)
     _write_manifest(out, cfg, {"stage": 1})
     return ckpt
 
@@ -150,10 +146,13 @@ def _check_tensors(ckpt_path, tensors: dict, want: dict) -> None:
 
 def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
     """Load a stage-1 checkpoint, verifying it belongs to this config and
-    holds the tensors of its backbone."""
+    holds the tensors of its backbone; any other kind of checkpoint is a
+    ConfigError."""
     # drawn before the load, so the check adds nothing to its peak memory
     want = _shapes(net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed).tensors)
     tensors, header = net.load_checkpoint(ckpt_path)
+    if header.get("kind") != "backbone":
+        raise ConfigError(f"{ckpt_path} is not a backbone checkpoint: kind {header.get('kind')!r}")
     expect_sig = net.model_signature(cfg.backbone, cfg.grid, cfg.labels)
     if header.get("config_hash") != config_hash(cfg):
         raise HashMismatch(
@@ -169,16 +168,10 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
 # -- per-frame predictions -------------------------------------------------------
 
 def _stack_rasters(cfg: RunConfig, frames, start: int) -> np.ndarray:
-    """The rasters of frames as one image batch; a frame without a raster or
-    with one of another shape is a ShapeMismatch that names its index,
-    counted from start."""
-    shape = (IMAGE_CHANNELS, cfg.grid.image_h, cfg.grid.image_w)
-    for i, frame in enumerate(frames, start):
-        if frame.raster is None:
-            raise ShapeMismatch(f"frame {i} has no raster; the backbone wants {shape}")
-        if np.shape(frame.raster) != shape:
-            raise ShapeMismatch(f"frame {i} has a raster of shape {np.shape(frame.raster)}; "
-                                f"the backbone wants {shape}")
+    """The rasters of frames as one image batch; a frame without a raster of
+    the backbone's input shape is a ShapeMismatch that names its index,
+    counted from start (synth.check_rasters)."""
+    synth.check_rasters(frames, (IMAGE_CHANNELS, cfg.grid.image_h, cfg.grid.image_w), start)
     return np.stack([f.raster for f in frames])
 
 
@@ -247,7 +240,7 @@ def train_stage2(cfg: RunConfig, backbone_ckpt) -> tuple[Path, Path]:
     backbone_hash = net.file_hash(backbone_ckpt)
 
     inputs, labels = _sequence_dataset(cfg, params, "seq_train")
-    log_lines = ["variant,epoch,lr,loss"]
+    log = []
     paths = {}
     for variant, pair_map in (("interact", True), ("baseline", False)):
         icfg = cfg.interaction_model_config(use_pair_map=pair_map)
@@ -257,7 +250,7 @@ def train_stage2(cfg: RunConfig, backbone_ckpt) -> tuple[Path, Path]:
             lr = cfg.interaction.lr_at(epoch)
             loss = ia.sgd_epoch_sequences(model, inputs, labels, lr, rng,
                                           batch_size=cfg.interaction.batch_size)
-            log_lines.append(f"{variant},{epoch},{lr:.10g},{loss:.10g}")
+            log.append((variant, epoch, lr, loss))
         path = out / ("stage2.ckpt" if pair_map else "stage2_baseline.ckpt")
         net.save_checkpoint(path, model.params, {
             "kind": "interaction", "use_pair_map": pair_map,
@@ -269,7 +262,7 @@ def train_stage2(cfg: RunConfig, backbone_ckpt) -> tuple[Path, Path]:
     frozen_after = {k: v.tobytes() for k, v in params.tensors.items()}
     if frozen_before != frozen_after:
         raise NumericError("stage 2 modified frozen backbone tensors")
-    (out / "stage2_log.csv").write_text("\n".join(log_lines) + "\n")
+    metrics.write_csv(out / "stage2_log.csv", ("variant", "epoch", "lr", "loss"), log)
     _write_manifest(out, cfg, {"stage": 2, "backbone_hash": backbone_hash})
     return paths["interact"], paths["baseline"]
 
@@ -296,51 +289,38 @@ def load_interaction(cfg: RunConfig, ckpt_path, backbone_ckpt=None) -> ia.Intera
 NOISE_LEVELS = (0.0, 0.002, 0.005, 0.01, 0.02)
 
 
-def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
+def pose_noise_sweep(cfg: RunConfig, trials: int) -> list[dict]:
     """Paired ADD of Procrustes vs DLT PnP under depth-correlated noise.
 
     Each trial poses a random cuboid in the volume and perturbs its
     control points with isotropic Gaussian noise whose scale grows
     linearly with each point's depth (sigma = level * z / z_ref). Both
-    recovery routes consume the same noisy points: Procrustes aligns in
-    3D, the PnP baseline only sees their 2D projections. trials below 1
-    is a ConfigError.
+    routes of metrics.object_pose_errors consume the same noisy points:
+    Procrustes aligns in 3D, the PnP baseline only sees their 2D
+    projections. trials below 1 is a ConfigError.
     """
     if trials < 1:
         raise ConfigError(f"the pose noise sweep needs at least 1 trial, got {trials}")
     rng = synth.seeded_rng(cfg.seed, 0xadd)
     z_ref = cfg.grid.z_min + 0.5 * cfg.grid.d * cfg.grid.cell_z_m
-    rows = []
-    poses = []
-    cuboids = []
     bounds = synth.volume_bounds(cfg.scene)
+    posed = []   # (pose, reference points, posed points) of each trial
     for _ in range(trials):
-        object_id = int(rng.integers(cfg.labels.n_objects))
-        cuboid = synth.object_cuboid(cfg.scene, object_id)
+        ref = cuboid_control_points(
+            synth.object_cuboid(cfg.scene, int(rng.integers(cfg.labels.n_objects)))).points
         center = synth.sample_position(rng, cfg.scene, bounds)
-        poses.append(Pose6D(random_rotation(rng), center))
-        cuboids.append(cuboid)
+        pose = Pose6D(random_rotation(rng), center)
+        posed.append((pose, ref, pose.apply(ref)))
     noise_unit = [rng.standard_normal((NUM_CONTROL_POINTS, 3)) for _ in range(trials)]
 
+    rows = []
     for level in NOISE_LEVELS:
-        adds_direct, adds_pnp = [], []
-        for pose, cuboid, unit in zip(poses, cuboids, noise_unit):
-            ref = cuboid_control_points(cuboid).points
-            clean = pose.apply(ref)
-            sigma = level * clean[:, 2:3] / z_ref
-            noisy = clean + unit * sigma
-            est_direct = procrustes_align(ref, noisy)
-            adds_direct.append(metrics.add_metric(est_direct, pose, ref))
-            try:
-                est_pnp = pnp_dlt(project(noisy, cfg.camera), ref, cfg.camera)
-                adds_pnp.append(metrics.add_metric(est_pnp, pose, ref))
-            except NumericError:
-                adds_pnp.append(float("inf"))
-        rows.append({
-            "level": float(level),
-            "procrustes_add": float(np.mean(adds_direct)),
-            "pnp_add": float(np.mean(adds_pnp)),
-        })
+        errors = [metrics.object_pose_errors(ref, clean + unit * (level * clean[:, 2:3] / z_ref),
+                                             pose, cfg.camera)
+                  for (pose, ref, clean), unit in zip(posed, noise_unit)]
+        rows.append({"level": float(level),
+                     "procrustes_add": float(np.mean([e[0] for e in errors])),
+                     "pnp_add": float(np.mean([e[2] for e in errors]))})
     return rows
 
 
@@ -349,8 +329,12 @@ def pose_noise_sweep(cfg: RunConfig, trials: int = 500) -> list[dict]:
 def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
              stage2_ckpt=None, baseline_ckpt=None,
              noise_trials: int = 200) -> dict:
-    """Full metric suite on the validation splits; writes CSV/JSON reports."""
-    sweep = pose_noise_sweep(cfg, trials=noise_trials)   # before any report is written
+    """Full metric suite on the validation splits; writes CSV/JSON reports.
+    A baseline_ckpt without stage2_ckpt, or noise_trials below 1, is a
+    ConfigError raised before any report is written."""
+    if baseline_ckpt is not None and stage2_ckpt is None:
+        raise ConfigError("baseline_ckpt is scored only beside stage2_ckpt, which is None")
+    sweep = pose_noise_sweep(cfg, noise_trials)
     report = Path(report_dir)
     report.mkdir(parents=True, exist_ok=True)
     params = load_backbone(cfg, backbone_ckpt)
@@ -360,67 +344,37 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
 
     pred_hand = np.stack([p.hand_points for p in preds])
     gt_hand = np.stack([f.hand_points for f in frames])
+    adds, projs, adds_pnp = np.array([
+        metrics.object_pose_errors(cuboid_control_points(f.cuboid).points, p.object_points,
+                                   f.object_pose, cfg.camera)
+        for f, p in zip(frames, preds)]).T
     diag = cell_diagonal_m(cfg.grid, cfg.camera)
-    thresholds = np.linspace(0.0, 2.0 * diag, 41)
-    pck = metrics.pck3d(pred_hand, gt_hand, thresholds)
-    metrics.write_curve_csv(report / "pck3d.csv", pck.thresholds, pck.fractions)
-
-    adds, projs, adds_pnp = [], [], []
-    for frame, pred in zip(frames, preds):
-        ref = cuboid_control_points(frame.cuboid).points
-        try:
-            est = procrustes_align(ref, pred.object_points)
-            adds.append(metrics.add_metric(est, frame.object_pose, ref))
-            projs.append(metrics.proj2d_error(est, frame.object_pose, ref, cfg.camera))
-        except NumericError:
-            adds.append(float("inf"))
-            projs.append(float("inf"))
-        try:
-            ok = pred.object_points[:, 2] > 1e-6
-            if not np.all(ok):
-                raise NumericError("points behind the camera")
-            est = pnp_dlt(project(pred.object_points, cfg.camera), ref, cfg.camera)
-            adds_pnp.append(metrics.add_metric(est, frame.object_pose, ref))
-        except NumericError:
-            adds_pnp.append(float("inf"))
-    adds = np.array(adds)
-    projs = np.array(projs)
     diameter = float(np.mean([f.cuboid.diameter() for f in frames]))
-    add_thresholds = np.linspace(0.0, diameter, 41)
-    metrics.write_curve_csv(report / "add_sweep.csv", add_thresholds,
-                            metrics.fraction_below(adds, add_thresholds))
-    px_thresholds = np.linspace(0.0, 20.0, 41)
-    metrics.write_curve_csv(report / "proj2d_sweep.csv", px_thresholds,
-                            metrics.fraction_below(projs, px_thresholds))
-
-    action_acc = metrics.classification_accuracy(
-        [p.action_id for p in preds], [f.action_id for f in frames])
-    object_acc = metrics.classification_accuracy(
-        [p.object_id for p in preds], [f.object_id for f in frames])
-    pair_acc = metrics.classification_accuracy(
-        [p.interaction_id(cfg.labels) for p in preds],
-        [cfg.labels.interaction_index(f.action_id, f.object_id) for f in frames])
+    curves = {}   # one value per val frame under each of 41 thresholds from 0 to top
+    for name, values, top in (("pck3d", metrics.mean_frame_errors(pred_hand, gt_hand), 2.0 * diag),
+                              ("add_sweep", adds, diameter), ("proj2d_sweep", projs, 20.0)):
+        thresholds = np.linspace(0.0, top, 41)
+        curves[name] = (thresholds, metrics.fraction_below(values, thresholds))
+        metrics.write_csv(report / f"{name}.csv", ("threshold", "fraction"), zip(*curves[name]))
 
     summary = {
         "frames": len(frames),
         "cell_diagonal_m": diag,
         "mean_joint_error_mm": metrics.mean_joint_error_mm(pred_hand, gt_hand),
-        "pck_at_cell_diagonal": float(np.interp(diag, pck.thresholds, pck.fractions)),
-        "object_add_mean_m": float(np.mean(adds[np.isfinite(adds)]))
-        if np.any(np.isfinite(adds)) else float("inf"),
-        "object_add_pnp_mean_m": float(np.mean(np.array(adds_pnp)[np.isfinite(adds_pnp)]))
-        if np.any(np.isfinite(adds_pnp)) else float("inf"),
-        "action_accuracy": action_acc,
-        "object_accuracy": object_acc,
-        "single_image_interaction_accuracy": pair_acc,
+        "pck_at_cell_diagonal": float(np.interp(diag, *curves["pck3d"])),
+        "object_add_mean_m": metrics.finite_mean(adds),
+        "object_add_pnp_mean_m": metrics.finite_mean(adds_pnp),
+        "action_accuracy": metrics.classification_accuracy(
+            [p.action_id for p in preds], [f.action_id for f in frames]),
+        "object_accuracy": metrics.classification_accuracy(
+            [p.object_id for p in preds], [f.object_id for f in frames]),
+        "single_image_interaction_accuracy": metrics.classification_accuracy(
+            [p.interaction_id(cfg.labels) for p in preds],
+            [cfg.labels.interaction_index(f.action_id, f.object_id) for f in frames]),
+        "noise_sweep_direct_never_worse": all(r["procrustes_add"] <= r["pnp_add"] for r in sweep),
     }
-
-    with open(report / "pose_noise_sweep.csv", "w") as f:
-        f.write("level,procrustes_add,pnp_add\n")
-        for row in sweep:
-            f.write(f"{row['level']:.10g},{row['procrustes_add']:.10g},{row['pnp_add']:.10g}\n")
-    summary["noise_sweep_direct_never_worse"] = bool(
-        all(r["procrustes_add"] <= r["pnp_add"] for r in sweep))
+    metrics.write_csv(report / "pose_noise_sweep.csv", ("level", "procrustes_add", "pnp_add"),
+                      ([r["level"], r["procrustes_add"], r["pnp_add"]] for r in sweep))
 
     if stage2_ckpt is not None:
         model = load_interaction(cfg, stage2_ckpt, backbone_ckpt)
@@ -429,18 +383,14 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
         summary["interaction_accuracy"] = metrics.classification_accuracy(
             logits.argmax(axis=1), seq_labels)
         per_joint, parts = ia.weight_importance(model)
-        with open(report / "importance.csv", "w") as f:
-            f.write("joint,importance\n")
-            for j, v in enumerate(per_joint):
-                f.write(f"{j},{v:.10g}\n")
-            for name, v in parts.items():
-                f.write(f"{name},{v:.10g}\n")
+        metrics.write_csv(report / "importance.csv", ("joint", "importance"),
+                          [*enumerate(per_joint), *parts.items()])
         if baseline_ckpt is not None:
             base = load_interaction(cfg, baseline_ckpt, backbone_ckpt)
             logits = ia.logits_graph(ad.wrap(base.params, False), base.cfg, inputs).data
             summary["baseline_interaction_accuracy"] = metrics.classification_accuracy(
                 logits.argmax(axis=1), seq_labels)
 
-    metrics.write_json_summary(report / "summary.json", summary)
+    metrics.write_json(report / "summary.json", summary)
     _write_manifest(report, cfg, {"backbone_ckpt_hash": net.file_hash(backbone_ckpt)})
     return summary

@@ -533,11 +533,27 @@ FRAME_RECORD = np.dtype([
 ])
 
 
+def check_rasters(frames, shape=None, start: int = 0) -> None:
+    """ShapeMismatch naming the index, counted from start, of the first frame
+    without a raster or with one of another shape than shape (by default the
+    first frame's)."""
+    for i, frame in enumerate(frames, start):
+        if frame.raster is None:
+            raise ShapeMismatch(f"frame {i} has no raster")
+        shape = shape or np.shape(frame.raster)
+        if np.shape(frame.raster) != shape:
+            raise ShapeMismatch(f"frame {i} has a raster of shape {np.shape(frame.raster)}; "
+                                f"want {shape}")
+
+
 def save_frames(directory, frames: list[SceneFrame], seq_ids: list[int]) -> None:
     """Write frames.npy, one FRAME_RECORD per frame, and rasters.npy, the rasters
-    as one uint8 (N, IMAGE_CHANNELS, H, W) stack; unequal lengths raise LengthMismatch."""
+    as one uint8 (N, IMAGE_CHANNELS, H, W) stack. Unequal lengths raise
+    LengthMismatch, and a frame without a raster of the first frame's shape a
+    ShapeMismatch (check_rasters), before either file is written."""
     if len(frames) != len(seq_ids):
         raise LengthMismatch(f"{len(frames)} frames but {len(seq_ids)} sequence ids")
+    check_rasters(frames)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     records = np.zeros(len(frames), FRAME_RECORD)

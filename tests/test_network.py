@@ -395,6 +395,14 @@ class TestCheckpoint:
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
         assert net.file_hash(tmp_path / "a.ckpt") == net.file_hash(tmp_path / "b.ckpt")
 
+    def test_bytes_after_the_last_tensor_are_config_error(self, tmp_path):
+        params = net.init_params(BB, GRID, LABELS, seed=0)
+        path = tmp_path / "model.ckpt"
+        net.save_checkpoint(path, params.tensors, {"kind": "backbone"})
+        path.write_bytes(path.read_bytes() + b"\0" * 7)
+        with pytest.raises(ConfigError, match="bytes after its last tensor"):
+            net.load_checkpoint(path)
+
     def test_garbage_header_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not json\n")

@@ -111,6 +111,10 @@ class TestDeterminism:
         assert sorted(a) == sorted(b)
         for name in a:
             assert a[name] == b[name], f"{name} differs between identical runs"
+        # reports, logs, manifests and config.txt: one text format with "\n" line ends
+        text = {name: data for name, data in a.items() if not name.endswith((".npy", ".ckpt"))}
+        assert len(text) == 12
+        assert [name for name, data in text.items() if b"\r" in data] == []
 
 
 class TestEmptySplit:
@@ -199,9 +203,22 @@ class TestLoadBackbone:
         params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
         path = tmp_path / "stage1.ckpt"
         net.save_checkpoint(path, mangled(params.tensors), {
-            "config_hash": config.config_hash(cfg), "signature": params.signature})
+            "kind": "backbone", "config_hash": config.config_hash(cfg),
+            "signature": params.signature})
         with pytest.raises(ConfigError, match=r"conv0\.w: \(2, 2\), want \(16, 3, 3, 3\), "
                                               r"head\.b: missing, want \(\d+,\)"):
+            pipeline.load_backbone(cfg, path)
+
+    @pytest.mark.parametrize("kind", ["interaction", None])
+    def test_other_checkpoint_kind_rejected(self, tmp_path, kind):
+        # named before the hashes, which a stage-2 checkpoint fails with a
+        # misleading message about the tensor signature
+        cfg = tiny_config()
+        model = ia.init_interaction(cfg.interaction_model_config(), cfg.seed)
+        header = {"use_pair_map": True, "config_hash": config.config_hash(cfg)}
+        path = tmp_path / "stage2.ckpt"
+        net.save_checkpoint(path, model.params, {**header, "kind": kind} if kind else header)
+        with pytest.raises(ConfigError, match=f"not a backbone checkpoint: kind {kind!r}"):
             pipeline.load_backbone(cfg, path)
 
 
@@ -383,3 +400,42 @@ class TestPoseNoiseSweep:
             pipeline.evaluate(tiny_config(), tmp_path / "stage1.ckpt", tmp_path / "report",
                               noise_trials=0)
         assert not (tmp_path / "report").exists()
+
+
+class TestEvaluate:
+    def test_baseline_without_stage2_writes_no_report(self, tmp_path):
+        with pytest.raises(ConfigError, match="baseline_ckpt is scored only beside stage2_ckpt"):
+            pipeline.evaluate(tiny_config(), tmp_path / "stage1.ckpt", tmp_path / "report",
+                              baseline_ckpt=tmp_path / "stage2_baseline.ckpt", noise_trials=2)
+        assert not (tmp_path / "report").exists()
+
+    def test_every_curve_holds_one_value_per_val_frame(self, tmp_path, monkeypatch):
+        # the middle prediction's object points sit around a centroid behind
+        # the camera: its Procrustes pose has an ADD but no 2D error
+        cfg = config.toy_preset()
+        frames = [synth.sample_scene((1, i), cfg.scene) for i in range(3)]
+        one_hot = np.eye(cfg.labels.n_actions)[0], np.eye(cfg.labels.n_objects)[0]
+        preds = [codec.FramePrediction(f.hand_points, 1.0, one_hot[0], (0, 0, 0),
+                                       f.object_points, 1.0, one_hot[1], (0, 0, 0))
+                 for f in frames]
+        shifted = frames[1].object_points.copy()
+        shifted[:, 2] -= shifted[:, 2].mean() + 0.01
+        preds[1] = replace(preds[1], object_points=shifted)
+        monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
+        monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0, 1, 2]))
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: preds)
+        ckpt = tmp_path / "stage1.ckpt"
+        ckpt.write_bytes(b"unread")
+
+        summary = pipeline.evaluate(cfg, ckpt, tmp_path / "report", noise_trials=2)
+        curves = {name: np.loadtxt(tmp_path / "report" / f"{name}.csv", delimiter=",",
+                                   skiprows=1)
+                  for name in ("pck3d", "add_sweep", "proj2d_sweep")}
+        for name, curve in curves.items():
+            assert curve.shape == (41, 2), name
+            np.testing.assert_allclose(curve[:, 1] * 3, np.round(curve[:, 1] * 3), atol=1e-9,
+                                       err_msg=name)
+        assert curves["add_sweep"][-1, 1] == pytest.approx(2 / 3)    # at the mean diameter
+        assert curves["proj2d_sweep"][-1, 1] == pytest.approx(2 / 3)
+        assert summary["object_add_mean_m"] == pytest.approx(
+            (frames[1].object_points[:, 2].mean() + 0.01) / 3)

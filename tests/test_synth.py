@@ -632,6 +632,19 @@ class TestDatasetFiles:
                 synth.save_frames(tmp_path, frames, ids)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("index,bad,message", [
+        (1, lambda f: replace(f, raster=None), "frame 1 has no raster"),
+        (0, lambda f: replace(f, raster=None), "frame 0 has no raster"),
+        (2, lambda f: replace(f, raster=f.raster[:, :20]), "frame 2 has a raster of shape (3, 20, "),
+    ], ids=["after-a-good-frame", "first-frame", "another-shape"])
+    def test_frame_without_a_raster_of_the_first_shape_is_named(self, tmp_path, index, bad,
+                                                                message):
+        frames = [synth.sample_scene(s, PARAMS) for s in range(3)]
+        frames[index] = bad(frames[index])
+        with pytest.raises(ShapeMismatch, match=re.escape(message)):
+            synth.save_frames(tmp_path / "split", frames, [0, 1, 2])
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_record_file_is_config_error(self, tmp_path):
         record_file = re.escape(f"{tmp_path / 'frames.npy'}: no dataset file")
         with pytest.raises(ConfigError, match=record_file):
