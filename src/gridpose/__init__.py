@@ -12,6 +12,20 @@ Submodules:
     metrics      PCK / ADD / projection-error / accuracy measures
     pipeline     two-stage training, evaluation reports
     config       run configs, their flat text form and hash
+
+On Linux, importing gridpose turns transparent huge pages off for the
+process. numpy advises them for arrays of 4 MiB or more, and whole 2 MiB
+pages, at fault time or later from khugepaged, made a run's peak resident
+memory follow page alignment and khugepaged's timing.
 """
 
+import ctypes
+import sys
+
 __version__ = "0.1.0"
+PR_SET_THP_DISABLE = 41  # prctl(2) option; kernels before 3.15 refuse it
+
+if sys.platform.startswith("linux"):
+    _prctl = ctypes.CDLL(None).prctl
+    _prctl.argtypes, _prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
+    _prctl(PR_SET_THP_DISABLE, 1, 0, 0, 0)
