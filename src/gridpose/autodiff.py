@@ -2,8 +2,10 @@
 
 Just enough operations for a strided convolutional backbone, the grid
 loss, an MLP and an LSTM: elementwise arithmetic, matmul, conv2d,
-activations, reshape/transpose/indexing, sum and log-softmax. All data
-is float64; gradients accumulate into leaf tensors on backward().
+activations, reshape/transpose/indexing, sum and log-softmax. Each op computes
+in its operands' dtype (a constant takes that of the tensor it meets), so the
+model runs in COMPUTE_DTYPE and the gradient checks in float64. Gradients
+accumulate into leaf tensors on backward().
 
 Gradients are handed over, not zero-filled. A node adopts its first
 gradient as its .grad buffer when the sender owns it: an array the
@@ -19,10 +21,10 @@ conv2d, where training spends its time, is im2col + GEMM over the whole
 batch (Chellapilla et al. 2006): the in-bounds input windows of the k²
 kernel taps are copied once into a batch-innermost (c·k², L·n) column
 matrix, L = oh·ow output positions per image, and the forward, the
-weight gradient and the input gradient are one BLAS GEMM each against
-it. Its outputs and input gradients are NCHW tensors over (c, h, w, n)
-memory, so each tap copy and col2im add runs over ow·n contiguous
-elements.
+weight gradient (in blocks of 256 positions: _batch_gemm) and the input
+gradient are BLAS GEMMs against it. Its outputs and input gradients are
+NCHW tensors over (c, h, w, n) memory, so each tap copy and col2im add
+runs over ow·n contiguous elements.
 
 lstm runs a whole LSTM layer over a sequence as one node (Appleyard et al.
 2016). The input projection of all B·T frames, bias included, is one
@@ -34,7 +36,7 @@ backward is written by hand and reuses the forward's gate buffer in place:
 a few whole-array passes turn it into per-gate factors, a reverse loop
 turns each step's row into that step's gate gradient with one
 (B, 4h) @ (4h, h) GEMM per step, then the gradients of wx, wh, b and x are
-one GEMM or reduction each over all B·T rows.
+GEMMs (_batch_gemm) or a reduction over all B·T rows.
 
 The training core at the end (wrap, value_and_grads, the minibatch loop
 sgd_epoch and the finite-difference checker grad_check) serves both
@@ -47,12 +49,14 @@ import numpy as np
 
 from .errors import ConfigError, NonFiniteLoss, NumericError
 
+COMPUTE_DTYPE = np.float32
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._backward = None
@@ -136,10 +140,10 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return add(self, -other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return add(-self, other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -170,8 +174,16 @@ def _released(g):
     raise ValueError("backward() through a node whose graph was already released")
 
 
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def as_tensor(x, like: Tensor | None = None) -> Tensor:
+    """x as a Tensor; a constant takes the dtype of the tensor like, if given."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, like and like.data.dtype))
+
+
+def _batch_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b summed in order over blocks of 256 of the inner dimension, for products that
+    sum over a batch (gradients): OpenBLAS blocks a longer inner dimension one way on one
+    thread and another on several, so a single GEMM would round by the thread count."""
+    return sum(a[..., s:s + 256] @ b[..., s:s + 256, :] for s in range(0, a.shape[-1], 256))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -188,7 +200,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, b), as_tensor(b, a)
     out_data = a.data + b.data
 
     def backward(g):
@@ -206,7 +218,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, b), as_tensor(b, a)
     out_data = a.data * b.data
 
     def backward(g):
@@ -219,15 +231,15 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a, b), as_tensor(b, a)
     out_data = a.data @ b.data
 
     def backward(g):
         if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
+            ga = _batch_gemm(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.data.shape), owned=True)
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
+            gb = _batch_gemm(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.data.shape), owned=True)
 
     return Tensor._make(out_data, (a, b), backward)
@@ -302,13 +314,12 @@ def relu(a) -> Tensor:
 
 
 def logistic(x) -> np.ndarray:
-    """Numerically stable logistic function on an array, without masks.
+    """Numerically stable logistic function on an array, in its dtype, without masks.
 
     With e = exp(-|x|) it is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
     the same operations per element as the branch form, so the values are
     the same bits; exp never overflows. NaN stays NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
@@ -359,9 +370,9 @@ def lstm(x, wx, wh, b) -> Tensor:
     of the forward, read off the stored gates as 1/4 - (sigmoid - 1/2)² and
     1 - g², times [g, c_{t-1}, i, tanh c_t]. A reverse loop overwrites each
     step's row with its gate gradient dG_t and takes one GEMM per step,
-    dh_{t-1} = dG_t @ wh.T. Then dwx = X.T @ dG, dwh = Hprev.T @ dG,
-    db = sum(dG) and dx = dG @ wx.T are one GEMM or reduction each over all
-    B·T rows.
+    dh_{t-1} = dG_t @ wh.T. Then dwx = X.T @ dG, dwh = Hprev.T @ dG (each
+    through _batch_gemm), db = sum(dG) and dx = dG @ wx.T are GEMMs or a
+    reduction over all B·T rows.
     """
     x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
     n, t, width_in = x.data.shape
@@ -369,17 +380,18 @@ def lstm(x, wx, wh, b) -> Tensor:
     if wx.data.shape != (width_in, 4 * h) or wh.data.shape != (h, 4 * h) or b.data.shape != (4 * h,):
         raise ValueError(f"LSTM weights {wx.data.shape}, {wh.data.shape}, {b.data.shape} "
                          f"do not match input {x.data.shape}")
-    scale, shift, peak = np.repeat(_GATE_COLUMNS, h, axis=1)
     xs = x.data.transpose(1, 0, 2).reshape(t * n, width_in)
     act = xs @ wx.data
+    dtype = act.dtype
+    scale, shift, peak = np.repeat(_GATE_COLUMNS.astype(dtype), h, axis=1)
     act += b.data
     act = act.reshape(t, n, 4 * h)       # x_t @ wx + b, then z_t, then the gates
-    cs = np.zeros((t + 1, n, h))         # cs[s + 1] = c_s, cs[0] = 0
-    hs = np.zeros((t + 1, n, h))         # hs[s + 1] = h_s, hs[0] = 0
-    tcs = np.empty((t, n, h))            # tanh(c_s)
+    cs = np.zeros((t + 1, n, h), dtype)  # cs[s + 1] = c_s, cs[0] = 0
+    hs = np.zeros((t + 1, n, h), dtype)  # hs[s + 1] = h_s, hs[0] = 0
+    tcs = np.empty((t, n, h), dtype)     # tanh(c_s)
     blocks = act.reshape(t, n, 4, h)
     i, f, g, o = blocks.transpose(2, 0, 1, 3)
-    rec, ig = np.empty((n, 4 * h)), np.empty((n, h))
+    rec, ig = np.empty((n, 4 * h), dtype), np.empty((n, h), dtype)
     for s, (a, i_s, f_s, g_s, o_s, h_prev, h_s, c_prev, c_s, tc) in enumerate(zip(
             act, i, f, g, o, hs[:-1], hs[1:], cs[:-1], cs[1:], tcs)):
         if s:                            # h_0 = 0
@@ -412,7 +424,7 @@ def lstm(x, wx, wh, b) -> Tensor:
         np.multiply(f, cs[:-1], out=f)
         np.multiply(o, tcs, out=o)
         wh_t = wh.data.T
-        dh, dc, tmp = np.zeros((n, h)), np.zeros((n, h)), np.empty((n, h))
+        dh, dc, tmp = np.zeros((n, h), dtype), np.zeros((n, h), dtype), np.empty((n, h), dtype)
         for s, d, d_ifg, d_o, g_s, to_c, f_s in zip(
                 range(t - 1, -1, -1), act[::-1], blocks[::-1, :, :3], o[::-1],
                 gh[::-1], dh_to_dc[::-1], f_keep[::-1]):
@@ -428,9 +440,9 @@ def lstm(x, wx, wh, b) -> Tensor:
         if b.requires_grad:
             b._accumulate(dG.sum(axis=0), owned=True)
         if wx.requires_grad:
-            wx._accumulate(xs.T @ dG, owned=True)
+            wx._accumulate(_batch_gemm(xs.T, dG), owned=True)
         if wh.requires_grad:
-            wh._accumulate(hs[:-1].reshape(t * n, h).T @ dG, owned=True)
+            wh._accumulate(_batch_gemm(hs[:-1].reshape(t * n, h).T, dG), owned=True)
         if x.requires_grad:
             x._accumulate((dG @ wx.data.T).reshape(t, n, width_in).transpose(1, 0, 2), owned=True)
 
@@ -470,7 +482,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     is never built: cols starts at zero and each of the k² taps copies only
     the strided window of x that lands inside it (see _taps), which keeps a
     padded copy of the batch out of the forward's peak memory. Each pass is
-    one GEMM:
+    one GEMM, the weight gradient one per 256 columns (_batch_gemm):
 
       forward          out (f, L·n) = w2 (f, c·k²) @ cols, bias added in place
       weight gradient  gw  (f, c·k²) = gT (f, L·n) @ cols.T
@@ -504,7 +516,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     if pointwise:
         cols = xt.reshape(c, h * wd * n)
     else:
-        cols = np.zeros((c, k, k, oh, ow, n))
+        cols = np.zeros((c, k, k, oh, ow, n), x.data.dtype)
         for i, (out_y, in_y) in enumerate(taps_y):
             for j, (out_x, in_x) in enumerate(taps_x):
                 cols[:, i, j, out_y, out_x] = xt[:, in_y, in_x]
@@ -519,14 +531,14 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         if b.requires_grad:
             b._accumulate(gT.sum(axis=1), owned=True)
         if w.requires_grad:
-            w._accumulate((gT @ cols.T).reshape(w.data.shape), owned=True)
+            w._accumulate(_batch_gemm(gT, cols.T).reshape(w.data.shape), owned=True)
         if x.requires_grad:
             gcols = w2.T @ gT
             if pointwise:
                 gx = gcols.reshape(c, h, wd, n)
             else:
                 gcols = gcols.reshape(c, k, k, oh, ow, n)
-                gx = np.zeros((c, h, wd, n))
+                gx = np.zeros((c, h, wd, n), x.data.dtype)
                 for i, (out_y, in_y) in enumerate(taps_y):
                     for j, (out_x, in_x) in enumerate(taps_x):
                         gx[:, in_y, in_x] += gcols[:, i, j, out_y, out_x]
@@ -538,7 +550,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
 # -- training core shared by both stages ----------------------------------------
 
 def wrap(arrays: dict[str, np.ndarray], requires_grad: bool = True) -> dict[str, Tensor]:
-    """Leaf tensors over named float64 arrays; the data is shared, not copied."""
+    """Leaf tensors over named arrays; the data is shared, not copied."""
     return {k: Tensor(v, requires_grad=requires_grad) for k, v in arrays.items()}
 
 

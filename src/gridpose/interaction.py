@@ -62,11 +62,11 @@ class InteractionModel:
 
     def __init__(self, cfg: InteractionConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
-        self.params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+        self.params = dict(params)   # autodiff computes in their dtype
 
 
 def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
-    """Fan-in scaled uniform init; LSTM forget-gate biases start at 1."""
+    """Fan-in scaled uniform init in COMPUTE_DTYPE; LSTM forget-gate biases start at 1."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x17a)))
     p: dict[str, np.ndarray] = {}
 
@@ -90,7 +90,7 @@ def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
         width_in = h
     p["out.w"] = uniform(cfg.lstm_width, (cfg.lstm_width, cfg.n_classes))
     p["out.b"] = np.zeros(cfg.n_classes)
-    return InteractionModel(cfg, p)
+    return InteractionModel(cfg, {k: v.astype(ad.COMPUTE_DTYPE) for k, v in p.items()})
 
 
 def sequence_inputs(cfg: InteractionConfig, preds: list[FramePrediction]) -> np.ndarray:
@@ -111,8 +111,8 @@ def _features_graph(pt: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
 
 def logits_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig,
                  batch: np.ndarray) -> ad.Tensor:
-    """(B, T, input_width) constant batch -> (B, n_classes) logits."""
-    batch = np.asarray(batch, dtype=np.float64)
+    """(B, T, input_width) constant batch -> (B, n_classes) logits, in the parameters' dtype."""
+    batch = np.asarray(batch, dtype=pt["out.w"].data.dtype)
     if batch.ndim != 3 or batch.shape[2] != cfg.input_width:
         raise WidthMismatch(
             f"sequence batch must be (B, T, {cfg.input_width}), got {batch.shape}"
@@ -176,7 +176,7 @@ def weight_importance(model: InteractionModel) -> tuple[np.ndarray, dict[str, fl
     """
     cfg = model.cfg
     matrix = model.params["g.w1"] if cfg.use_pair_map else model.params["lstm0.wx"]
-    per_joint = np.abs(matrix[:COORD_CHANNELS]).sum(axis=1)
+    per_joint = np.abs(matrix[:COORD_CHANNELS], dtype=float).sum(axis=1)
     per_joint = per_joint.reshape(NUM_CONTROL_POINTS, 3).sum(axis=1)
     total = per_joint.sum()
     if total > 0:

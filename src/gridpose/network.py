@@ -103,7 +103,7 @@ class ModelParams:
     """Named parameter tensors plus the signature of their config."""
 
     def __init__(self, tensors: dict[str, np.ndarray], signature: str):
-        self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
+        self.tensors = dict(tensors)   # autodiff computes in their dtype
         self.signature = signature
 
     def copy(self) -> "ModelParams":
@@ -111,7 +111,7 @@ class ModelParams:
 
 
 def init_params(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec, seed: int) -> ModelParams:
-    """Fan-in scaled uniform init, fully determined by the seed."""
+    """Fan-in scaled uniform init in COMPUTE_DTYPE, fully determined by the seed."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6e65)))
     tensors: dict[str, np.ndarray] = {}
     c_in = IMAGE_CHANNELS
@@ -124,7 +124,8 @@ def init_params(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec, seed: int
     s = 1.0 / np.sqrt(c_in)
     tensors["head.w"] = rng.uniform(-s, s, size=(output_channels(grid, labels), c_in, 1, 1))
     tensors["head.b"] = rng.uniform(-s, s, size=(output_channels(grid, labels),))
-    return ModelParams(tensors, model_signature(bb, grid, labels))
+    return ModelParams({k: v.astype(ad.COMPUTE_DTYPE) for k, v in tensors.items()},
+                       model_signature(bb, grid, labels))
 
 
 def wrap_params(params: ModelParams, requires_grad: bool = True) -> dict[str, ad.Tensor]:
@@ -158,7 +159,7 @@ def features_graph(
     grid: GridSpec,
 ) -> ad.Tensor:
     """Differentiable conv stack: (B, C, H, W) image -> leaky-ReLU features (B, F, h, w)."""
-    images = np.asarray(images, dtype=np.float64)
+    images = np.asarray(images, dtype=ptensors["conv0.w"].data.dtype)
     _check_image_shape(images, bb, grid)
     x = ad.Tensor(images)
     pad = bb.kernel // 2
@@ -289,7 +290,7 @@ class BatchTargets:
                     images: np.ndarray) -> "BatchTargets":
         ts = [frame_targets(s, grid, labels, cam) for s in scenes]
         return BatchTargets(
-            images=np.asarray(images, dtype=np.float64),
+            images=np.asarray(images, dtype=ad.COMPUTE_DTYPE),
             hand_cells=np.array([t.hand_cell for t in ts], dtype=int),
             object_cells=np.array([t.object_cell for t in ts], dtype=int),
             hand_offsets=np.array([t.hand_offsets for t in ts]),
@@ -318,8 +319,8 @@ def _loss_terms(
     b = len(targets)
     bidx = np.arange(b)
     scale = 1.0 / b
-    tgt = np.zeros(conf_logits.shape)
-    lam = np.full(conf_logits.shape, weights.conf_noobj)
+    tgt = np.zeros(conf_logits.shape, conf_logits.data.dtype)
+    lam = np.full(conf_logits.shape, weights.conf_noobj, conf_logits.data.dtype)
 
     def slot_terms(r, resp, cells, offsets, coords, class_ids, role):
         root = root_index(role)
@@ -459,8 +460,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint; a malformed header or body, or bytes after the last
-    tensor, raise ConfigError."""
+    """Read a checkpoint as writable COMPUTE_DTYPE arrays; a malformed header
+    or body, a non-finite tensor or bytes after the last tensor raise ConfigError."""
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode())
@@ -484,7 +485,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             buf = f.read(count * 4)
             if len(buf) != count * 4:
                 raise ConfigError(f"checkpoint truncated at tensor {name}")
-            tensors[name] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float64)
+            tensors[name] = np.frombuffer(buf, "<f4").reshape(shape).astype(ad.COMPUTE_DTYPE)
+            if not np.all(np.isfinite(tensors[name])):
+                raise ConfigError(f"checkpoint tensor {name} holds non-finite values")
         if f.read(1):
             raise ConfigError("checkpoint has bytes after its last tensor")
     return tensors, header

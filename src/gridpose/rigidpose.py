@@ -36,12 +36,14 @@ def procrustes_align(src, dst) -> Pose6D:
     subtraction, SVD of the cross-covariance and the determinant sign fix
     that excludes reflections.
 
-    Raises DegenerateConfiguration when the src covariance has rank < 2.
+    Raises DegenerateConfiguration on non-finite points or a src covariance of rank < 2.
     """
     s = np.asarray(src, dtype=float)
     d = np.asarray(dst, dtype=float)
     if s.shape != d.shape:
         raise DegenerateConfiguration(f"point sets disagree in shape: {s.shape} vs {d.shape}")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(d))):
+        raise DegenerateConfiguration("point sets hold non-finite values")
 
     mu_s = s.mean(axis=0)
     mu_d = d.mean(axis=0)
@@ -71,8 +73,8 @@ def pnp_dlt(pixels: np.ndarray, src, cam: CameraIntrinsics) -> Pose6D:
     block (with reflection and cheirality fixes). A least-squares baseline,
     not a refined PnP: it exists to compare against the direct 3D route.
 
-    Raises RankDeficient with fewer than 6 correspondences and
-    DegenerateConfiguration when the linear system has no unique solution.
+    Raises RankDeficient with fewer than 6 correspondences, and
+    DegenerateConfiguration on non-finite ones or when the system has no unique solution.
     """
     model = np.asarray(src, dtype=float)
     px = np.asarray(pixels, dtype=float)
@@ -81,6 +83,8 @@ def pnp_dlt(pixels: np.ndarray, src, cam: CameraIntrinsics) -> Pose6D:
         raise DegenerateConfiguration(f"need matching (N,2)/(N,3) arrays, got {px.shape} and {model.shape}")
     if n < 6:
         raise RankDeficient(f"DLT pose needs >= 6 correspondences, got {n}")
+    if not (np.all(np.isfinite(model)) and np.all(np.isfinite(px))):
+        raise DegenerateConfiguration("correspondences hold non-finite values")
 
     # Normalized image coordinates: K^-1 [u, v, 1]
     xn = (px[:, 0] - cam.cx) / cam.fx

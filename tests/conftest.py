@@ -1,5 +1,5 @@
 """Shared test helpers: the paper-scale grid and camera, scene stubs,
-measurement helpers and a tanh autodiff node."""
+measurement helpers, float64 copies of a model and a tanh autodiff node."""
 
 from dataclasses import dataclass
 
@@ -7,6 +7,8 @@ import numpy as np
 
 from gridpose import autodiff as ad
 from gridpose import geometry as geo
+from gridpose import interaction as ia
+from gridpose import network as net
 from gridpose.rigidpose import Pose6D, random_rotation
 
 
@@ -31,6 +33,20 @@ def logit(p):
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore"):
         return np.log(p) - np.log1p(-p)
+
+
+def float64(model):
+    """A float64 copy of a network.ModelParams or an interaction.InteractionModel.
+
+    autodiff computes in its operands' dtype and the forward passes cast
+    their data to the parameters' dtype, so the gradient checks and the
+    float64 oracles run the production code in float64 on such a copy.
+    """
+    if isinstance(model, net.ModelParams):
+        return net.ModelParams({k: v.astype(np.float64) for k, v in model.tensors.items()},
+                               model.signature)
+    return ia.InteractionModel(model.cfg, {k: v.astype(np.float64)
+                                           for k, v in model.params.items()})
 
 
 def tanh(a) -> ad.Tensor:

@@ -12,7 +12,7 @@ from gridpose import interaction as ia
 from gridpose.errors import ConfigError, EmptySequence, NonFiniteLoss, WidthMismatch
 from gridpose.geometry import HAND_PARTS
 
-from conftest import tanh
+from conftest import float64, tanh
 
 
 CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16, lstm_layers=2)
@@ -198,7 +198,7 @@ class TestClassify:
 
     @pytest.mark.parametrize("cfg", [CFG, BASELINE], ids=["pair_map", "baseline"])
     def test_matches_stepwise_graph(self, cfg):
-        model = ia.init_interaction(cfg, seed=13)
+        model = float64(ia.init_interaction(cfg, seed=13))
         rng = np.random.default_rng(14)
         batch = rng.normal(size=(5, 7, cfg.input_width))
         labels = rng.integers(0, cfg.n_classes, size=5)
@@ -222,6 +222,28 @@ class TestClassify:
         model = ia.init_interaction(CFG, seed=0)
         with pytest.raises(WidthMismatch):
             ia.classify_sequence(model, np.zeros((3, 40)))
+
+
+def lstm_peak_buffers(dtype) -> float:
+    """tracemalloc peak of one lstm forward and backward on dtype operands, in
+    (T, B, 4h) buffers of that dtype."""
+    n, t, width_in, h = 16, 16, 64, 48
+    rng = np.random.default_rng(0)
+    arrays = [a.astype(dtype) for a in (
+        rng.normal(size=(n, t, width_in)), rng.uniform(-0.2, 0.2, size=(width_in, 4 * h)),
+        rng.uniform(-0.2, 0.2, size=(h, 4 * h)), rng.uniform(-0.5, 0.5, size=4 * h))]
+
+    def forward_backward():
+        ad.lstm(*(ad.Tensor(a, requires_grad=True) for a in arrays)).sum().backward()
+
+    forward_backward()
+    tracemalloc.start()
+    try:
+        forward_backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (t * n * 4 * h * np.dtype(dtype).itemsize)
 
 
 def fused_vs_stepwise(n, t, layers, x_grad, seed, saturation=0.0):
@@ -313,23 +335,12 @@ class TestFusedLstm:
         # cell, hidden and tanh(c) states, the time-major input copy and the
         # gradients. A second (T, B, 4h) buffer kept for the backward would
         # cross the bound.
-        n, t, width_in, h = 16, 16, 64, 48
-        rng = np.random.default_rng(0)
-        arrays = [rng.normal(size=(n, t, width_in)),
-                  rng.uniform(-0.2, 0.2, size=(width_in, 4 * h)),
-                  rng.uniform(-0.2, 0.2, size=(h, 4 * h)), rng.uniform(-0.5, 0.5, size=4 * h)]
+        assert lstm_peak_buffers(np.float64) <= 4.0
 
-        def forward_backward():
-            ad.lstm(*(ad.Tensor(a, requires_grad=True) for a in arrays)).sum().backward()
-
-        forward_backward()
-        tracemalloc.start()
-        try:
-            forward_backward()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak / (t * n * 4 * h * 8) <= 4.0
+    def test_compute_dtype_buffers_peak_memory(self):
+        # the same count in float32 (3.74): a state buffer allocated in
+        # float64 instead of the operands' dtype would cross the bound
+        assert lstm_peak_buffers(ad.COMPUTE_DTYPE) <= 4.0
 
     def test_weight_shapes_checked(self):
         x = ad.Tensor(np.zeros((2, 3, 5)))
@@ -340,7 +351,7 @@ class TestFusedLstm:
 
 class TestGradients:
     def test_recurrent_grad_check(self):
-        model = ia.init_interaction(CFG, seed=5)
+        model = float64(ia.init_interaction(CFG, seed=5))
         rng = np.random.default_rng(10)
         batch = rng.normal(size=(3, 5, CFG.input_width))
         labels = rng.integers(0, 6, size=3)
@@ -348,7 +359,7 @@ class TestGradients:
         assert err < 1e-4
 
     def test_baseline_grad_check(self):
-        model = ia.init_interaction(BASELINE, seed=6)
+        model = float64(ia.init_interaction(BASELINE, seed=6))
         rng = np.random.default_rng(11)
         batch = rng.normal(size=(2, 4, BASELINE.input_width))
         labels = rng.integers(0, 6, size=2)

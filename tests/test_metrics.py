@@ -166,6 +166,13 @@ class TestObjectPoseErrors:
         add, proj, add_pnp = metrics.object_pose_errors(CUBE, points, truth, CAM)
         assert np.isfinite(add) and np.isfinite(proj) and add_pnp == np.inf
 
+    def test_a_nan_point_fails_every_error(self):
+        # a NaN pixel can decode to NaN object points (network.predict)
+        truth = random_pose(np.random.default_rng(5))
+        points = truth.apply(CUBE)
+        points[2] = np.nan
+        assert metrics.object_pose_errors(CUBE, points, truth, CAM) == (np.inf,) * 3
+
     def test_a_fit_behind_the_camera_keeps_its_add(self):
         # the predicted centroid sits behind the camera: the Procrustes pose
         # still has an ADD, but neither a projection nor a PnP pose

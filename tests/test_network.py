@@ -12,7 +12,7 @@ from gridpose import geometry as geo
 from gridpose import network as net
 from gridpose.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 
-from conftest import logit, random_scene
+from conftest import float64, logit, random_scene
 
 # Micro configuration: 12x12 image over a 3x3x2 grid of 4px cells.
 GRID = geo.GridSpec(h=3, w=3, d=2, cell_u_px=4.0, cell_v_px=4.0, cell_z_m=0.3,
@@ -180,7 +180,7 @@ class TestLoss:
 
     def test_pose_weight_scales_gradient_linearly(self):
         targets = micro_batch(n=2)
-        params = net.init_params(BB, GRID, LABELS, seed=3)
+        params = float64(net.init_params(BB, GRID, LABELS, seed=3))
         pose_only = net.LossWeights(pose=1.0, action_class=0, object_class=0,
                                     conf_obj=0, conf_noobj=0)
         pose_k = net.LossWeights(pose=3.5, action_class=0, object_class=0,
@@ -200,7 +200,7 @@ class TestLoss:
 
     def test_batch_loss_is_mean_of_per_frame_losses(self):
         targets = micro_batch(n=4, seed=5)
-        params = net.init_params(BB, GRID, LABELS, seed=1)
+        params = float64(net.init_params(BB, GRID, LABELS, seed=1))
         full, _, _ = net.multitask_loss(params, targets, W, BB, GRID, LABELS,
                                         conf_targets="fixed")
         singles = []
@@ -215,7 +215,7 @@ class TestLoss:
 class TestGradCheck:
     def test_full_loss_below_1e4(self):
         targets = micro_batch(n=2)
-        params = net.init_params(BB, GRID, LABELS, seed=2)
+        params = float64(net.init_params(BB, GRID, LABELS, seed=2))
         err = grad_check(params, targets, W, BB, GRID, LABELS,
                              eps=1e-4, n_samples=200, seed=0)
         assert err < 1e-4
@@ -228,7 +228,7 @@ class TestGradCheck:
     ])
     def test_each_term_in_isolation(self, name, weights):
         targets = micro_batch(n=2)
-        params = net.init_params(BB, GRID, LABELS, seed=2)
+        params = float64(net.init_params(BB, GRID, LABELS, seed=2))
         err = grad_check(params, targets, weights, BB, GRID, LABELS,
                              eps=1e-4, n_samples=120, seed=1)
         assert err < 1e-4, name
@@ -237,7 +237,7 @@ class TestGradCheck:
         # central differences have O(eps^2) truncation error; on a smooth
         # region a 10x bigger step should cost accuracy
         targets = micro_batch(n=1)
-        params = net.init_params(BB, GRID, LABELS, seed=4)
+        params = float64(net.init_params(BB, GRID, LABELS, seed=4))
         small = grad_check(params, targets, W, BB, GRID, LABELS,
                                eps=1e-4, n_samples=60, seed=3)
         large = grad_check(params, targets, W, BB, GRID, LABELS,
@@ -250,7 +250,7 @@ class TestGradCheck:
         # parameters: each loss evaluation replays the recorded hand and
         # object targets in the order the loss asks for them
         targets = micro_batch(n=1)
-        params = net.init_params(BB, GRID, LABELS, seed=5)
+        params = float64(net.init_params(BB, GRID, LABELS, seed=5))
         online = net.confidence_from_grid_coords
         recorded = []
 
@@ -288,7 +288,7 @@ class TestSparseHead:
         else:
             cfg, targets = toy_batch(n)
             bb, grid, labels, weights = cfg.backbone, cfg.grid, cfg.labels, cfg.loss
-        params = net.init_params(bb, grid, labels, seed=n)
+        params = float64(net.init_params(bb, grid, labels, seed=n))
         value, grads, parts = net.multitask_loss(params, targets, weights, bb, grid, labels,
                                                  conf_targets)
         want, want_grads, want_parts = ad.value_and_grads(params.tensors, lambda pt: net.loss_graph(
@@ -384,8 +384,19 @@ class TestCheckpoint:
         assert header["signature"] == params.signature
         assert set(tensors) == set(params.tensors)
         for k in tensors:
-            np.testing.assert_array_equal(
-                tensors[k], params.tensors[k].astype(np.float32).astype(np.float64))
+            # the model computes in float32 and the file stores <f4: exact
+            assert tensors[k].dtype == params.tensors[k].dtype == ad.COMPUTE_DTYPE
+            assert tensors[k].flags.writeable
+            np.testing.assert_array_equal(tensors[k], params.tensors[k])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_config_error(self, tmp_path, value):
+        params = net.init_params(BB, GRID, LABELS, seed=0)
+        params.tensors["conv1.w"][1, 0, 2, 2] = value
+        path = tmp_path / "model.ckpt"
+        net.save_checkpoint(path, params.tensors, {"kind": "backbone"})
+        with pytest.raises(ConfigError, match=r"tensor conv1\.w holds non-finite values"):
+            net.load_checkpoint(path)
 
     def test_serialization_is_deterministic(self, tmp_path):
         params = net.init_params(BB, GRID, LABELS, seed=0)

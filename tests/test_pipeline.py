@@ -1,7 +1,10 @@
 """Stage orchestration: identical seeds must give identical bytes."""
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,6 +13,8 @@ import pytest
 
 from gridpose import codec, config, interaction as ia, network as net, pipeline, synth
 from gridpose.errors import ConfigError, HashMismatch, ShapeMismatch
+
+from conftest import float64
 
 
 def tiny_config():
@@ -24,6 +29,15 @@ def tiny_config():
         data=replace(cfg.data, train_frames=16, val_frames=4,
                      train_sequences=2, val_sequences=2),
     )
+
+
+def run_every_stage() -> None:
+    """Every stage of tiny_config(), writing into the working directory."""
+    cfg = tiny_config()
+    pipeline.gen_data(cfg)
+    stage1 = pipeline.train_stage1(cfg)
+    stage2, baseline = pipeline.train_stage2(cfg, stage1)
+    pipeline.evaluate(cfg, stage1, "report", stage2, baseline, noise_trials=8)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -98,11 +112,7 @@ class TestDeterminism:
         for side in ("a", "b"):
             (tmp_path / side).mkdir()
             monkeypatch.chdir(tmp_path / side)
-            cfg = tiny_config()
-            pipeline.gen_data(cfg)
-            stage1 = pipeline.train_stage1(cfg)
-            stage2, baseline = pipeline.train_stage2(cfg, stage1)
-            pipeline.evaluate(cfg, stage1, "report", stage2, baseline, noise_trials=8)
+            run_every_stage()
             trees.append(tree_bytes(tmp_path / side))
         a, b = trees
         assert {"run/stage1.ckpt", "run/stage1_log.csv", "data/train/frames.npy",
@@ -115,6 +125,32 @@ class TestDeterminism:
         text = {name: data for name, data in a.items() if not name.endswith((".npy", ".ckpt"))}
         assert len(text) == 12
         assert [name for name, data in text.items() if b"\r" in data] == []
+
+
+# A child process runs every stage and prints how many threads it holds.
+CHILD = ("import os, test_pipeline; test_pipeline.run_every_stage(); "
+         "print(len(os.listdir('/proc/self/task')))")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="counts threads in /proc and needs two CPUs for two BLAS threads")
+def test_one_and_two_blas_threads_write_the_same_bytes(tmp_path):
+    """The bytes of every stage do not depend on the BLAS thread count: each
+    side runs in its own process, whose OpenBLAS starts with 1 or 2 threads."""
+    path = os.pathsep.join([str(Path(pipeline.__file__).parents[1]), str(Path(__file__).parent)])
+    trees = []
+    for threads in (1, 2):
+        (tmp_path / str(threads)).mkdir()
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+        out = subprocess.run([sys.executable, "-W", "error", "-c", CHILD], env=env,
+                             cwd=tmp_path / str(threads), capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split()[-1] == str(threads)
+        trees.append(tree_bytes(tmp_path / str(threads)))
+    one, two = trees
+    assert "run/stage1.ckpt" in one and sorted(one) == sorted(two)
+    assert [name for name in one if one[name] != two[name]] == []
 
 
 class TestEmptySplit:
@@ -288,6 +324,7 @@ class TestPredictFrames:
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
     def test_matches_dense_forward_decode_and_prune(self, model, batch_size, saturated):
         cfg, params, frames = model
+        params = float64(params)   # the dense path sums in another order
         # a NaN pixel in frame 1 gives a patch of its cells NaN confidences
         raster = frames[1].raster.copy()
         raster[1, 30, 21] = np.nan

@@ -101,6 +101,14 @@ class TestProcrustes:
         with pytest.raises(DegenerateConfiguration):
             rp.procrustes_align(line, line + 0.1)
 
+    @pytest.mark.parametrize("side", ["src", "dst"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, side, value):
+        points = {"src": BOX.copy(), "dst": random_pose(np.random.default_rng(6)).apply(BOX)}
+        points[side][3, 1] = value
+        with pytest.raises(DegenerateConfiguration, match="non-finite"):
+            rp.procrustes_align(points["src"], points["dst"])
+
     def test_corners_only_flag(self):
         rng = np.random.default_rng(5)
         true = random_pose(rng)
@@ -130,6 +138,15 @@ class TestPnpDlt:
     def test_five_points_rejected(self):
         with pytest.raises(RankDeficient):
             rp.pnp_dlt(np.zeros((5, 2)), np.zeros((5, 3)), CAM)
+
+    @pytest.mark.parametrize("side", ["pixels", "model"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_correspondence_rejected(self, side, value):
+        true = rp.Pose6D(np.eye(3), np.array([0.0, 0.0, 1.0]))
+        args = {"pixels": geo.project(true.apply(BOX), CAM), "model": BOX.copy()}
+        args[side][5, 0] = value
+        with pytest.raises(DegenerateConfiguration, match="non-finite"):
+            rp.pnp_dlt(args["pixels"], args["model"], CAM)
 
     def test_det_is_positive(self):
         rng = np.random.default_rng(9)
