@@ -490,9 +490,7 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
 
     where gT is the output gradient as (f, L·n). The backward reuses cols.
     col2im mirrors the forward: each tap adds its window of gc straight into
-    a zeroed, unpadded (c, h, w, n) input gradient. A 1x1 kernel at stride 1
-    without padding skips the k² copies: its cols is the input itself as
-    (c, h·w·n).
+    a zeroed, unpadded (c, h, w, n) input gradient.
 
     The output is the (n, f, oh, ow) view of the (f, L·n) product, and the
     input gradient the same view of its (c, h, w, n) buffer; neither is
@@ -508,19 +506,15 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         raise ValueError(f"kernel {w.data.shape} does not match input {x.data.shape}")
     oh = (h + 2 * padding - k) // stride + 1
     ow = (wd + 2 * padding - k) // stride + 1
-    pointwise = k == 1 and stride == 1 and padding == 0
     taps_y = [_taps(i, h, oh, stride, padding) for i in range(k)]
     taps_x = [_taps(j, wd, ow, stride, padding) for j in range(k)]
 
     xt = x.data.transpose(1, 2, 3, 0)
-    if pointwise:
-        cols = xt.reshape(c, h * wd * n)
-    else:
-        cols = np.zeros((c, k, k, oh, ow, n), x.data.dtype)
-        for i, (out_y, in_y) in enumerate(taps_y):
-            for j, (out_x, in_x) in enumerate(taps_x):
-                cols[:, i, j, out_y, out_x] = xt[:, in_y, in_x]
-        cols = cols.reshape(c * k * k, oh * ow * n)
+    cols = np.zeros((c, k, k, oh, ow, n), x.data.dtype)
+    for i, (out_y, in_y) in enumerate(taps_y):
+        for j, (out_x, in_x) in enumerate(taps_x):
+            cols[:, i, j, out_y, out_x] = xt[:, in_y, in_x]
+    cols = cols.reshape(c * k * k, oh * ow * n)
     w2 = w.data.reshape(f, c * k * k)
     out = w2 @ cols
     out += b.data[:, None]
@@ -533,15 +527,11 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         if w.requires_grad:
             w._accumulate(_batch_gemm(gT, cols.T).reshape(w.data.shape), owned=True)
         if x.requires_grad:
-            gcols = w2.T @ gT
-            if pointwise:
-                gx = gcols.reshape(c, h, wd, n)
-            else:
-                gcols = gcols.reshape(c, k, k, oh, ow, n)
-                gx = np.zeros((c, h, wd, n), x.data.dtype)
-                for i, (out_y, in_y) in enumerate(taps_y):
-                    for j, (out_x, in_x) in enumerate(taps_x):
-                        gx[:, in_y, in_x] += gcols[:, i, j, out_y, out_x]
+            gcols = (w2.T @ gT).reshape(c, k, k, oh, ow, n)
+            gx = np.zeros((c, h, wd, n), x.data.dtype)
+            for i, (out_y, in_y) in enumerate(taps_y):
+                for j, (out_x, in_x) in enumerate(taps_x):
+                    gx[:, in_y, in_x] += gcols[:, i, j, out_y, out_x]
             x._accumulate(gx.transpose(3, 0, 1, 2), owned=True)
 
     return Tensor._make(out_data, (x, w, b), backward)

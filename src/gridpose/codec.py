@@ -13,7 +13,8 @@ all other points decode with the identity and may land outside the cell.
 
 Targets are sparse: frame_targets gives, per entity, the one cell that
 contains the root point (the "responsible" cell) and the control points'
-offsets from that cell's corner. The loss reads these at the responsible
+grid coordinates, for one frame or a whole stack of frames in one pass.
+The loss reads their offsets from that cell's corner at the responsible
 cells only; every other cell is trained towards confidence 0. Points on a
 cell boundary belong to the lower-index cell.
 
@@ -130,59 +131,52 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def _responsible_cell(w_root: np.ndarray, grid: GridSpec, entity: str) -> tuple[int, int, int]:
-    dims = (grid.w, grid.h, grid.d)
-    names = ("u", "v", "z")
-    cell = np.floor(w_root).astype(int)
-    for axis in range(3):
-        if not (0 <= w_root[axis] < dims[axis]):
-            raise OutOfVolume(entity, names[axis], float(w_root[axis]), (0.0, float(dims[axis])))
-    return int(cell[0]), int(cell[1]), int(cell[2])
-
-
 @dataclass(frozen=True, eq=False)
 class FrameTargets:
-    """Sparse per-frame targets: responsible cells, offsets, labels."""
+    """Sparse training targets of one frame, or of a stack of frames with
+    leading axes (...).
 
-    hand_cell: tuple[int, int, int]
-    object_cell: tuple[int, int, int]
-    hand_offsets: np.ndarray    # (NUM_CONTROL_POINTS, 3) grid units from the cell corner
-    object_offsets: np.ndarray
-    hand_coords: np.ndarray     # (NUM_CONTROL_POINTS, 3) ground-truth grid coordinates
-    object_coords: np.ndarray
-    action_id: int
-    object_id: int
+    Role row 0 is the hand and row 1 the object, as in decode_best. The
+    in-cell offsets are coords - cells[..., None, :].
+    """
+
+    cells: np.ndarray       # (..., 2, 3) int (u, v, z) responsible cell of each role
+    coords: np.ndarray      # (..., 2, NUM_CONTROL_POINTS, 3) ground-truth grid coordinates
+    action_id: np.ndarray   # (...) int
+    object_id: np.ndarray
 
 
 def frame_targets(scene, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsics) -> FrameTargets:
-    """Compute responsibility and grid-unit offsets for a ground-truth scene.
+    """Responsible cells and grid coordinates of ground-truth scenes.
 
-    The scene must expose hand_points (21, 3), object_points (21, 3),
-    action_id and object_id. Raises OutOfVolume when the hand root or the
-    object centroid falls outside the grid volume.
+    The scene exposes hand_points and object_points (..., 21, 3) and
+    action_id and object_id (...): one frame, or a stack of frames with
+    leading axes. A stack is checked ids first, then depth, then volume,
+    so a stack with one bad frame raises what that frame raises alone:
+    ConfigOutOfRange for a class id outside its label space,
+    NonPositiveDepth for a point at z <= 0, and OutOfVolume for the first
+    hand root or object centroid (hand before object, then u, v, z) that
+    falls outside the grid volume.
     """
-    n_c = NUM_CONTROL_POINTS
-    if not (0 <= scene.action_id < labels.n_actions):
-        raise ConfigOutOfRange(f"action id {scene.action_id} not in [0, {labels.n_actions})")
-    if not (0 <= scene.object_id < labels.n_objects):
-        raise ConfigOutOfRange(f"object id {scene.object_id} not in [0, {labels.n_objects})")
+    ids = np.asarray(scene.action_id), np.asarray(scene.object_id)
+    for name, i, n in zip(("action", "object"), ids, (labels.n_actions, labels.n_objects)):
+        bad = (i < 0) | (i >= n)
+        if np.any(bad):
+            raise ConfigOutOfRange(f"{name} id {i[bad][0]} not in [0, {n})")
 
-    w_h = camera_to_grid(np.asarray(scene.hand_points, dtype=float).reshape(n_c, 3), cam, grid)
-    w_o = camera_to_grid(np.asarray(scene.object_points, dtype=float).reshape(n_c, 3), cam, grid)
-
-    cell_h = _responsible_cell(w_h[root_index(HAND)], grid, HAND)
-    cell_o = _responsible_cell(w_o[root_index(OBJECT)], grid, OBJECT)
-
-    return FrameTargets(
-        hand_cell=cell_h,
-        object_cell=cell_o,
-        hand_offsets=w_h - np.asarray(cell_h, dtype=float),
-        object_offsets=w_o - np.asarray(cell_o, dtype=float),
-        hand_coords=w_h,
-        object_coords=w_o,
-        action_id=int(scene.action_id),
-        object_id=int(scene.object_id),
-    )
+    points = np.stack([np.asarray(scene.hand_points, dtype=float),
+                       np.asarray(scene.object_points, dtype=float)], axis=-3)
+    coords = camera_to_grid(points.reshape(*ids[0].shape, 2, NUM_CONTROL_POINTS, 3), cam, grid)
+    roots = coords[..., [0, 1], [root_index(HAND), root_index(OBJECT)], :]   # (..., 2, 3)
+    dims = np.array([grid.w, grid.h, grid.d])
+    outside = ~((0 <= roots) & (roots < dims))
+    if np.any(outside):
+        first = int(np.argmax(outside.ravel()))   # frame-major, then role, then axis
+        role, axis = divmod(first % 6, 3)
+        raise OutOfVolume((HAND, OBJECT)[role], "uvz"[axis], float(roots.ravel()[first]),
+                          (0.0, float(dims[axis])))
+    return FrameTargets(cells=np.floor(roots).astype(int), coords=coords,
+                        action_id=ids[0].astype(int), object_id=ids[1].astype(int))
 
 
 def decode_offsets(raw_coords: np.ndarray, role: str) -> np.ndarray:

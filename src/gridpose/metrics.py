@@ -61,7 +61,8 @@ def object_pose_errors(ref, points, truth: Pose6D,
 
     The first two score the Procrustes fit of ref to points, the last the
     DLT PnP pose from the projections of points. Each is inf on its own when
-    its route raises NumericError; a point not at z > 1e-6 fails PnP.
+    its route raises NumericError; each route needs finite points, and PnP
+    also needs every point at z > 1e-6.
     """
     add = proj = add_pnp = float("inf")
     try:
@@ -71,8 +72,9 @@ def object_pose_errors(ref, points, truth: Pose6D,
     except NumericError:
         pass
     try:
-        if not np.all(np.asarray(points)[:, 2] > 1e-6):
-            raise NonPositiveDepth("points behind the camera")
+        points = np.asarray(points, dtype=float)
+        if not (np.all(np.isfinite(points)) and np.all(points[:, 2] > 1e-6)):
+            raise NumericError("PnP needs finite points in front of the camera")
         add_pnp = add_metric(pnp_dlt(project(points, cam), ref, cam), truth, ref)
     except NumericError:
         pass

@@ -26,6 +26,11 @@ Confidence targets are recomputed from the current predictions through
 the distance law by default ("online"); "fixed" uses target 1 at the
 responsible cells instead (every other cell's target is 0 in both).
 
+BatchTargets holds a batch's images and its codec.FrameTargets in the
+layout head_at_cells and decode_best use: responsible cells (B, 2, 3) and
+grid coordinates (B, 2, 21, 3), hand in row 0 and object in row 1. The
+loss derives the coordinate offsets from them; no offsets are stored.
+
 Training uses the minibatch loop in autodiff.
 """
 
@@ -34,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -266,18 +272,11 @@ def predict(params: ModelParams, images: np.ndarray, bb: BackboneConfig, grid: G
 
 
 @dataclass(frozen=True, eq=False)
-class BatchTargets:
-    """Precomputed per-frame training targets (indexable, concatenable)."""
+class BatchTargets(codec.FrameTargets):
+    """A batch's images and the codec.FrameTargets of its frames, leading
+    axis B (indexable, concatenable)."""
 
     images: np.ndarray        # (B, C, H, W)
-    hand_cells: np.ndarray    # (B, 3) int, (u, v, z)
-    object_cells: np.ndarray
-    hand_offsets: np.ndarray  # (B, 21, 3) grid-unit offsets from the cell corner
-    object_offsets: np.ndarray
-    hand_coords: np.ndarray   # (B, 21, 3) ground-truth grid coordinates
-    object_coords: np.ndarray
-    action_ids: np.ndarray    # (B,) int
-    object_ids: np.ndarray
 
     def __len__(self) -> int:
         return self.images.shape[0]
@@ -288,18 +287,11 @@ class BatchTargets:
     @staticmethod
     def from_scenes(scenes, grid: GridSpec, labels: LabelSpec, cam: CameraIntrinsics,
                     images: np.ndarray) -> "BatchTargets":
-        ts = [frame_targets(s, grid, labels, cam) for s in scenes]
-        return BatchTargets(
-            images=np.asarray(images, dtype=ad.COMPUTE_DTYPE),
-            hand_cells=np.array([t.hand_cell for t in ts], dtype=int),
-            object_cells=np.array([t.object_cell for t in ts], dtype=int),
-            hand_offsets=np.array([t.hand_offsets for t in ts]),
-            object_offsets=np.array([t.object_offsets for t in ts]),
-            hand_coords=np.array([t.hand_coords for t in ts]),
-            object_coords=np.array([t.object_coords for t in ts]),
-            action_ids=np.array([t.action_id for t in ts], dtype=int),
-            object_ids=np.array([t.object_id for t in ts], dtype=int),
-        )
+        """Targets of a list of scenes, from one frame_targets call on their stack."""
+        stack = SimpleNamespace(**{k: np.array([getattr(s, k) for s in scenes]) for k in (
+            "hand_points", "object_points", "action_id", "object_id")})
+        t = frame_targets(stack, grid, labels, cam)
+        return BatchTargets(images=np.asarray(images, dtype=ad.COMPUTE_DTYPE), **vars(t))
 
 
 def _loss_terms(
@@ -321,12 +313,13 @@ def _loss_terms(
     scale = 1.0 / b
     tgt = np.zeros(conf_logits.shape, conf_logits.data.dtype)
     lam = np.full(conf_logits.shape, weights.conf_noobj, conf_logits.data.dtype)
+    offsets = targets.coords - targets.cells[..., None, :]   # (B, 2, 21, 3) from the cell corner
 
-    def slot_terms(r, resp, cells, offsets, coords, class_ids, role):
-        root = root_index(role)
+    def slot_terms(r, role, resp, class_ids):
+        cells, root = targets.cells[:, r], root_index(role)
         root_sl = slice(3 * root, 3 * root + 3)
-        pose_root = ad.sigmoid(resp[:, root_sl]) - offsets[:, root, :]
-        rest_target = np.delete(offsets.reshape(b, -1), np.r_[3 * root: 3 * root + 3], axis=1)
+        pose_root = ad.sigmoid(resp[:, root_sl]) - offsets[:, r, root, :]
+        rest_target = np.delete(offsets[:, r].reshape(b, -1), np.r_[root_sl], axis=1)
         if root == 0:
             rest = resp[:, 3:COORD_CHANNELS]
         else:
@@ -339,7 +332,7 @@ def _loss_terms(
 
         if conf_targets == "online":
             pred_w = codec.decode_offsets(resp.data[:, :COORD_CHANNELS], role) + cells[:, None, :]
-            resp_target = confidence_from_grid_coords(pred_w, coords, grid)
+            resp_target = confidence_from_grid_coords(pred_w, targets.coords[:, r], grid)
         else:
             resp_target = np.ones(b)
         idx = (bidx, cells[:, 1], cells[:, 0], cells[:, 2], r)
@@ -347,10 +340,8 @@ def _loss_terms(
         lam[idx] = weights.conf_obj
         return pose, ce
 
-    pose_h, ce_a = slot_terms(0, hand_raw, targets.hand_cells, targets.hand_offsets,
-                              targets.hand_coords, targets.action_ids, HAND)
-    pose_o, ce_o = slot_terms(1, obj_raw, targets.object_cells, targets.object_offsets,
-                              targets.object_coords, targets.object_ids, OBJECT)
+    pose_h, ce_a = slot_terms(0, HAND, hand_raw, targets.action_id)
+    pose_o, ce_o = slot_terms(1, OBJECT, obj_raw, targets.object_id)
     dc = ad.sigmoid(conf_logits) - ad.Tensor(tgt)
 
     pose = ad.mul(pose_h + pose_o, weights.pose * scale)
@@ -396,8 +387,8 @@ def loss_graph(
         return raw[(bidx, cells[:, 1], cells[:, 0], cells[:, 2])]
 
     conf = raw[..., np.array([labels.hand_slot - 1, labels.cell_channels - 1])]
-    return _loss_terms(conf, at(targets.hand_cells)[:, : labels.hand_slot],
-                       at(targets.object_cells)[:, labels.hand_slot:],
+    return _loss_terms(conf, at(targets.cells[:, 0])[:, : labels.hand_slot],
+                       at(targets.cells[:, 1])[:, labels.hand_slot:],
                        targets, weights, grid, conf_targets)
 
 
@@ -418,8 +409,7 @@ def multitask_loss(
     """
     def loss(pt):
         cols = feature_columns(features_graph(pt, targets.images, bb, grid))
-        at = head_at_cells(pt, cols, np.stack([targets.hand_cells, targets.object_cells], axis=1),
-                           grid, labels)
+        at = head_at_cells(pt, cols, targets.cells, grid, labels)
         return _loss_terms(confidence_logits(pt, cols, grid, labels),
                            at[:, 0, : labels.hand_slot], at[:, 1, labels.hand_slot:],
                            targets, weights, grid, conf_targets)

@@ -106,9 +106,9 @@ def _frames_dataset(cfg: RunConfig, split: str) -> net.BatchTargets:
 
 def train_stage1(cfg: RunConfig) -> Path:
     """Train the single-image network; returns the checkpoint path."""
+    dataset = _frames_dataset(cfg, "train")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = _frames_dataset(cfg, "train")
     params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
     rng = synth.seeded_rng(cfg.seed, 0x51)
 
@@ -233,13 +233,13 @@ def train_stage2(cfg: RunConfig, backbone_ckpt) -> tuple[Path, Path]:
     The backbone stays frozen: its tensors are only read. Returns the
     paths of the interaction checkpoint and the baseline checkpoint.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     params = load_backbone(cfg, backbone_ckpt)
     frozen_before = {k: v.tobytes() for k, v in params.tensors.items()}
     backbone_hash = net.file_hash(backbone_ckpt)
 
     inputs, labels = _sequence_dataset(cfg, params, "seq_train")
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     log = []
     paths = {}
     for variant, pair_map in (("interact", True), ("baseline", False)):

@@ -28,9 +28,10 @@ def raw_grid_from_targets(t: codec.FrameTargets, grid, labels) -> np.ndarray:
     raw = np.zeros((grid.h, grid.w, grid.d, labels.cell_channels))
     raw[..., labels.hand_slot - 1] = logit(0.0)
     raw[..., -1] = logit(0.0)
+    role_offsets = t.coords - t.cells[:, None, :]
     for (u, v, z), offsets, class_id, role, base in (
-        (t.hand_cell, t.hand_offsets, t.action_id, geo.HAND, 0),
-        (t.object_cell, t.object_offsets, t.object_id, geo.OBJECT, labels.hand_slot),
+        (t.cells[0], role_offsets[0], t.action_id, geo.HAND, 0),
+        (t.cells[1], role_offsets[1], t.object_id, geo.OBJECT, labels.hand_slot),
     ):
         coords = offsets.copy()
         root = geo.root_index(role)
@@ -121,8 +122,9 @@ class TestEncodeFrame:
             action_id=2, object_id=1,
         )
         t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
-        assert t.hand_cell == (3, 4, 3)
-        np.testing.assert_allclose(t.hand_offsets[0], [0.125, 0.6875, 1.0 / 3.0], atol=1e-12)
+        assert tuple(t.cells[0]) == (3, 4, 3)
+        np.testing.assert_allclose(t.coords[0, 0] - t.cells[0], [0.125, 0.6875, 1.0 / 3.0],
+                                   atol=1e-12)
         assert (t.action_id, t.object_id) == (2, 1)
 
     def test_root_on_cell_corner_gets_zero_offsets(self):
@@ -138,8 +140,8 @@ class TestEncodeFrame:
                           object_points=hand_around(root + 0.01)[::-1],
                           action_id=0, object_id=0)
         t = codec.frame_targets(scene, grid, LABELS, cam)
-        assert t.hand_cell == (3, 4, 2)
-        np.testing.assert_array_equal(t.hand_offsets[0], [0.0, 0.0, 0.0])
+        assert tuple(t.cells[0]) == (3, 4, 2)
+        np.testing.assert_array_equal(t.coords[0, 0] - t.cells[0], [0.0, 0.0, 0.0])
 
     def test_out_of_volume_reports_entity_and_axis(self):
         far = geo.grid_to_camera(np.array([6.0, 6.0, 5.5]), PAPER_CAM, PAPER_GRID)
@@ -159,11 +161,11 @@ class TestEncodeFrame:
         for _ in range(20):
             scene, _, _ = random_scene(rng)
             t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
-            for offsets, role in ((t.hand_offsets, geo.HAND), (t.object_offsets, geo.OBJECT)):
-                root = offsets[geo.root_index(role)]
+            for r, role in enumerate((geo.HAND, geo.OBJECT)):
+                root = t.coords[r, geo.root_index(role)] - t.cells[r]
                 assert np.all(root >= 0.0) and np.all(root < 1.0)
-            np.testing.assert_allclose(t.hand_coords - t.hand_offsets,
-                                       np.broadcast_to(t.hand_cell, (21, 3)), atol=1e-12)
+            roots = [geo.root_index(geo.HAND), geo.root_index(geo.OBJECT)]
+            np.testing.assert_array_equal(t.cells, np.floor(t.coords[[0, 1], roots]))
 
 
 def _raw_grid(rng=None, scale=1.0):
@@ -209,7 +211,7 @@ class TestRoundTrip:
         t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
         raw = raw_grid_from_targets(t, PAPER_GRID, LABELS)
         pred = codec.prune(codec.decode_grid(raw, PAPER_GRID, LABELS), PAPER_GRID, PAPER_CAM)
-        assert (pred.hand_cell, pred.object_cell) == (t.hand_cell, t.object_cell)
+        assert (pred.hand_cell, pred.object_cell) == tuple(map(tuple, t.cells.tolist()))
         assert np.abs(pred.hand_points - scene.hand_points).max() < 1e-9
         assert np.abs(pred.object_points - scene.object_points).max() < 1e-9
         assert pred.action_id == scene.action_id

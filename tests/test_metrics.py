@@ -173,6 +173,14 @@ class TestObjectPoseErrors:
         points[2] = np.nan
         assert metrics.object_pose_errors(CUBE, points, truth, CAM) == (np.inf,) * 3
 
+    def test_a_point_at_infinite_depth_fails_every_error(self):
+        # x / inf projects to a finite pixel, so only the finiteness check
+        # keeps PnP from fitting the other points
+        truth = random_pose(np.random.default_rng(5))
+        points = truth.apply(CUBE)
+        points[2] = [0.0, 0.0, np.inf]
+        assert metrics.object_pose_errors(CUBE, points, truth, CAM) == (np.inf,) * 3
+
     def test_a_fit_behind_the_camera_keeps_its_add(self):
         # the predicted centroid sits behind the camera: the Procrustes pose
         # still has an ADD, but neither a projection nor a PnP pose

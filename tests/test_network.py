@@ -1,6 +1,7 @@
 """Backbone forward pass, multi-task loss, gradient checks and SGD."""
 
 import itertools
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from gridpose import autodiff as ad
 from gridpose import codec, config, synth
 from gridpose import geometry as geo
 from gridpose import network as net
-from gridpose.errors import ConfigError, NonFiniteLoss, ShapeMismatch
+from gridpose.errors import ConfigError, GridposeError, NonFiniteLoss, OutOfVolume, ShapeMismatch
 
 from conftest import float64, logit, random_scene
 
@@ -125,30 +126,31 @@ class TestLoss:
         b = len(targets)
         raw = np.zeros((b, GRID.h, GRID.w, GRID.d, LABELS.cell_channels))
         big = 50.0
+        offsets = targets.coords - targets.cells[..., None, :]
         for i in range(b):
-            u, v, z = targets.hand_cells[i]
+            u, v, z = targets.cells[i, 0]
             hand = np.zeros(LABELS.hand_slot)
-            hand[:63] = targets.hand_offsets[i].ravel()
-            hand[0:3] = logit(targets.hand_offsets[i][0])
-            hand[63 + targets.action_ids[i]] = big
+            hand[:63] = offsets[i, 0].ravel()
+            hand[0:3] = logit(offsets[i, 0, 0])
+            hand[63 + targets.action_id[i]] = big
             hand[-1] = big
             raw[i, v, u, z, :LABELS.hand_slot] = hand
 
-            u, v, z = targets.object_cells[i]
+            u, v, z = targets.cells[i, 1]
             obj = np.zeros(LABELS.object_slot)
-            obj[:63] = targets.object_offsets[i].ravel()
-            obj[60:63] = logit(targets.object_offsets[i][20])
-            obj[63 + targets.object_ids[i]] = big
+            obj[:63] = offsets[i, 1].ravel()
+            obj[60:63] = logit(offsets[i, 1, 20])
+            obj[63 + targets.object_id[i]] = big
             obj[-1] = big
             raw[i, v, u, z, LABELS.hand_slot:] = obj
         # every non-responsible confidence logit to -big
         for i in range(b):
             mask = np.ones((GRID.h, GRID.w, GRID.d), dtype=bool)
-            u, v, z = targets.hand_cells[i]
+            u, v, z = targets.cells[i, 0]
             mask[v, u, z] = False
             raw[i, ..., LABELS.hand_slot - 1][mask] = -big
             mask = np.ones((GRID.h, GRID.w, GRID.d), dtype=bool)
-            u, v, z = targets.object_cells[i]
+            u, v, z = targets.cells[i, 1]
             mask[v, u, z] = False
             raw[i, ..., -1][mask] = -big
 
@@ -210,6 +212,60 @@ class TestLoss:
                                          conf_targets="fixed")
             singles.append(v)
         assert full == pytest.approx(np.mean(singles), rel=1e-12)
+
+
+def with_point(scene, role, index, value):
+    """A copy of scene with one hand or object point replaced."""
+    name = "hand_points" if role == geo.HAND else "object_points"
+    points = getattr(scene, name).copy()
+    points[index] = value
+    return replace(scene, **{name: points})
+
+
+def at_grid(coords):
+    return geo.grid_to_camera(np.array(coords, dtype=float), CAM, GRID)
+
+
+class TestBatchTargets:
+    def test_from_scenes_equals_frame_targets_per_frame(self):
+        rng = np.random.default_rng(4)
+        scenes = [random_scene(rng, grid=GRID, cam=CAM, n_actions=LABELS.n_actions,
+                               n_objects=LABELS.n_objects)[0] for _ in range(6)]
+        images = np.zeros((6, 3, GRID.image_h, GRID.image_w))
+        batch = net.BatchTargets.from_scenes(scenes, GRID, LABELS, CAM, images)
+        for i, scene in enumerate(scenes):
+            t = codec.frame_targets(scene, GRID, LABELS, CAM)
+            np.testing.assert_array_equal(batch.cells[i], t.cells)
+            np.testing.assert_array_equal(batch.coords[i], t.coords)
+            assert (batch.action_id[i], batch.object_id[i]) == (t.action_id, t.object_id)
+        assert batch.cells.dtype == int and batch.coords.dtype == np.float64
+
+    @pytest.mark.parametrize("spoil", [
+        lambda s: replace(s, action_id=LABELS.n_actions),
+        lambda s: replace(s, object_id=-1),
+        lambda s: with_point(s, geo.HAND, 5, [0.0, 0.0, -0.1]),
+        lambda s: with_point(s, geo.HAND, 0, at_grid([1.5, 1.5, GRID.d + 0.25])),
+        lambda s: with_point(s, geo.HAND, 0, at_grid([1.5, -0.5, 1.5])),
+        lambda s: with_point(s, geo.OBJECT, 20, at_grid([GRID.w + 0.5, 1.5, 1.5])),
+        lambda s: with_point(s, geo.OBJECT, 20, [np.nan, 0.0, 0.5]),
+        lambda s: with_point(with_point(s, geo.OBJECT, 20, at_grid([1.5, 1.5, -0.5])),
+                             geo.HAND, 0, at_grid([GRID.w, 1.5, 1.5])),
+    ])
+    def test_one_bad_frame_raises_what_it_raises_alone(self, spoil):
+        rng = np.random.default_rng(6)
+        scenes = [random_scene(rng, grid=GRID, cam=CAM, n_actions=LABELS.n_actions,
+                               n_objects=LABELS.n_objects)[0] for _ in range(5)]
+        scenes[3] = spoil(scenes[3])
+        with pytest.raises(GridposeError) as alone:
+            codec.frame_targets(scenes[3], GRID, LABELS, CAM)
+        with pytest.raises(GridposeError) as stacked:
+            net.BatchTargets.from_scenes(scenes, GRID, LABELS, CAM,
+                                         np.zeros((5, 3, GRID.image_h, GRID.image_w)))
+        assert type(stacked.value) is type(alone.value)
+        if isinstance(alone.value, OutOfVolume):
+            got, want = stacked.value, alone.value
+            assert (got.entity, got.axis, got.bound) == (want.entity, want.axis, want.bound)
+            np.testing.assert_array_equal(got.value, want.value)
 
 
 class TestGradCheck:

@@ -101,9 +101,11 @@ class TestGenData:
         assert len(synth.load_frames(root / "train")[0]) == 4
 
     def test_missing_split_directory_is_config_error(self, tmp_path):
-        cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
+        cfg = replace(tiny_config(), out_dir=str(tmp_path / "run"),
+                      data=replace(tiny_config().data, dir=str(tmp_path)))
         with pytest.raises(ConfigError, match=re.escape(str(tmp_path / "train" / "frames.npy"))):
             pipeline.train_stage1(cfg)
+        assert not (tmp_path / "run").exists()
 
 
 class TestDeterminism:
@@ -166,7 +168,8 @@ class TestEmptySplit:
         pipeline.gen_data(cfg)
         stage1 = pipeline.train_stage1(cfg)
         with pytest.raises(ConfigError, match="'seq_train'"):
-            pipeline.train_stage2(cfg, stage1)
+            pipeline.train_stage2(replace(cfg, out_dir=str(tmp_path / "run2")), stage1)
+        assert not (tmp_path / "run2").exists()
 
     def test_empty_validation_splits_rejected(self, tmp_path):
         cfg = tiny_config()
