@@ -17,12 +17,17 @@ parent's gradient, and leaky_relu scales its own gradient in place.
 backward() releases each interior node once its backward has run, so
 only leaf gradients are defined afterwards.
 
+leaky_relu is the select max(x, slope·x), which for 0 <= slope <= 1 has the
+bits of x > 0 ? x : slope·x, signed zeros and subnormals included, without a
+branch per element or a mask kept for the backward (relu is slope 0).
+
 conv2d, where training spends its time, is im2col + GEMM over the whole
 batch (Chellapilla et al. 2006): the in-bounds input windows of the k²
 kernel taps are copied once into a batch-innermost (c·k², L·n) column
-matrix, L = oh·ow output positions per image, and the forward, the
-weight gradient (in blocks of 256 positions: _batch_gemm) and the input
-gradient are BLAS GEMMs against it. Its outputs and input gradients are
+matrix, L = oh·ow output positions per image, of which only each tap's
+padding border is zeroed, and the forward, the weight gradient (in blocks
+of 256 positions, one stacked GEMM: _batch_gemm) and the input gradient
+are BLAS GEMMs against it. Its outputs and input gradients are
 NCHW tensors over (c, h, w, n) memory, so each tap copy and col2im add
 runs over ow·n contiguous elements.
 
@@ -182,8 +187,26 @@ def as_tensor(x, like: Tensor | None = None) -> Tensor:
 def _batch_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b summed in order over blocks of 256 of the inner dimension, for products that
     sum over a batch (gradients): OpenBLAS blocks a longer inner dimension one way on one
-    thread and another on several, so a single GEMM would round by the thread count."""
-    return sum(a[..., s:s + 256] @ b[..., s:s + 256, :] for s in range(0, a.shape[-1], 256))
+    thread and another on several, so a single GEMM would round by the thread count.
+
+    The sum is 0 + first + second + ... + the product of the last K mod 256 columns.
+    Several full blocks are one stacked matmul, (..., blocks, m, n), summed by
+    np.add.reduce over the block axis: numpy adds an outer axis one slice at a time (only
+    a one-element product of 8 or more blocks would be summed pairwise). A single block
+    is one plain GEMM, since stacking and reducing it costs more than it saves.
+    """
+    m, k = a.shape[-2:]
+    blocks, full = k // 256, k - k % 256
+    out = 0
+    if blocks > 1:
+        a_blocks = np.swapaxes(a[..., :full].reshape(*a.shape[:-2], m, blocks, 256), -2, -3)
+        b_blocks = b[..., :full, :].reshape(*b.shape[:-2], blocks, 256, b.shape[-1])
+        out = np.add.reduce(a_blocks @ b_blocks, axis=-3, initial=0)
+    elif blocks:
+        out += a[..., :256] @ b[..., :256, :]
+    if full < k:
+        out += a[..., full:] @ b[..., full:, :]
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -298,12 +321,16 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.1) -> Tensor:
+    """max(x, slope·x), the leaky rectifier for 0 <= slope <= 1 (see the module
+    docstring). x > 0 exactly where the output is, so the backward scales g by
+    max(out > 0, slope). A non-finite input gives a non-finite output, though
+    not always the masked select's: +inf at slope 0 gives NaN (max(inf, 0·inf))."""
     a = as_tensor(a)
-    pos = a.data > 0
-    out_data = np.where(pos, a.data, slope * a.data)
+    out_data = np.multiply(a.data, slope, out=np.empty_like(a.data))  # 0-d stays an array
+    np.maximum(a.data, out_data, out=out_data)
 
     def backward(g):
-        np.multiply(g, slope, out=g, where=~pos)
+        g *= np.maximum(out_data > 0, slope, dtype=g.dtype)
         a._accumulate(g, owned=True)
 
     return Tensor._make(out_data, (a,), backward)
@@ -479,10 +506,13 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     batch-innermost, cols[(ci, i, j), (oy, ox, m)] =
     xpad[m, ci, oy * stride + i, ox * stride + j], shape (c·k², L·n) with
     L = oh·ow, where xpad is the input zero-padded by p. The padded input
-    is never built: cols starts at zero and each of the k² taps copies only
-    the strided window of x that lands inside it (see _taps), which keeps a
-    padded copy of the batch out of the forward's peak memory. Each pass is
-    one GEMM, the weight gradient one per 256 columns (_batch_gemm):
+    is never built, which keeps a padded copy of the batch out of the
+    forward's peak memory: cols is allocated uninitialised, each of the k²
+    taps copies the strided window of x that lands inside it (see _taps),
+    and only the rest, the output rows and columns outside a tap's _taps
+    slices, is zeroed, by two slice assignments per kernel row and two per
+    kernel column. Each pass is one GEMM, the weight gradient blocked by
+    256 columns (_batch_gemm):
 
       forward          out (f, L·n) = w2 (f, c·k²) @ cols, bias added in place
       weight gradient  gw  (f, c·k²) = gT (f, L·n) @ cols.T
@@ -510,7 +540,13 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     taps_x = [_taps(j, wd, ow, stride, padding) for j in range(k)]
 
     xt = x.data.transpose(1, 2, 3, 0)
-    cols = np.zeros((c, k, k, oh, ow, n), x.data.dtype)
+    cols = np.empty((c, k, k, oh, ow, n), x.data.dtype)
+    for i, (out_y, _) in enumerate(taps_y):      # the padding border of every tap
+        cols[:, i, :, :out_y.start] = 0
+        cols[:, i, :, out_y.stop:] = 0
+    for j, (out_x, _) in enumerate(taps_x):
+        cols[:, :, j, :, :out_x.start] = 0
+        cols[:, :, j, :, out_x.stop:] = 0
     for i, (out_y, in_y) in enumerate(taps_y):
         for j, (out_x, in_x) in enumerate(taps_x):
             cols[:, i, j, out_y, out_x] = xt[:, in_y, in_x]

@@ -103,6 +103,14 @@ def classification_accuracy(pred_labels, gt_labels) -> float:
     return float((p == g).mean())
 
 
+def logits_accuracy(logits, gt_labels) -> float:
+    """classification_accuracy of each row's argmax; a row that holds a
+    non-finite logit counts as wrong (argmax would pick its first NaN)."""
+    z = np.asarray(logits)
+    return classification_accuracy(np.where(np.isfinite(z).all(axis=1), z.argmax(axis=1), -1),
+                                   gt_labels)
+
+
 def mean_joint_error_mm(pred_frames, gt_frames) -> float:
     """Grand mean joint distance over frames and joints, in millimeters."""
     p, g = _paired(pred_frames, gt_frames, "pose pairs")

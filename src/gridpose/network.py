@@ -71,6 +71,8 @@ class BackboneConfig:
             raise ConfigError("backbone needs at least one conv layer")
         if any(c < 1 for c in self.channels) or any(s < 1 for s in self.strides):
             raise ConfigError("channels and strides must be >= 1")
+        if not 0.0 <= self.leak <= 1.0:   # autodiff.leaky_relu is max(x, leak·x)
+            raise ConfigError(f"leak must be in [0, 1], got {self.leak}")
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ def _load_split(cfg: RunConfig, split: str):
 
 def _frames_dataset(cfg: RunConfig, split: str) -> net.BatchTargets:
     frames, _ = _load_split(cfg, split)
-    images = np.stack([f.raster for f in frames])
+    images = np.stack([f.raster for f in frames], dtype=ad.COMPUTE_DTYPE)
     return net.BatchTargets.from_scenes(frames, cfg.grid, cfg.labels, cfg.camera, images)
 
 
@@ -167,12 +167,12 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
 
 # -- per-frame predictions -------------------------------------------------------
 
-def _stack_rasters(cfg: RunConfig, frames, start: int) -> np.ndarray:
-    """The rasters of frames as one image batch; a frame without a raster of
-    the backbone's input shape is a ShapeMismatch that names its index,
-    counted from start (synth.check_rasters)."""
+def _stack_rasters(cfg: RunConfig, frames, start: int, dtype) -> np.ndarray:
+    """The rasters of frames as one image batch of dtype; a frame without a
+    raster of the backbone's input shape is a ShapeMismatch that names its
+    index, counted from start (synth.check_rasters)."""
     synth.check_rasters(frames, (IMAGE_CHANNELS, cfg.grid.image_h, cfg.grid.image_w), start)
-    return np.stack([f.raster for f in frames])
+    return np.stack([f.raster for f in frames], dtype=dtype)
 
 
 def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
@@ -182,7 +182,8 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
     confidence channels at every cell, then its full channels only at each
     frame's winning cells, through codec.decode_best). Each batch's images
     are stacked when it runs, so memory grows with the batch, not with the
-    frame list.
+    frame list, and they are stacked in the parameters' dtype, so no wider
+    copy of the batch is made.
 
     An empty frame list gives [] without running the network; batch_size
     below 1 is a ConfigError; a frame without a raster of the backbone's
@@ -193,8 +194,9 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
     if not frames:
         return []
     preds = []
+    dtype = params.tensors["conv0.w"].dtype
     for start in range(0, len(frames), batch_size):
-        images = _stack_rasters(cfg, frames[start: start + batch_size], start)
+        images = _stack_rasters(cfg, frames[start: start + batch_size], start, dtype)
         preds.extend(net.predict(params, images, cfg.backbone, cfg.grid, cfg.labels, cfg.camera))
     return preds
 
@@ -380,16 +382,14 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
         model = load_interaction(cfg, stage2_ckpt, backbone_ckpt)
         inputs, seq_labels = _sequence_dataset(cfg, params, "seq_val")
         logits = ia.logits_graph(ad.wrap(model.params, False), model.cfg, inputs).data
-        summary["interaction_accuracy"] = metrics.classification_accuracy(
-            logits.argmax(axis=1), seq_labels)
+        summary["interaction_accuracy"] = metrics.logits_accuracy(logits, seq_labels)
         per_joint, parts = ia.weight_importance(model)
         metrics.write_csv(report / "importance.csv", ("joint", "importance"),
                           [*enumerate(per_joint), *parts.items()])
         if baseline_ckpt is not None:
             base = load_interaction(cfg, baseline_ckpt, backbone_ckpt)
             logits = ia.logits_graph(ad.wrap(base.params, False), base.cfg, inputs).data
-            summary["baseline_interaction_accuracy"] = metrics.classification_accuracy(
-                logits.argmax(axis=1), seq_labels)
+            summary["baseline_interaction_accuracy"] = metrics.logits_accuracy(logits, seq_labels)
 
     metrics.write_json(report / "summary.json", summary)
     _write_manifest(report, cfg, {"backbone_ckpt_hash": net.file_hash(backbone_ckpt)})

@@ -118,6 +118,81 @@ class TestActivations:
                  RNG.normal(size=(4, 5)))
 
 
+def rectifier_inputs(dtype):
+    """Signed zeros, subnormals, values around 0 and ordinary values."""
+    fi = np.finfo(dtype)
+    tiny = np.array([0.0, fi.smallest_subnormal, 3 * fi.smallest_subnormal,
+                     fi.smallest_normal / 2, fi.smallest_normal, fi.eps, 1e-3, 1.0, 7.5, 1e30])
+    x = np.concatenate([tiny, -tiny, RNG.normal(size=200), RNG.normal(scale=1e-30, size=50)])
+    return x.astype(dtype)
+
+
+def bits(a):
+    a = np.asarray(a)
+    return a.view(f"u{a.dtype.itemsize}")
+
+
+class TestRectifierBits:
+    """leaky_relu and relu, forward and backward, are the same bits as the
+    masked select x > 0 ? x : slope·x and g scaled by slope where x <= 0."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_forward_and_backward(self, dtype, slope):
+        x = rectifier_inputs(dtype)
+        g = RNG.normal(size=x.shape).astype(dtype)
+        t = ad.Tensor(x, requires_grad=True)
+        out = ad.leaky_relu(t, slope) if slope else ad.relu(t)
+        ad.mul(out, ad.Tensor(g)).sum().backward()
+        assert out.data.dtype == dtype and t.grad.dtype == dtype
+        assert np.array_equal(bits(out.data), bits(np.where(x > 0, x, slope * x)))
+        assert np.array_equal(bits(t.grad), bits(np.where(x > 0, g, g * dtype(slope))))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_zero_dimensional_input(self, dtype, slope):
+        # slope·x of a 0-d array is a numpy scalar; the output stays an array
+        for value in (-1.5, 0.0, -0.0, 2.0):
+            x = np.array(value, dtype)
+            t = ad.Tensor(x, requires_grad=True)
+            out = ad.leaky_relu(t, slope)
+            ad.mul(out, 3.0).backward()
+            assert isinstance(out.data, np.ndarray) and out.data.shape == ()
+            assert bits(out.data) == bits(np.where(x > 0, x, slope * x))
+            assert bits(t.grad) == bits(np.where(x > 0, dtype(3.0), dtype(3.0) * dtype(slope)))
+
+    @pytest.mark.parametrize("slope", [0.0, 0.1, 1.0])
+    def test_non_finite_input_gives_non_finite_output(self, slope):
+        # max(+inf, 0·inf) is NaN where the masked select gave +inf
+        x = np.array([np.inf, -np.inf, np.nan], np.float32)
+        with np.errstate(invalid="ignore"):   # 0·inf, as in the masked select
+            assert not np.isfinite(ad.leaky_relu(ad.Tensor(x), slope).data).any()
+
+
+def block_sum(a, b):
+    """The per-block Python sum that _batch_gemm's order is defined by."""
+    return sum(a[..., s:s + 256] @ b[..., s:s + 256, :] for s in range(0, a.shape[-1], 256))
+
+
+class TestBatchGemm:
+    @pytest.mark.parametrize("k", [1, 255, 256, 257, 512, 784, 12544])
+    @pytest.mark.parametrize("shapes", [
+        pytest.param(((16, None), (None, 27)), id="2d"),
+        pytest.param(((4, 16, None), (4, None, 9)), id="leading"),
+        pytest.param(((3, 1, 5, None), (2, None, 6)), id="broadcast"),
+        pytest.param(((1, None), (None, 3)), id="one-row"),
+    ])
+    def test_bits_of_the_block_sum(self, k, shapes):
+        rng = np.random.default_rng(k)
+        (*lead_a, m, _), (*lead_b, _, n) = shapes
+        a = rng.normal(size=(*lead_a, m, k)).astype(np.float32)
+        # b as the transposed view that conv2d's weight gradient passes
+        b = np.swapaxes(rng.normal(size=(*lead_b, n, k)).astype(np.float32), -1, -2)
+        got, want = ad._batch_gemm(a, b), block_sum(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(bits(got), bits(want))
+
+
 class TestLinearAlgebra:
     def test_matmul_left(self):
         b = ad.Tensor(RNG.normal(size=(4, 6)))

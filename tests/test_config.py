@@ -189,6 +189,22 @@ class TestFlatText:
             config.paper_preset()
 
 
+class TestBackboneConfig:
+    # leaky_relu computes max(x, leak·x), the leaky rectifier only for 0 <= leak <= 1
+    @pytest.mark.parametrize("leak", [-0.1, -1e-300, 1.0 + 2 ** -52, 2.0, float("nan")])
+    def test_leak_outside_unit_interval_rejected(self, leak):
+        with pytest.raises(ConfigError, match="leak must be in"):
+            replace(config.toy_preset().backbone, leak=leak)
+        with pytest.raises(ConfigError, match="backbone.leak|leak must be in"):
+            config.config_from_flat(config.parse_flat_text(with_value("backbone.leak", leak)))
+
+    @pytest.mark.parametrize("leak", [0.0, 0.1, 1.0])
+    def test_leak_in_unit_interval_accepted(self, leak):
+        assert replace(config.toy_preset().backbone, leak=leak).leak == leak
+        cfg = config.config_from_flat(config.parse_flat_text(with_value("backbone.leak", leak)))
+        assert cfg.backbone.leak == leak
+
+
 class TestDataConfig:
     FIELDS = ["train_frames", "val_frames", "train_sequences", "val_sequences"]
 

@@ -16,18 +16,25 @@ import pytest
 from gridpose import autodiff as ad
 
 
+def reference_cols(x, k, stride, padding):
+    """The (n, c·k², oh·ow) columns of the zero-padded input, and (oh, ow)."""
+    n, c, h, wd = x.shape
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    cols = np.empty((n, c, k, k, oh, ow), x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride]
+    return cols.reshape(n, c * k * k, oh * ow), (oh, ow)
+
+
 def reference_conv2d(x, w, b, stride, padding, g):
     """Forward output and the (x, w, b) gradients for upstream gradient g."""
     n, c, h, wd = x.shape
     f, _, k, _ = w.shape
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (wd + 2 * padding - k) // stride + 1
+    cols, (oh, ow) = reference_cols(x, k, stride, padding)
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((n, c, k, k, oh, ow))
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i: i + stride * oh: stride, j: j + stride * ow: stride]
-    cols = cols.reshape(n, c * k * k, oh * ow)
     w2 = w.reshape(f, c * k * k)
     out = (w2 @ cols).reshape(n, f, oh, ow) + b[None, :, None, None]
 
@@ -141,6 +148,51 @@ class TestConv2dMatchesReference:
         params = [rng.normal(size=(f0, c0, k0, k0)), rng.normal(size=(f0,)),
                   rng.normal(size=(f1, c1, k1, k1)), rng.normal(size=(f1,))]
         check_chain(x0, params, (s0, p0), (s1, p1))
+
+
+# (c_in, c_out, (h, w), kernel, stride, padding) whose taps leave a padding
+# border, or read nothing at all (padding >= kernel), or need no padding
+BORDERS = {
+    "pad_wider_than_kernel": (2, 3, (3, 4), 3, 2, 3),
+    "empty_taps_stride3": (2, 3, (1, 2), 3, 3, 2),
+    "odd_stride3": (4, 3, (11, 10), 3, 3, 1),
+    "k1_pad1_stride2": (3, 2, (7, 6), 1, 2, 1),
+    "k1_no_pad": (3, 2, (7, 6), 1, 1, 0),
+    "k5_pad5_stride3": (2, 2, (4, 3), 5, 3, 5),
+    "k5_pad2_stride2": (3, 2, (8, 9), 5, 2, 2),
+    "k3_no_pad": (3, 2, (7, 6), 3, 1, 0),
+    "conv0_56_to_28": (3, 16, (56, 56), 3, 2, 1),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", sorted(BORDERS))
+def test_columns_are_the_padded_windows_bit_for_bit(layer, dtype, monkeypatch):
+    """conv2d's forward and weight gradient are the same bits as the same
+    GEMMs over the reference's columns, laid out batch-innermost. Its column
+    buffer comes from np.empty, filled with NaN here, so any entry that the
+    padding border or the tap copies leave unwritten shows as NaN."""
+    c, f, hw, k, stride, padding = BORDERS[layer]
+    n = 3
+    rng = np.random.default_rng(4)
+    x0 = rng.normal(size=(n, c) + hw).astype(dtype)
+    w0 = rng.normal(size=(f, c, k, k)).astype(dtype)
+    b0 = rng.normal(size=(f,)).astype(dtype)
+    ref, (oh, ow) = reference_cols(x0, k, stride, padding)
+    ref = np.ascontiguousarray(ref.transpose(1, 2, 0)).reshape(c * k * k, oh * ow * n)
+    g = rng.normal(size=(n, f, oh, ow)).astype(dtype)
+    gT = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(f, oh * ow * n)
+    want_out = w0.reshape(f, -1) @ ref
+    want_out += b0[:, None]
+    want_gw = ad._batch_gemm(gT, ref.T).reshape(w0.shape)
+
+    w = ad.Tensor(w0, requires_grad=True)
+    with monkeypatch.context() as m:
+        m.setattr(np, "empty", lambda shape, dtype=float: np.full(shape, np.nan, dtype))
+        out = ad.conv2d(ad.Tensor(x0), w, ad.Tensor(b0), stride, padding)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    assert np.array_equal(out.data, want_out.reshape(f, oh, ow, n).transpose(3, 0, 1, 2))
+    assert np.array_equal(w.grad, want_gw)
 
 
 def check_chain(x0, params, first, second):

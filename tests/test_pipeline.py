@@ -5,13 +5,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridpose import codec, config, interaction as ia, network as net, pipeline, synth
+from gridpose import autodiff as ad, codec, config, interaction as ia, network as net, pipeline
+from gridpose import synth
 from gridpose.errors import ConfigError, HashMismatch, ShapeMismatch
 
 from conftest import float64
@@ -43,6 +45,18 @@ def run_every_stage() -> None:
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak of a second call of fn, in bytes. numpy reports its
+    buffers to tracemalloc, so the peak repeats exactly."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 SPLITS = ("train", "val", "seq_train", "seq_val")
@@ -99,6 +113,17 @@ class TestGenData:
             assert sorted(p.name for p in (root / split).rglob("*")) == ["frames.npy",
                                                                          "rasters.npy"]
         assert len(synth.load_frames(root / "train")[0]) == 4
+
+    def test_frames_dataset_peak_memory(self, tmp_path):
+        # 64 loaded frames hold 4.6 MiB of float64 rasters and the float32
+        # images take 2.3 MiB: 7.3 MiB at the peak. Stacking the rasters in
+        # float64 before the float32 copy would take 11.8 MiB.
+        cfg = config.toy_preset(seed=2024, data_dir=str(tmp_path / "data"))
+        cfg = replace(cfg, scene=replace(cfg.scene, sequence_length=2),
+                      data=replace(cfg.data, train_frames=64, val_frames=1,
+                                   train_sequences=1, val_sequences=1))
+        pipeline.gen_data(cfg)
+        assert traced_peak(lambda: pipeline._frames_dataset(cfg, "train")) <= 8.5 * 2 ** 20
 
     def test_missing_split_directory_is_config_error(self, tmp_path):
         cfg = replace(tiny_config(), out_dir=str(tmp_path / "run"),
@@ -377,6 +402,15 @@ class TestPredictFrames:
                       cfg.labels, np.random.default_rng(0), batch_size=2)
         assert len(pipeline.predict_frames(cfg, params, frames, batch_size=7)) == len(frames)
 
+    def test_peak_memory_at_batch_64(self):
+        # the images of a batch are stacked in float32: the forward of 64 toy
+        # frames peaks at 13.8 MiB, and a float64 stack (4.6 MiB) before the
+        # float32 copy would raise that to 18.4 MiB
+        cfg = config.toy_preset(seed=7)
+        frames = [synth.sample_scene((2024, 0x5e1, i), cfg.scene) for i in range(64)]
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, 7)
+        assert traced_peak(lambda: pipeline.predict_frames(cfg, params, frames)) <= 15 * 2 ** 20
+
     def test_frame_without_raster_is_named(self, model):
         cfg, params, frames = model
         bare = synth.sample_scene((7, 99), cfg.scene, with_raster=False)
@@ -448,6 +482,35 @@ class TestEvaluate:
             pipeline.evaluate(tiny_config(), tmp_path / "stage1.ckpt", tmp_path / "report",
                               baseline_ckpt=tmp_path / "stage2_baseline.ckpt", noise_trials=2)
         assert not (tmp_path / "report").exists()
+
+    def test_sequence_with_non_finite_logits_scores_as_wrong(self, tmp_path, monkeypatch):
+        # a NaN in sequence 0's input makes its logits NaN, whose argmax is 0,
+        # its label; the other three sequences are labelled as classified
+        cfg = config.toy_preset()
+        frames = [synth.sample_scene((1, i), cfg.scene) for i in range(2)]
+        preds = [codec.FramePrediction(f.hand_points, 1.0, np.eye(cfg.labels.n_actions)[0],
+                                       (0, 0, 0), f.object_points, 1.0,
+                                       np.eye(cfg.labels.n_objects)[0], (0, 0, 0))
+                 for f in frames]
+        model = ia.init_interaction(cfg.interaction_model_config(), 3)
+        inputs = np.random.default_rng(0).normal(size=(4, 16, model.cfg.input_width))
+        inputs[0, 5, 2] = np.nan
+        logits = ia.logits_graph(ad.wrap(model.params, False), model.cfg, inputs).data
+        assert np.isnan(logits[0]).all() and np.isfinite(logits[1:]).all()
+        labels = logits.argmax(axis=1)
+        assert labels[0] == 0
+        monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
+        monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0, 1]))
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: preds)
+        monkeypatch.setattr(pipeline, "load_interaction", lambda cfg, ckpt, backbone: model)
+        monkeypatch.setattr(pipeline, "_sequence_dataset",
+                            lambda cfg, params, split: (inputs, labels))
+        ckpt = tmp_path / "stage1.ckpt"
+        ckpt.write_bytes(b"unread")
+
+        summary = pipeline.evaluate(cfg, ckpt, tmp_path / "report", ckpt, ckpt, noise_trials=2)
+        assert summary["interaction_accuracy"] == 0.75
+        assert summary["baseline_interaction_accuracy"] == 0.75
 
     def test_every_curve_holds_one_value_per_val_frame(self, tmp_path, monkeypatch):
         # the middle prediction's object points sit around a centroid behind
