@@ -27,9 +27,12 @@ kernel taps are copied once into a batch-innermost (c·k², L·n) column
 matrix, L = oh·ow output positions per image, of which only each tap's
 padding border is zeroed, and the forward, the weight gradient (in blocks
 of 256 positions, one stacked GEMM: _batch_gemm) and the input gradient
-are BLAS GEMMs against it. Its outputs and input gradients are
-NCHW tensors over (c, h, w, n) memory, so each tap copy and col2im add
-runs over ow·n contiguous elements.
+are BLAS GEMMs against it. Which slices are border and which are copied
+depends only on (h, w, k, stride, padding), so each layer shape's index
+plan is built once and cached (_conv_plan): a call at batch 1, where that
+set-up outweighed the arithmetic, walks a list of slices. Its outputs and
+input gradients are NCHW tensors over (c, h, w, n) memory, so each tap
+copy and col2im add runs over ow·n contiguous elements.
 
 lstm runs a whole LSTM layer over a sequence as one node (Appleyard et al.
 2016). The input projection of all B·T frames, bias included, is one
@@ -49,6 +52,9 @@ training stages: it takes named parameter arrays and a loss closure.
 """
 
 from __future__ import annotations
+
+import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -499,6 +505,44 @@ def _taps(i: int, size: int, out: int, stride: int, padding: int) -> tuple[slice
     return slice(lo, hi), slice(first, first + (hi - lo) * stride, stride)
 
 
+class _ConvPlan(NamedTuple):
+    """The im2col index work of one conv layer shape, over a column buffer
+    shaped (c, k, k, oh, ow, n) and an input read as (c, h, w, n)."""
+
+    out_h: int
+    out_w: int
+    border: tuple[tuple, ...]                # the non-empty padding-border slices of cols
+    taps: tuple[tuple[tuple, tuple], ...]    # (cols index, input index) of each non-empty tap
+
+
+@functools.lru_cache(maxsize=64)
+def _conv_plan(h: int, wd: int, k: int, stride: int, padding: int) -> _ConvPlan:
+    """The plan of a conv over h x wd inputs, built once per shape and cached.
+
+    Kernel row i reads the output rows of _taps(i, ...) and kernel column j
+    its output columns; the rows and columns outside them are the padding
+    border of every tap in that kernel row or column, zeroed by one slice
+    assignment on each side that is not empty. A tap whose rows or columns
+    are empty reads nothing: the border covers it and it has no copy.
+    """
+    oh = (h + 2 * padding - k) // stride + 1
+    ow = (wd + 2 * padding - k) // stride + 1
+    taps_y = [_taps(i, h, oh, stride, padding) for i in range(k)]
+    taps_x = [_taps(j, wd, ow, stride, padding) for j in range(k)]
+    every = slice(None)
+
+    def outside(out: slice, size: int) -> list[slice]:   # the non-empty ones
+        return [s for s in (slice(None, out.start), slice(out.stop, None)) if range(size)[s]]
+
+    border = [(every, i, every, s) for i, (out, _) in enumerate(taps_y) for s in outside(out, oh)]
+    border += [(every, every, j, every, s)
+               for j, (out, _) in enumerate(taps_x) for s in outside(out, ow)]
+    copies = [((every, i, j, out_y, out_x), (every, in_y, in_x))
+              for i, (out_y, in_y) in enumerate(taps_y) if range(oh)[out_y]
+              for j, (out_x, in_x) in enumerate(taps_x) if range(ow)[out_x]]
+    return _ConvPlan(oh, ow, tuple(border), tuple(copies))
+
+
 def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     """2D convolution, NCHW layout, square kernel, single stride/pad value.
 
@@ -507,20 +551,20 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     xpad[m, ci, oy * stride + i, ox * stride + j], shape (c·k², L·n) with
     L = oh·ow, where xpad is the input zero-padded by p. The padded input
     is never built, which keeps a padded copy of the batch out of the
-    forward's peak memory: cols is allocated uninitialised, each of the k²
-    taps copies the strided window of x that lands inside it (see _taps),
-    and only the rest, the output rows and columns outside a tap's _taps
-    slices, is zeroed, by two slice assignments per kernel row and two per
-    kernel column. Each pass is one GEMM, the weight gradient blocked by
-    256 columns (_batch_gemm):
+    forward's peak memory: cols is allocated uninitialised and filled by
+    the cached plan of the layer's shape (_conv_plan), which holds the
+    padding border's non-empty slices, zeroed first, and the (cols, input)
+    index pair of every tap that reads something, copied in kernel order.
+    Each pass is one GEMM, the weight gradient blocked by 256 columns
+    (_batch_gemm):
 
       forward          out (f, L·n) = w2 (f, c·k²) @ cols, bias added in place
       weight gradient  gw  (f, c·k²) = gT (f, L·n) @ cols.T
-      input gradient   gc  (c·k², L·n) = w2.T @ gT, then k² col2im adds
+      input gradient   gc  (c·k², L·n) = w2.T @ gT, then col2im adds
 
     where gT is the output gradient as (f, L·n). The backward reuses cols.
-    col2im mirrors the forward: each tap adds its window of gc straight into
-    a zeroed, unpadded (c, h, w, n) input gradient.
+    col2im walks the same plan taps in the same order: each adds its window
+    of gc straight into a zeroed, unpadded (c, h, w, n) input gradient.
 
     The output is the (n, f, oh, ow) view of the (f, L·n) product, and the
     input gradient the same view of its (c, h, w, n) buffer; neither is
@@ -534,22 +578,15 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     f, c2, k, k2 = w.data.shape
     if c != c2 or k != k2:
         raise ValueError(f"kernel {w.data.shape} does not match input {x.data.shape}")
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (wd + 2 * padding - k) // stride + 1
-    taps_y = [_taps(i, h, oh, stride, padding) for i in range(k)]
-    taps_x = [_taps(j, wd, ow, stride, padding) for j in range(k)]
+    plan = _conv_plan(h, wd, k, stride, padding)
+    oh, ow = plan.out_h, plan.out_w
 
     xt = x.data.transpose(1, 2, 3, 0)
     cols = np.empty((c, k, k, oh, ow, n), x.data.dtype)
-    for i, (out_y, _) in enumerate(taps_y):      # the padding border of every tap
-        cols[:, i, :, :out_y.start] = 0
-        cols[:, i, :, out_y.stop:] = 0
-    for j, (out_x, _) in enumerate(taps_x):
-        cols[:, :, j, :, :out_x.start] = 0
-        cols[:, :, j, :, out_x.stop:] = 0
-    for i, (out_y, in_y) in enumerate(taps_y):
-        for j, (out_x, in_x) in enumerate(taps_x):
-            cols[:, i, j, out_y, out_x] = xt[:, in_y, in_x]
+    for edge in plan.border:
+        cols[edge] = 0
+    for to, frm in plan.taps:
+        cols[to] = xt[frm]
     cols = cols.reshape(c * k * k, oh * ow * n)
     w2 = w.data.reshape(f, c * k * k)
     out = w2 @ cols
@@ -565,9 +602,8 @@ def conv2d(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         if x.requires_grad:
             gcols = (w2.T @ gT).reshape(c, k, k, oh, ow, n)
             gx = np.zeros((c, h, wd, n), x.data.dtype)
-            for i, (out_y, in_y) in enumerate(taps_y):
-                for j, (out_x, in_x) in enumerate(taps_x):
-                    gx[:, in_y, in_x] += gcols[:, i, j, out_y, out_x]
+            for frm, to in plan.taps:
+                gx[to] += gcols[frm]
             x._accumulate(gx.transpose(3, 0, 1, 2), owned=True)
 
     return Tensor._make(out_data, (x, w, b), backward)

@@ -114,14 +114,24 @@ class FramePrediction:
 
     @property
     def action_id(self) -> int:
-        return int(np.argmax(self.action_probs))
+        """The most probable action, or -1 if a probability is not finite (class_ids)."""
+        return int(class_ids(self.action_probs))
 
     @property
     def object_id(self) -> int:
-        return int(np.argmax(self.object_probs))
+        return int(class_ids(self.object_probs))
 
     def interaction_id(self, labels: LabelSpec) -> int:
-        return labels.interaction_index(self.action_id, self.object_id)
+        """The (action, object) pair index, or -1 if either class is -1."""
+        a, o = self.action_id, self.object_id
+        return -1 if min(a, o) < 0 else labels.interaction_index(a, o)
+
+
+def class_ids(scores) -> np.ndarray:
+    """Argmax over the last axis, or -1, which matches no label, where the
+    scores hold a non-finite value: argmax would pick the first NaN."""
+    z = np.asarray(scores)
+    return np.where(np.isfinite(z).all(axis=-1), z.argmax(axis=-1), -1)
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:

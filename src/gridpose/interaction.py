@@ -65,31 +65,40 @@ class InteractionModel:
         self.params = dict(params)   # autodiff computes in their dtype
 
 
-def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
-    """Fan-in scaled uniform init in COMPUTE_DTYPE; LSTM forget-gate biases start at 1."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x17a)))
-    p: dict[str, np.ndarray] = {}
-
-    def uniform(fan_in, shape):
-        s = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
-
+def param_shapes(cfg: InteractionConfig) -> dict[str, tuple]:
+    """The name and shape of every parameter, in the order init_interaction makes them."""
+    shapes: dict[str, tuple] = {}
     if cfg.use_pair_map:
-        p["g.w1"] = uniform(cfg.input_width, (cfg.input_width, cfg.feature_width))
-        p["g.b1"] = np.zeros(cfg.feature_width)
-        p["g.w2"] = uniform(cfg.feature_width, (cfg.feature_width, cfg.feature_width))
-        p["g.b2"] = np.zeros(cfg.feature_width)
+        shapes["g.w1"] = (cfg.input_width, cfg.feature_width)
+        shapes["g.b1"] = (cfg.feature_width,)
+        shapes["g.w2"] = (cfg.feature_width, cfg.feature_width)
+        shapes["g.b2"] = (cfg.feature_width,)
     width_in = cfg.rnn_input_width
     for layer in range(cfg.lstm_layers):
         h = cfg.lstm_width
-        p[f"lstm{layer}.wx"] = uniform(width_in, (width_in, 4 * h))
-        p[f"lstm{layer}.wh"] = uniform(h, (h, 4 * h))
-        bias = np.zeros(4 * h)
-        bias[h: 2 * h] = 1.0
-        p[f"lstm{layer}.b"] = bias
+        shapes[f"lstm{layer}.wx"] = (width_in, 4 * h)
+        shapes[f"lstm{layer}.wh"] = (h, 4 * h)
+        shapes[f"lstm{layer}.b"] = (4 * h,)
         width_in = h
-    p["out.w"] = uniform(cfg.lstm_width, (cfg.lstm_width, cfg.n_classes))
-    p["out.b"] = np.zeros(cfg.n_classes)
+    shapes["out.w"] = (cfg.lstm_width, cfg.n_classes)
+    shapes["out.b"] = (cfg.n_classes,)
+    return shapes
+
+
+def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
+    """Fan-in scaled uniform init in COMPUTE_DTYPE: a (fan-in, fan-out) weight
+    is drawn within 1/sqrt(fan-in) in the order of param_shapes, and a bias
+    starts at 0, except the LSTM forget-gate block, which starts at 1."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x17a)))
+    p: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(cfg).items():
+        if len(shape) == 2:
+            s = 1.0 / np.sqrt(shape[0])
+            p[name] = rng.uniform(-s, s, size=shape)
+        else:
+            p[name] = np.zeros(shape)
+            if name.startswith("lstm"):
+                p[name][cfg.lstm_width: 2 * cfg.lstm_width] = 1.0
     return InteractionModel(cfg, {k: v.astype(ad.COMPUTE_DTYPE) for k, v in p.items()})
 
 

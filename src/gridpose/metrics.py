@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import class_ids
 from .errors import EmptyModel, LengthMismatch, NonPositiveDepth, NumericError
 from .geometry import CameraIntrinsics, project
 from .rigidpose import Pose6D, pnp_dlt, procrustes_align
@@ -105,10 +106,8 @@ def classification_accuracy(pred_labels, gt_labels) -> float:
 
 def logits_accuracy(logits, gt_labels) -> float:
     """classification_accuracy of each row's argmax; a row that holds a
-    non-finite logit counts as wrong (argmax would pick its first NaN)."""
-    z = np.asarray(logits)
-    return classification_accuracy(np.where(np.isfinite(z).all(axis=1), z.argmax(axis=1), -1),
-                                   gt_labels)
+    non-finite logit counts as wrong (codec.class_ids)."""
+    return classification_accuracy(class_ids(logits), gt_labels)
 
 
 def mean_joint_error_mm(pred_frames, gt_frames) -> float:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
@@ -118,20 +119,28 @@ class ModelParams:
         return ModelParams({k: v.copy() for k, v in self.tensors.items()}, self.signature)
 
 
+def param_shapes(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec) -> dict[str, tuple]:
+    """The name and shape of every parameter tensor, in the order init_params draws them."""
+    shapes: dict[str, tuple] = {}
+    c_in = IMAGE_CHANNELS
+    for i, c_out in enumerate(bb.channels):
+        shapes[f"conv{i}.w"] = (c_out, c_in, bb.kernel, bb.kernel)
+        shapes[f"conv{i}.b"] = (c_out,)
+        c_in = c_out
+    shapes["head.w"] = (output_channels(grid, labels), c_in, 1, 1)
+    shapes["head.b"] = (output_channels(grid, labels),)
+    return shapes
+
+
 def init_params(bb: BackboneConfig, grid: GridSpec, labels: LabelSpec, seed: int) -> ModelParams:
-    """Fan-in scaled uniform init in COMPUTE_DTYPE, fully determined by the seed."""
+    """Fan-in scaled uniform init in COMPUTE_DTYPE, fully determined by the seed:
+    each weight and then its bias, drawn within 1/sqrt of the weight's fan-in."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6e65)))
     tensors: dict[str, np.ndarray] = {}
-    c_in = IMAGE_CHANNELS
-    for i, (c_out, _) in enumerate(zip(bb.channels, bb.strides)):
-        fan_in = c_in * bb.kernel * bb.kernel
-        s = 1.0 / np.sqrt(fan_in)
-        tensors[f"conv{i}.w"] = rng.uniform(-s, s, size=(c_out, c_in, bb.kernel, bb.kernel))
-        tensors[f"conv{i}.b"] = rng.uniform(-s, s, size=(c_out,))
-        c_in = c_out
-    s = 1.0 / np.sqrt(c_in)
-    tensors["head.w"] = rng.uniform(-s, s, size=(output_channels(grid, labels), c_in, 1, 1))
-    tensors["head.b"] = rng.uniform(-s, s, size=(output_channels(grid, labels),))
+    for name, shape in param_shapes(bb, grid, labels).items():
+        if name.endswith(".w"):
+            s = 1.0 / np.sqrt(math.prod(shape[1:]))
+        tensors[name] = rng.uniform(-s, s, size=shape)
     return ModelParams({k: v.astype(ad.COMPUTE_DTYPE) for k, v in tensors.items()},
                        model_signature(bb, grid, labels))
 

@@ -131,13 +131,9 @@ def train_stage1(cfg: RunConfig) -> Path:
     return ckpt
 
 
-def _shapes(tensors: dict) -> dict:
-    return {k: v.shape for k, v in tensors.items()}
-
-
 def _check_tensors(ckpt_path, tensors: dict, want: dict) -> None:
     """ConfigError unless the checkpoint's tensors have the names and shapes of want."""
-    got = _shapes(tensors)
+    got = {k: v.shape for k, v in tensors.items()}
     wrong = sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
     if wrong:
         raise ConfigError(f"{ckpt_path} does not hold the model's tensors: " + ", ".join(
@@ -148,8 +144,6 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
     """Load a stage-1 checkpoint, verifying it belongs to this config and
     holds the tensors of its backbone; any other kind of checkpoint is a
     ConfigError."""
-    # drawn before the load, so the check adds nothing to its peak memory
-    want = _shapes(net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed).tensors)
     tensors, header = net.load_checkpoint(ckpt_path)
     if header.get("kind") != "backbone":
         raise ConfigError(f"{ckpt_path} is not a backbone checkpoint: kind {header.get('kind')!r}")
@@ -161,7 +155,7 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
         )
     if header.get("signature") != expect_sig:
         raise HashMismatch("checkpoint tensor signature does not match the model config")
-    _check_tensors(ckpt_path, tensors, want)
+    _check_tensors(ckpt_path, tensors, net.param_shapes(cfg.backbone, cfg.grid, cfg.labels))
     return net.ModelParams(tensors, expect_sig)
 
 
@@ -282,7 +276,7 @@ def load_interaction(cfg: RunConfig, ckpt_path, backbone_ckpt=None) -> ia.Intera
         if header.get("backbone_hash") != net.file_hash(backbone_ckpt):
             raise HashMismatch("interaction checkpoint references a different backbone")
     icfg = cfg.interaction_model_config(use_pair_map=bool(header["use_pair_map"]))
-    _check_tensors(ckpt_path, tensors, _shapes(ia.init_interaction(icfg, cfg.seed).params))
+    _check_tensors(ckpt_path, tensors, ia.param_shapes(icfg))
     return ia.InteractionModel(icfg, tensors)
 
 

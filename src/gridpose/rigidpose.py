@@ -20,10 +20,10 @@ class Pose6D:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        for name, shape in (("rotation", (3, 3)), ("translation", (3,))):
+            a = getattr(self, name)
+            if not (type(a) is np.ndarray and a.dtype == float and a.shape == shape):
+                object.__setattr__(self, name, np.asarray(a, dtype=float).reshape(shape))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.rotation.T + self.translation
@@ -42,7 +42,7 @@ def procrustes_align(src, dst) -> Pose6D:
     d = np.asarray(dst, dtype=float)
     if s.shape != d.shape:
         raise DegenerateConfiguration(f"point sets disagree in shape: {s.shape} vs {d.shape}")
-    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(d))):
+    if not (np.isfinite(s).all() and np.isfinite(d).all()):
         raise DegenerateConfiguration("point sets hold non-finite values")
 
     mu_s = s.mean(axis=0)
@@ -56,11 +56,10 @@ def procrustes_align(src, dst) -> Pose6D:
 
     cov = sc.T @ dc
     u, _, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0:
-        sign = 1.0
-    fix = np.diag([1.0, 1.0, sign])
-    rot = vt.T @ fix @ u.T
+    v = vt.T
+    if np.linalg.det(v @ u.T) < 0:   # a reflection: flip the last singular direction
+        v[:, 2] *= -1.0
+    rot = v @ u.T
     t = mu_d - rot @ mu_s
     return Pose6D(rot, t)
 

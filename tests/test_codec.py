@@ -107,6 +107,32 @@ class TestLabelSpec:
             codec.LabelSpec(n_objects=n_o, n_actions=n_a)
 
 
+
+class TestFramePrediction:
+    LABELS = codec.LabelSpec(n_objects=3, n_actions=4)
+
+    def prediction(self, action_probs, object_probs):
+        points = np.zeros((geo.NUM_CONTROL_POINTS, 3))
+        return codec.FramePrediction(points, 1.0, np.asarray(action_probs), (0, 0, 0),
+                                     points, 1.0, np.asarray(object_probs), (0, 0, 0))
+
+    def test_ids_are_the_most_probable_classes(self):
+        p = self.prediction([0.1, 0.2, 0.6, 0.1], [0.2, 0.2, 0.6])
+        assert (p.action_id, p.object_id, p.interaction_id(self.LABELS)) == (2, 2, 8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_probabilities_give_no_class(self, value):
+        # argmax of these would be 0, a real class; -1 matches no label
+        p = self.prediction([value, 0.2, 0.6, 0.1], [0.7, 0.2, 0.1])
+        assert (p.action_id, p.object_id, p.interaction_id(self.LABELS)) == (-1, 0, -1)
+        p = self.prediction([0.1, 0.2, 0.6, 0.1], [0.7, value, 0.1])
+        assert (p.action_id, p.object_id, p.interaction_id(self.LABELS)) == (2, -1, -1)
+
+    def test_class_ids_of_rows(self):
+        z = np.array([[0.0, 3.0, 1.0], [np.nan, 0.0, 0.0], [2.0, -np.inf, 1.0]])
+        assert codec.class_ids(z).tolist() == [1, -1, -1]
+
+
 class TestEncodeFrame:
     def test_hand_responsible_cell_and_offsets(self):
         # Root pixel (100, 150) at depth 0.5 m: 100/32 = 3.125 -> cell u=3,

@@ -10,6 +10,8 @@ batch-innermost memory that a conv output keeps through leaky_relu. The
 finite-difference tests in test_autodiff.py check both against calculus.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,34 @@ def test_columns_are_the_padded_windows_bit_for_bit(layer, dtype, monkeypatch):
     assert np.array_equal(w.grad, want_gw)
 
 
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layer", sorted(BORDERS))
+def test_input_gradient_adds_the_taps_in_kernel_order(layer, dtype):
+    """conv2d's input gradient is the same bits as the reference's col2im
+    over the same column gradient: every input entry sums its taps' terms
+    in kernel order, row i before row i + 1 and column j before j + 1."""
+    c, f, hw, k, stride, padding = BORDERS[layer]
+    n = 3
+    rng = np.random.default_rng(6)
+    x0 = rng.normal(size=(n, c) + hw).astype(dtype)
+    w0 = rng.normal(size=(f, c, k, k)).astype(dtype)
+    x = ad.Tensor(x0, requires_grad=True)
+    out = ad.conv2d(x, ad.Tensor(w0), ad.Tensor(np.zeros(f, dtype)), stride, padding)
+    _, _, oh, ow = out.shape
+    g = rng.normal(size=out.shape).astype(dtype)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+
+    gT = np.ascontiguousarray(g.transpose(1, 2, 3, 0)).reshape(f, oh * ow * n)
+    gcols = (w0.reshape(f, -1).T @ gT).reshape(c, k, k, oh, ow, n)
+    gxp = np.zeros((c, hw[0] + 2 * padding, hw[1] + 2 * padding, n), dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, i: i + stride * oh: stride, j: j + stride * ow: stride] += gcols[:, i, j]
+    want = gxp[:, padding: padding + hw[0], padding: padding + hw[1]].transpose(3, 0, 1, 2)
+    assert np.array_equal(x.grad, want)
+
+
 def check_chain(x0, params, first, second):
     """conv2d -> leaky_relu -> conv2d against the reference, where the
     second conv reads the first one's output as production does: an NCHW
@@ -216,3 +246,72 @@ def check_chain(x0, params, first, second):
     assert_matches(out.data, ref_out)
     for t, ref in zip([x] + ws, (ref_gx, ref_gw0, ref_gb0, ref_gw1, ref_gb1)):
         assert_matches(t.grad, ref)
+
+
+def conv_bits(layer, seed=5):
+    """The bytes of conv2d's output and of its x, w and b gradients on a BORDERS layer."""
+    c, f, hw, k, stride, padding = BORDERS[layer]
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(3, c) + hw).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(f, c, k, k)).astype(np.float32), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(f,)).astype(np.float32), requires_grad=True)
+    out = ad.conv2d(x, w, b, stride, padding)
+    g = rng.normal(size=out.shape).astype(np.float32)
+    ad.mul(out, ad.Tensor(g)).sum().backward()
+    return [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]
+
+
+def empty_taps(hw, k, stride, padding):
+    """The (i, j) taps whose every window lies in the padding, found by
+    reading the padded input's coordinates, without _taps."""
+    oh, ow = ((n + 2 * padding - k) // stride + 1 for n in hw)
+    inside = [[0 <= o * stride + t - padding < n for t in range(k) for o in range(m)]
+              for n, m in zip(hw, (oh, ow))]
+    rows = [not any(inside[0][t * oh: (t + 1) * oh]) for t in range(k)]
+    cols = [not any(inside[1][t * ow: (t + 1) * ow]) for t in range(k)]
+    return {(i, j) for i in range(k) for j in range(k) if rows[i] or cols[j]}
+
+
+class TestConvPlan:
+    """conv2d reads one cached index plan per layer shape (_conv_plan)."""
+
+    @pytest.mark.parametrize("layer", sorted(BORDERS))
+    def test_cold_and_warm_cache_give_the_same_bits(self, layer):
+        ad._conv_plan.cache_clear()
+        cold = conv_bits(layer)
+        assert ad._conv_plan.cache_info().misses == 1
+        warm = conv_bits(layer)
+        assert ad._conv_plan.cache_info().hits >= 1
+        assert cold == warm
+
+    def test_second_call_of_a_shape_is_a_cache_hit(self):
+        ad._conv_plan.cache_clear()
+        conv_bits("conv0_56_to_28")
+        assert ad._conv_plan.cache_info()[:2] == (0, 1)   # hits, misses
+        conv_bits("conv0_56_to_28", seed=6)
+        assert ad._conv_plan.cache_info()[:2] == (1, 1)
+
+    def test_same_size_other_stride_or_padding_gets_its_own_plan(self):
+        ad._conv_plan.cache_clear()
+        plans = {(s, p): ad._conv_plan(7, 6, 3, s, p) for s in (1, 2) for p in (0, 1)}
+        assert ad._conv_plan.cache_info().misses == 4
+        assert all(a != b for a, b in itertools.combinations(plans.values(), 2))
+        assert (plans[1, 1].out_h, plans[2, 1].out_h, plans[1, 0].out_h) == (7, 4, 5)
+
+    @pytest.mark.parametrize("layer", sorted(BORDERS))
+    def test_empty_tap_is_all_border_and_has_no_copy(self, layer):
+        _, _, hw, k, stride, padding = BORDERS[layer]
+        empty = empty_taps(hw, k, stride, padding)
+        # kernel rows 0 and 1 of empty_taps_stride3 read only padding; every
+        # tap of the other layers, pad_wider_than_kernel too, reads an input
+        assert bool(empty) == (layer == "empty_taps_stride3")
+        plan = ad._conv_plan(*hw, k, stride, padding)
+        copied = {to[1:3] for to, _ in plan.taps}
+        assert copied == {(i, j) for i in range(k) for j in range(k)} - empty
+        cols = np.full((1, k, k, plan.out_h, plan.out_w, 1), np.nan)
+        for edge in plan.border:
+            cols[edge] = 0
+        for i, j in empty:
+            assert (cols[:, i, j] == 0).all()
+        for i, j in copied:    # the border leaves each copied window unwritten
+            assert np.isnan(cols[:, i, j]).any()

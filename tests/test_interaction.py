@@ -93,6 +93,46 @@ def frame_input(hand_points, object_points):
                            ((obj - hand[0]) * ia.INPUT_SCALE).ravel()])
 
 
+
+def init_drawn_block_by_block(cfg, seed):
+    """init_interaction as it drew before param_shapes: the pair map, then
+    each LSTM layer, then the output head."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x17a)))
+    p = {}
+
+    def uniform(fan_in, shape):
+        s = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-s, s, size=shape)
+
+    if cfg.use_pair_map:
+        p["g.w1"] = uniform(cfg.input_width, (cfg.input_width, cfg.feature_width))
+        p["g.b1"] = np.zeros(cfg.feature_width)
+        p["g.w2"] = uniform(cfg.feature_width, (cfg.feature_width, cfg.feature_width))
+        p["g.b2"] = np.zeros(cfg.feature_width)
+    width_in = cfg.rnn_input_width
+    for layer in range(cfg.lstm_layers):
+        h = cfg.lstm_width
+        p[f"lstm{layer}.wx"] = uniform(width_in, (width_in, 4 * h))
+        p[f"lstm{layer}.wh"] = uniform(h, (h, 4 * h))
+        p[f"lstm{layer}.b"] = np.zeros(4 * h)
+        p[f"lstm{layer}.b"][h: 2 * h] = 1.0
+        width_in = h
+    p["out.w"] = uniform(cfg.lstm_width, (cfg.lstm_width, cfg.n_classes))
+    p["out.b"] = np.zeros(cfg.n_classes)
+    return {k: v.astype(ad.COMPUTE_DTYPE) for k, v in p.items()}
+
+
+@pytest.mark.parametrize("cfg", [CFG, BASELINE, ia.InteractionConfig(5, 7, 9, 3)],
+                         ids=["pair-map", "baseline", "three-layers"])
+def test_init_draws_the_shapes_in_order_with_the_same_bits(cfg):
+    model = ia.init_interaction(cfg, 4)
+    want = init_drawn_block_by_block(cfg, 4)
+    assert list(model.params) == list(want) == list(ia.param_shapes(cfg))
+    for name, shape in ia.param_shapes(cfg).items():
+        assert model.params[name].shape == shape
+        assert model.params[name].tobytes() == want[name].tobytes()
+
+
 class TestFrameInput:
     def test_width(self):
         rng = np.random.default_rng(0)

@@ -120,6 +120,37 @@ class TestForward:
         assert any(not np.array_equal(a.tensors[k], b.tensors[k]) for k in a.tensors)
 
 
+
+def init_params_drawn_layer_by_layer(bb, grid, labels, seed):
+    """init_params as it drew before param_shapes: conv weight and bias, layer
+    by layer, then the head, each within 1/sqrt of the layer's fan-in."""
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x6e65)))
+    tensors = {}
+    c_in = 3
+    for i, c_out in enumerate(bb.channels):
+        s = 1.0 / np.sqrt(c_in * bb.kernel * bb.kernel)
+        tensors[f"conv{i}.w"] = rng.uniform(-s, s, size=(c_out, c_in, bb.kernel, bb.kernel))
+        tensors[f"conv{i}.b"] = rng.uniform(-s, s, size=(c_out,))
+        c_in = c_out
+    s = 1.0 / np.sqrt(c_in)
+    tensors["head.w"] = rng.uniform(-s, s, size=(net.output_channels(grid, labels), c_in, 1, 1))
+    tensors["head.b"] = rng.uniform(-s, s, size=(net.output_channels(grid, labels),))
+    return {k: v.astype(ad.COMPUTE_DTYPE) for k, v in tensors.items()}
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("bb", [BB, net.BackboneConfig(channels=(4, 5, 6), strides=(1, 2, 2),
+                                                          kernel=5)])
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_init_draws_the_shapes_in_order_with_the_same_bits(self, bb, seed):
+        params = net.init_params(bb, GRID, LABELS, seed)
+        want = init_params_drawn_layer_by_layer(bb, GRID, LABELS, seed)
+        assert list(params.tensors) == list(want) == list(net.param_shapes(bb, GRID, LABELS))
+        for name, shape in net.param_shapes(bb, GRID, LABELS).items():
+            assert params.tensors[name].shape == shape
+            assert params.tensors[name].tobytes() == want[name].tobytes()
+
+
 class TestLoss:
     def test_perfect_prediction_has_near_zero_loss(self):
         targets = micro_batch(n=2)

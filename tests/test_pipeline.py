@@ -136,6 +136,10 @@ class TestGenData:
 class TestDeterminism:
     def test_every_stage_is_byte_identical(self, tmp_path, monkeypatch):
         trees = []
+        # conv2d's plan cache (autodiff._conv_plan) is emptied before side a,
+        # which earlier tests may have warmed, and side b finds it warm: so the
+        # bytes written from a cold and from a warm cache are compared too
+        ad._conv_plan.cache_clear()
         for side in ("a", "b"):
             (tmp_path / side).mkdir()
             monkeypatch.chdir(tmp_path / side)
@@ -284,6 +288,26 @@ class TestLoadBackbone:
         net.save_checkpoint(path, model.params, {**header, "kind": kind} if kind else header)
         with pytest.raises(ConfigError, match=f"not a backbone checkpoint: kind {kind!r}"):
             pipeline.load_backbone(cfg, path)
+
+
+    def test_shapes_are_checked_without_drawing_weights(self, tmp_path, monkeypatch):
+        cfg = tiny_config()
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
+        model = ia.init_interaction(cfg.interaction_model_config(), cfg.seed)
+        paths = tmp_path / "stage1.ckpt", tmp_path / "stage2.ckpt"
+        net.save_checkpoint(paths[0], params.tensors, {
+            "kind": "backbone", "config_hash": config.config_hash(cfg),
+            "signature": params.signature})
+        net.save_checkpoint(paths[1], model.params, {
+            "kind": "interaction", "use_pair_map": True, "config_hash": config.config_hash(cfg)})
+
+        def no_draw(*args):
+            raise AssertionError("a load drew initial weights")
+        monkeypatch.setattr(net, "init_params", no_draw)
+        monkeypatch.setattr(ia, "init_interaction", no_draw)
+        loaded = pipeline.load_backbone(cfg, paths[0])
+        assert all(np.array_equal(loaded.tensors[k], v) for k, v in params.tensors.items())
+        assert pipeline.load_interaction(cfg, paths[1]).params.keys() == model.params.keys()
 
 
 class TestLoadInteraction:
@@ -511,6 +535,31 @@ class TestEvaluate:
         summary = pipeline.evaluate(cfg, ckpt, tmp_path / "report", ckpt, ckpt, noise_trials=2)
         assert summary["interaction_accuracy"] == 0.75
         assert summary["baseline_interaction_accuracy"] == 0.75
+
+    def test_frame_with_non_finite_class_probabilities_scores_as_wrong(self, tmp_path,
+                                                                      monkeypatch):
+        # frames 0 and 1 are labelled (0, 0), what argmax picks from NaN
+        # probabilities; frame 0's action and frame 1's object probabilities
+        # are NaN, and every other class is predicted as labelled
+        cfg = config.toy_preset()
+        frames = [synth.sample_scene((2, i), cfg.scene) for i in range(4)]
+        frames[:2] = [replace(f, action_id=0, object_id=0) for f in frames[:2]]
+        preds = [codec.FramePrediction(f.hand_points, 1.0, np.eye(cfg.labels.n_actions)[f.action_id],
+                                       (0, 0, 0), f.object_points, 1.0,
+                                       np.eye(cfg.labels.n_objects)[f.object_id], (0, 0, 0))
+                 for f in frames]
+        preds[0] = replace(preds[0], action_probs=np.full(cfg.labels.n_actions, np.nan))
+        preds[1] = replace(preds[1], object_probs=np.full(cfg.labels.n_objects, np.nan))
+        monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
+        monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0, 1, 2, 3]))
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: preds)
+        ckpt = tmp_path / "stage1.ckpt"
+        ckpt.write_bytes(b"unread")
+
+        summary = pipeline.evaluate(cfg, ckpt, tmp_path / "report", noise_trials=2)
+        assert summary["action_accuracy"] == 0.75
+        assert summary["object_accuracy"] == 0.75
+        assert summary["single_image_interaction_accuracy"] == 0.5
 
     def test_every_curve_holds_one_value_per_val_frame(self, tmp_path, monkeypatch):
         # the middle prediction's object points sit around a centroid behind

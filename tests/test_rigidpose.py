@@ -117,6 +117,70 @@ class TestProcrustes:
         assert rotation_geodesic(est.rotation, true.rotation) < 1e-9
 
 
+def procrustes_with_diagonal_fix(src, dst):
+    """procrustes_align as it was written with the sign fix as a diagonal
+    matmul, np.all and a re-cast Pose6D: the bits the lean version keeps."""
+    s = np.asarray(src, dtype=float)
+    d = np.asarray(dst, dtype=float)
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(d))):
+        raise DegenerateConfiguration("point sets hold non-finite values")
+    mu_s, mu_d = s.mean(axis=0), d.mean(axis=0)
+    sc, dc = s - mu_s, d - mu_d
+    sing_src = np.linalg.svd(sc, compute_uv=False)
+    if sing_src.size < 2 or sing_src[1] <= 1e-9 * max(1.0, sing_src[0]):
+        raise DegenerateConfiguration("source points are (near-)collinear; rank < 2")
+    u, _, vt = np.linalg.svd(sc.T @ dc)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    if sign == 0:
+        sign = 1.0
+    rot = vt.T @ np.diag([1.0, 1.0, sign]) @ u.T
+    return rot, mu_d - rot @ mu_s
+
+
+class TestProcrustesBits:
+    def point_sets(self):
+        rng = np.random.default_rng(17)
+        for trial in range(300):
+            src = rng.normal(size=(int(rng.integers(3, 30)), 3))
+            if trial % 5 == 1:
+                src[:, 2] = 0.0                         # planar and axis-aligned
+            dst = random_pose(rng).apply(src)
+            if trial % 3 == 1:
+                dst = dst + rng.normal(scale=0.05, size=dst.shape)
+            if trial % 4 == 2:
+                dst = dst * np.array([1.0, 1.0, -1.0])  # a reflection
+            yield src, dst
+        for flip in (np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([1.0, 1.0, -1.0]),
+                     np.eye(3)[[1, 2, 0]]):             # poses whose rotation holds zeros
+            for src in (BOX, np.array([[1.0, 0, 0], [0, 2, 0], [0, 0, 3], [0, 0, 0]])):
+                yield src, src @ flip.T + np.array([0.0, -1.0, 0.5])
+
+    def test_rotation_and_translation_keep_their_bits(self):
+        for src, dst in self.point_sets():
+            rot, t = procrustes_with_diagonal_fix(src, dst)
+            pose = rp.procrustes_align(src, dst)
+            assert pose.rotation.tobytes() == rot.tobytes()
+            assert pose.translation.tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_degenerate_and_non_finite_inputs_still_raise(self, value):
+        line = np.outer(np.linspace(0, 1, 21), np.array([1.0, 2.0, 3.0]))
+        bad = BOX.copy()
+        bad[4, 0] = value
+        for src, dst in ((line, line + 0.1), (bad, BOX), (BOX, bad), (BOX[:1], BOX[:1])):
+            for align in (procrustes_with_diagonal_fix, rp.procrustes_align):
+                with pytest.raises(DegenerateConfiguration):
+                    align(src, dst)
+
+    def test_pose_keeps_a_float_array_of_its_shape(self):
+        rot, t = np.eye(3), np.zeros(3)
+        pose = rp.Pose6D(rot, t)
+        assert pose.rotation is rot and pose.translation is t
+        cast = rp.Pose6D(np.eye(3, dtype=np.float32).ravel(), [0, 0, 1])
+        assert cast.rotation.shape == (3, 3) and cast.rotation.dtype == float
+        assert cast.translation.dtype == float and cast.translation.tolist() == [0.0, 0.0, 1.0]
+
+
 class TestPnpDlt:
     def test_exact_frontal_pose(self):
         true = rp.Pose6D(np.eye(3), np.array([0.0, 0.0, 1.0]))
