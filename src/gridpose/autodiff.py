@@ -46,9 +46,9 @@ turns each step's row into that step's gate gradient with one
 (B, 4h) @ (4h, h) GEMM per step, then the gradients of wx, wh, b and x are
 GEMMs (_batch_gemm) or a reduction over all B·T rows.
 
-The training core at the end (wrap, value_and_grads, the minibatch loop
-sgd_epoch and the finite-difference checker grad_check) serves both
-training stages: it takes named parameter arrays and a loss closure.
+The training core at the end (wrap, value_and_grads and the minibatch
+loop sgd_epoch) serves both training stages: it takes named parameter
+arrays and a loss closure.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss, NumericError
+from .errors import ConfigError, NonFiniteLoss
 
 COMPUTE_DTYPE = np.float32
 
@@ -653,45 +653,3 @@ def sgd_epoch(arrays: dict[str, np.ndarray], n: int, batch_grads, lr: float,
         losses.append((value, len(idx)))
     total = sum(k for _, k in losses)
     return sum(v * k for v, k in losses) / total
-
-
-def grad_check(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], value,
-               eps: float, n_samples: int, seed: int) -> float:
-    """Max relative error of grads against central finite differences.
-
-    Checks up to n_samples entries drawn without replacement. value()
-    gives (loss, kinks) at the current arrays, kinks a list of arrays such as
-    rectifier sign patterns; an entry whose +-eps sides differ in kinks is
-    redrawn, since the loss is only piecewise smooth. The denominator is
-    max(|analytic|, |numeric|, 1e-6), so vanishing gradients do not fail.
-    Raises NumericError when every drawn entry was redrawn: a check that
-    compared nothing must not pass.
-    """
-    rng = np.random.default_rng(seed)
-    names = sorted(arrays)
-    offsets = np.concatenate([[0], np.cumsum([arrays[k].size for k in names])])
-    picks = list(rng.permutation(int(offsets[-1])))
-    worst = 0.0
-    checked = 0
-    while checked < n_samples and picks:
-        flat_idx = picks.pop()
-        t_i = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
-        name = names[t_i]
-        local = int(flat_idx - offsets[t_i])
-        arr = arrays[name].ravel()
-        orig = arr[local]
-        arr[local] = orig + eps
-        hi, kinks_hi = value()
-        arr[local] = orig - eps
-        lo, kinks_lo = value()
-        arr[local] = orig
-        if any(not np.array_equal(a, b) for a, b in zip(kinks_hi, kinks_lo)):
-            continue
-        numeric = (hi - lo) / (2 * eps)
-        analytic = grads[name].ravel()[local]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
-        worst = max(worst, rel)
-        checked += 1
-    if checked == 0:
-        raise NumericError("grad_check compared no entry: every drawn entry crossed a kink")
-    return worst

@@ -22,9 +22,8 @@ At inference decode_best takes a batch's confidence logits of every cell,
 picks each frame's most confident hand cell and object cell from them and
 asks for the raw channels of those two cells only, so the network's head
 runs in full at two cells per frame (network.predict). decode_grid and
-prune are the full-grid form of the same step on one frame: decode every
-cell of a dense raw grid, then keep the most confident cell per entity.
-Both share one argmax and tie-break rule.
+prune are its one-frame case on a dense raw grid: decode_grid checks the
+grid's shape and prune runs decode_best on a batch of one.
 """
 
 from __future__ import annotations
@@ -89,14 +88,10 @@ class LabelSpec:
 
 @dataclass(frozen=True, eq=False)
 class DecodedGrid:
-    """Vectorized decode of a full raw grid (arrays indexed [v, u, z, ...])."""
+    """One frame's shape-checked float64 (h, w, d, cell_channels) raw grid."""
 
-    hand_coords: np.ndarray   # (h, w, d, NUM_CONTROL_POINTS, 3) grid units
-    hand_probs: np.ndarray    # (h, w, d, n_actions)
-    hand_conf: np.ndarray     # (h, w, d)
-    object_coords: np.ndarray
-    object_probs: np.ndarray
-    object_conf: np.ndarray
+    raw: np.ndarray
+    labels: LabelSpec
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,38 +193,13 @@ def decode_offsets(raw_coords: np.ndarray, role: str) -> np.ndarray:
     return off
 
 
-def _cell_corners(grid: GridSpec) -> np.ndarray:
-    """(h, w, d, 3) array of cell corner coordinates in (u, v, z) order."""
-    v, u, z = np.meshgrid(
-        np.arange(grid.h), np.arange(grid.w), np.arange(grid.d), indexing="ij"
-    )
-    return np.stack([u, v, z], axis=-1).astype(float)
-
-
 def decode_grid(raw_grid: np.ndarray, grid: GridSpec, labels: LabelSpec) -> DecodedGrid:
-    """Vectorized decode of a full (h, w, d, hand_slot+object_slot) raw grid.
-
-    Back-projection to camera frame is deferred to prune(): only the chosen
-    cells need metric points.
-    """
+    """One frame's (h, w, d, hand_slot+object_slot) raw grid, for prune."""
     raw_grid = np.asarray(raw_grid, dtype=float)
     expect = (grid.h, grid.w, grid.d, labels.cell_channels)
     if raw_grid.shape != expect:
         raise LengthMismatch(f"raw grid has shape {raw_grid.shape}, expected {expect}")
-    corners = _cell_corners(grid)[..., None, :]
-
-    hand_raw = raw_grid[..., : labels.hand_slot]
-    obj_raw = raw_grid[..., labels.hand_slot:]
-    hand_coords = decode_offsets(hand_raw[..., :COORD_CHANNELS], HAND) + corners
-    obj_coords = decode_offsets(obj_raw[..., :COORD_CHANNELS], OBJECT) + corners
-    return DecodedGrid(
-        hand_coords=hand_coords,
-        hand_probs=softmax(hand_raw[..., COORD_CHANNELS:-1]),
-        hand_conf=sigmoid(hand_raw[..., -1]),
-        object_coords=obj_coords,
-        object_probs=softmax(obj_raw[..., COORD_CHANNELS:-1]),
-        object_conf=sigmoid(obj_raw[..., -1]),
-    )
+    return DecodedGrid(raw=raw_grid, labels=labels)
 
 
 def _best_cell(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,24 +215,18 @@ def _best_cell(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def prune(decoded: DecodedGrid, grid: GridSpec, cam: CameraIntrinsics) -> FramePrediction:
-    """Keep the single best hand slot and best object slot of a frame."""
-    hu, hv, hz = (int(i[0]) for i in _best_cell(decoded.hand_conf[None]))
-    ou, ov, oz = (int(i[0]) for i in _best_cell(decoded.object_conf[None]))
-    return FramePrediction(
-        hand_points=grid_to_camera_unchecked(decoded.hand_coords[hv, hu, hz], cam, grid),
-        hand_confidence=float(decoded.hand_conf[hv, hu, hz]),
-        action_probs=decoded.hand_probs[hv, hu, hz],
-        hand_cell=(hu, hv, hz),
-        object_points=grid_to_camera_unchecked(decoded.object_coords[ov, ou, oz], cam, grid),
-        object_confidence=float(decoded.object_conf[ov, ou, oz]),
-        object_probs=decoded.object_probs[ov, ou, oz],
-        object_cell=(ou, ov, oz),
-    )
+    """decode_best on a batch of one: the frame's best hand and object slot."""
+    raw, labels = decoded.raw, decoded.labels
+    (pred,) = decode_best(raw[None, ..., [labels.hand_slot - 1, labels.cell_channels - 1]],
+                          lambda cells: raw[cells[..., 1], cells[..., 0], cells[..., 2]],
+                          grid, labels, cam)
+    return pred
 
 
 def decode_best(conf_logits: np.ndarray, read_cells, grid: GridSpec, labels: LabelSpec,
                 cam: CameraIntrinsics) -> list[FramePrediction]:
-    """decode_grid + prune for a batch of B frames, reading only what prune keeps.
+    """The most confident hand and object slot of each of B frames, reading
+    and decoding only those two cells per frame.
 
     conf_logits (B, h, w, d, 2) holds the hand and object confidence logits
     of every cell. read_cells(cells), for a (B, 2, 3) int array of the
@@ -271,10 +235,6 @@ def decode_best(conf_logits: np.ndarray, read_cells, grid: GridSpec, labels: Lab
     come from the confidences alone, so only those two cells per frame are
     read and decoded, for all frames at once. No result is a view into the
     inputs.
-
-    When conf_logits and read_cells read a raw batch (raw[..., confidence
-    channels] and raw[frame, v, u, z]), the result equals decode_grid then
-    prune on each frame of it, bit for bit.
     """
     conf_logits = np.asarray(conf_logits, dtype=float)
     expect = (grid.h, grid.w, grid.d, 2)

@@ -27,11 +27,13 @@ def _paired(pred, gt, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mean_frame_errors(pred_frames, gt_frames) -> np.ndarray:
-    """Per-frame mean joint distance (meters) over paired (F, N, 3) arrays."""
+    """Per-frame mean joint distance (meters) over paired (F, N, 3) arrays;
+    inf for a frame with a non-finite joint, so every curve counts it a miss."""
     p, g = _paired(pred_frames, gt_frames, "pose pairs")
     if p.ndim != 3:
         raise LengthMismatch(f"expected (frames, joints, 3) arrays, got {p.shape}")
-    return np.linalg.norm(p - g, axis=2).mean(axis=1)
+    errors = np.linalg.norm(p - g, axis=2).mean(axis=1)
+    return np.where(np.isfinite(errors), errors, np.inf)
 
 
 def add_metric(pose_pred: Pose6D, pose_gt: Pose6D, model_points) -> float:
@@ -111,9 +113,14 @@ def logits_accuracy(logits, gt_labels) -> float:
 
 
 def mean_joint_error_mm(pred_frames, gt_frames) -> float:
-    """Grand mean joint distance over frames and joints, in millimeters."""
+    """Grand mean joint distance over the frames whose joints are all
+    finite, in millimeters; inf when there is none (the rule of finite_mean)."""
     p, g = _paired(pred_frames, gt_frames, "pose pairs")
-    return float(np.linalg.norm(p - g, axis=-1).mean() * 1000.0)
+    distances = np.linalg.norm(p - g, axis=-1)
+    finite = np.isfinite(distances).all(axis=-1)
+    if not finite.any():
+        return float("inf")
+    return float(distances[finite].mean() * 1000.0)
 
 
 # -- report files --------------------------------------------------------------

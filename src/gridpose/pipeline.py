@@ -89,10 +89,18 @@ def _save_split(cfg: RunConfig, directory: Path, frames: list, seq_ids: list[int
 
 
 def _load_split(cfg: RunConfig, split: str):
-    """Frames and sequence ids of one dataset split; an empty one is a ConfigError."""
+    """Frames and sequence ids of one dataset split. An empty split, or a
+    record whose action_id or object_id lies outside the config's label
+    space, is a ConfigError."""
     frames, seq_ids = synth.load_frames(Path(cfg.data.dir) / split)
     if not frames:
         raise ConfigError(f"dataset split {split!r} in {cfg.data.dir} holds no frames")
+    for field, n in (("action_id", cfg.labels.n_actions), ("object_id", cfg.labels.n_objects)):
+        ids = np.array([getattr(f, field) for f in frames])
+        bad = np.flatnonzero((ids < 0) | (ids >= n))
+        if bad.size:
+            raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: record {bad[0]} has "
+                              f"{field} {ids[bad[0]]}, not in [0, {n})")
     return frames, seq_ids
 
 
@@ -197,8 +205,9 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
 
 def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
     """Pruned per-frame predictions grouped into (N, T, width) inputs, in
-    sequence id order, and each sequence's label, read from its first frame.
-    Sequences of unequal length are a ConfigError that names them."""
+    sequence id order, and each sequence's label. Sequences of unequal
+    length, or a sequence whose frames disagree on action_id or object_id,
+    are a ConfigError that names them."""
     frames, seq_ids = _load_split(cfg, split)
     by_seq: dict[int, list[int]] = {}
     for i, sid in enumerate(seq_ids):
@@ -212,6 +221,12 @@ def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
         raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: sequences (id: frames) "
                           f"{odd} differ in length from the other {len(groups) - len(odd)}, "
                           f"which hold {common} frames each")
+    for sid, g in zip(ids, groups):
+        for field in ("action_id", "object_id"):
+            values = sorted({getattr(frames[i], field) for i in g})
+            if len(values) > 1:
+                raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: the frames of "
+                                  f"sequence {sid} disagree on {field}: {values}")
     preds = predict_frames(cfg, params, frames)
     icfg = cfg.interaction_model_config()
     inputs = np.stack([ia.sequence_inputs(icfg, [preds[i] for i in g]) for g in groups])

@@ -1,5 +1,6 @@
 """Shared test helpers: the paper-scale grid and camera, scene stubs,
-measurement helpers, float64 copies of a model and a tanh autodiff node."""
+measurement helpers, float64 copies of a model, a tanh autodiff node and
+the finite-difference gradient check."""
 
 from dataclasses import dataclass
 
@@ -9,6 +10,7 @@ from gridpose import autodiff as ad
 from gridpose import geometry as geo
 from gridpose import interaction as ia
 from gridpose import network as net
+from gridpose.errors import NumericError
 from gridpose.rigidpose import Pose6D, random_rotation
 
 
@@ -103,3 +105,45 @@ def random_scene(rng, grid=PAPER_GRID, cam=PAPER_CAM, n_actions=4, n_objects=3):
         action_id=int(rng.integers(n_actions)),
         object_id=int(rng.integers(n_objects)),
     ), cuboid, pose
+
+
+def grad_check(arrays: dict[str, np.ndarray], grads: dict[str, np.ndarray], value,
+               eps: float, n_samples: int, seed: int) -> float:
+    """Max relative error of grads against central finite differences.
+
+    Checks up to n_samples entries drawn without replacement. value()
+    gives (loss, kinks) at the current arrays, kinks a list of arrays such as
+    rectifier sign patterns; an entry whose +-eps sides differ in kinks is
+    redrawn, since the loss is only piecewise smooth. The denominator is
+    max(|analytic|, |numeric|, 1e-6), so vanishing gradients do not fail.
+    Raises NumericError when every drawn entry was redrawn: a check that
+    compared nothing must not pass.
+    """
+    rng = np.random.default_rng(seed)
+    names = sorted(arrays)
+    offsets = np.concatenate([[0], np.cumsum([arrays[k].size for k in names])])
+    picks = list(rng.permutation(int(offsets[-1])))
+    worst = 0.0
+    checked = 0
+    while checked < n_samples and picks:
+        flat_idx = picks.pop()
+        t_i = int(np.searchsorted(offsets, flat_idx, side="right") - 1)
+        name = names[t_i]
+        local = int(flat_idx - offsets[t_i])
+        arr = arrays[name].ravel()
+        orig = arr[local]
+        arr[local] = orig + eps
+        hi, kinks_hi = value()
+        arr[local] = orig - eps
+        lo, kinks_lo = value()
+        arr[local] = orig
+        if any(not np.array_equal(a, b) for a, b in zip(kinks_hi, kinks_lo)):
+            continue
+        numeric = (hi - lo) / (2 * eps)
+        analytic = grads[name].ravel()[local]
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+        worst = max(worst, rel)
+        checked += 1
+    if checked == 0:
+        raise NumericError("grad_check compared no entry: every drawn entry crossed a kink")
+    return worst

@@ -12,7 +12,7 @@ from gridpose import config, synth
 from gridpose import network as net
 from gridpose.errors import ConfigError, NumericError
 
-from conftest import tanh
+from conftest import grad_check, tanh
 
 
 def fd_grad(fn, x, eps=1e-6):
@@ -427,8 +427,8 @@ class TestTrainingCore:
         def value():
             return float(np.abs(w).sum()), [w > 0] if report_kinks else []
 
-        return ad.grad_check({"w": w}, {"w": np.sign(w)}, value, eps=1e-4,
-                             n_samples=w.size, seed=0)
+        return grad_check({"w": w}, {"w": np.sign(w)}, value, eps=1e-4,
+                          n_samples=w.size, seed=0)
 
     def test_grad_check_resamples_kink_crossing_entries(self):
         assert self.abs_sum_check(report_kinks=True) < 1e-9
@@ -445,5 +445,5 @@ class TestTrainingCore:
             return float(np.abs(w).sum()), [w > 0]
 
         with pytest.raises(NumericError, match="compared no entry"):
-            ad.grad_check({"w": w}, {"w": np.full(3, 7.0)}, value, eps=1e-4,
-                          n_samples=w.size, seed=0)
+            grad_check({"w": w}, {"w": np.full(3, 7.0)}, value, eps=1e-4,
+                       n_samples=w.size, seed=0)

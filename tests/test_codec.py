@@ -1,5 +1,6 @@
 """Sparse targets, grid decoding, the confidence law and pruning."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -43,12 +44,13 @@ def raw_grid_from_targets(t: codec.FrameTargets, grid, labels) -> np.ndarray:
     return raw
 
 
-Slot = namedtuple("Slot", "grid_coords points probs confidence")
+Slot = namedtuple("Slot", "points probs confidence")
 
 
 def decode_cell(raw, cell, grid, labels, cam) -> tuple[Slot, Slot]:
     """Reference decoder of one cell's raw vector into its (hand, object) slots,
-    with its own sigmoid and softmax; the oracle for codec.decode_grid."""
+    with its own sigmoid and softmax; the oracle for the cells that
+    codec.decode_best and codec.prune pick."""
     raw = np.asarray(raw, dtype=float)
     n_c = geo.NUM_CONTROL_POINTS
     slots = []
@@ -59,11 +61,37 @@ def decode_cell(raw, cell, grid, labels, cam) -> tuple[Slot, Slot]:
         coords = offsets + np.asarray(cell, dtype=float)
         logits = vec[3 * n_c: -1]
         e = np.exp(logits - logits.max())
-        slots.append(Slot(grid_coords=coords,
-                          points=geo.grid_to_camera_unchecked(coords, cam, grid),
+        slots.append(Slot(points=geo.grid_to_camera_unchecked(coords, cam, grid),
                           probs=e / e.sum(),
                           confidence=1.0 / (1.0 + np.exp(-vec[-1]))))
     return slots[0], slots[1]
+
+
+def first_max_cell(conf) -> tuple[int, int, int]:
+    """Exhaustive scan of an (h, w, d) confidence grid in the documented
+    linear order (u-major, then v, then z): the first NaN, else the first
+    maximum; the oracle for the cell choice of codec.decode_best."""
+    conf = np.asarray(conf).tolist()
+    best, best_conf = None, -1.0
+    for u in range(len(conf[0])):
+        for v in range(len(conf)):
+            for z in range(len(conf[0][0])):
+                c = conf[v][u][z]
+                if math.isnan(c):
+                    return u, v, z
+                if c > best_conf:
+                    best, best_conf = (u, v, z), c
+    return best
+
+
+def reference_prediction(raw, grid, labels, cam) -> tuple[Slot, Slot, tuple, tuple]:
+    """The hand and object slot of a dense (h, w, d, cell_channels) raw grid
+    at their first most confident cells, and those cells, from the oracles."""
+    conf = 1.0 / (1.0 + np.exp(-raw[..., [labels.hand_slot - 1, -1]]))
+    cells = [first_max_cell(conf[..., role]) for role in (0, 1)]
+    hand, obj = (decode_cell(raw[v, u, z], (u, v, z), grid, labels, cam)[role]
+                 for role, (u, v, z) in enumerate(cells))
+    return hand, obj, *cells
 
 
 def point_set_confidence(pred, gt, grid, cam) -> float:
@@ -199,20 +227,40 @@ def _raw_grid(rng=None, scale=1.0):
     return np.zeros(shape) if rng is None else rng.normal(scale=scale, size=shape)
 
 
+def _prune(raw, grid=PAPER_GRID, cam=PAPER_CAM):
+    return codec.prune(codec.decode_grid(raw, grid, LABELS), grid, cam)
+
+
+def _only_confident_cell(raw, u, v, z):
+    """raw with every cell's confidence logits but (u, v, z)'s set to -10,
+    so that cell wins for both hand and object."""
+    raw = raw.copy()
+    keep = raw[v, u, z, [LABELS.hand_slot - 1, -1]]
+    raw[..., [LABELS.hand_slot - 1, -1]] = -10.0
+    raw[v, u, z, [LABELS.hand_slot - 1, -1]] = keep
+    return raw
+
+
+def _grid_coords(points):
+    return geo.camera_to_grid(points, PAPER_CAM, PAPER_GRID)
+
+
 class TestDecodeCell:
     def test_zero_root_offsets_decode_to_cell_center(self):
-        dec = codec.decode_grid(_raw_grid(), PAPER_GRID, LABELS)
-        np.testing.assert_allclose(dec.hand_coords[4, 3, 3, 0], [3.5, 4.5, 3.5])
-        np.testing.assert_allclose(dec.object_coords[4, 3, 3, 20], [3.5, 4.5, 3.5])
+        pred = _prune(_only_confident_cell(_raw_grid(), 3, 4, 3))
+        assert pred.hand_cell == pred.object_cell == (3, 4, 3)
+        np.testing.assert_allclose(_grid_coords(pred.hand_points[0]), [3.5, 4.5, 3.5])
+        np.testing.assert_allclose(_grid_coords(pred.object_points[20]), [3.5, 4.5, 3.5])
         # zero logits: uniform classes, confidence 1/2
-        np.testing.assert_allclose(dec.hand_probs[4, 3, 3], np.full(4, 0.25))
-        assert dec.hand_conf[4, 3, 3] == pytest.approx(0.5)
+        np.testing.assert_allclose(pred.action_probs, np.full(4, 0.25))
+        np.testing.assert_allclose(pred.object_probs, np.full(3, 1.0 / 3.0))
+        assert pred.hand_confidence == pred.object_confidence == 0.5
 
     def test_identity_activation_for_non_root(self):
         raw = _raw_grid()
         raw[4, 3, 3, 3:6] = [1.25, -0.5, 0.0]   # hand point 1 of cell (u=3, v=4, z=3)
-        dec = codec.decode_grid(raw, PAPER_GRID, LABELS)
-        np.testing.assert_allclose(dec.hand_coords[4, 3, 3, 1], [4.25, 3.5, 3.0])
+        pred = _prune(_only_confident_cell(raw, 3, 4, 3))
+        np.testing.assert_allclose(_grid_coords(pred.hand_points[1]), [4.25, 3.5, 3.0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LengthMismatch):
@@ -220,12 +268,13 @@ class TestDecodeCell:
                               PAPER_GRID, LABELS)
 
     def test_root_offsets_stay_inside_cell(self):
-        dec = codec.decode_grid(_raw_grid(np.random.default_rng(2), scale=5.0), PAPER_GRID, LABELS)
-        v, u, z = np.indices((PAPER_GRID.h, PAPER_GRID.w, PAPER_GRID.d))
-        corners = np.stack([u, v, z], axis=-1)
-        for coords, role in ((dec.hand_coords, geo.HAND), (dec.object_coords, geo.OBJECT)):
-            root = coords[..., geo.root_index(role), :]
-            assert np.all(root > corners) and np.all(root < corners + 1.0)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            pred = _prune(_raw_grid(rng, scale=5.0))
+            for points, cell, role in ((pred.hand_points, pred.hand_cell, geo.HAND),
+                                       (pred.object_points, pred.object_cell, geo.OBJECT)):
+                root = _grid_coords(points[geo.root_index(role)])
+                assert np.all(root > cell) and np.all(root < np.add(cell, 1.0))
 
 
 class TestRoundTrip:
@@ -236,7 +285,7 @@ class TestRoundTrip:
         scene, _, _ = random_scene(rng)
         t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
         raw = raw_grid_from_targets(t, PAPER_GRID, LABELS)
-        pred = codec.prune(codec.decode_grid(raw, PAPER_GRID, LABELS), PAPER_GRID, PAPER_CAM)
+        pred = _prune(raw)
         assert (pred.hand_cell, pred.object_cell) == tuple(map(tuple, t.cells.tolist()))
         assert np.abs(pred.hand_points - scene.hand_points).max() < 1e-9
         assert np.abs(pred.object_points - scene.object_points).max() < 1e-9
@@ -245,15 +294,16 @@ class TestRoundTrip:
 
     def test_decode_grid_matches_decode_cell(self):
         raw = _raw_grid(np.random.default_rng(0))
-        dec = codec.decode_grid(raw, PAPER_GRID, LABELS)
         for u, v, z in [(0, 0, 0), (3, 4, 2), (12, 12, 4)]:
+            pred = _prune(_only_confident_cell(raw, u, v, z))
+            assert pred.hand_cell == pred.object_cell == (u, v, z)
             hand, obj = decode_cell(raw[v, u, z], (u, v, z), PAPER_GRID, LABELS, PAPER_CAM)
-            np.testing.assert_allclose(dec.hand_coords[v, u, z], hand.grid_coords)
-            np.testing.assert_allclose(dec.object_coords[v, u, z], obj.grid_coords)
-            np.testing.assert_allclose(dec.hand_probs[v, u, z], hand.probs)
-            np.testing.assert_allclose(dec.object_probs[v, u, z], obj.probs)
-            assert dec.hand_conf[v, u, z] == pytest.approx(hand.confidence)
-            assert dec.object_conf[v, u, z] == pytest.approx(obj.confidence)
+            np.testing.assert_allclose(pred.hand_points, hand.points)
+            np.testing.assert_allclose(pred.object_points, obj.points)
+            np.testing.assert_allclose(pred.action_probs, hand.probs)
+            np.testing.assert_allclose(pred.object_probs, obj.probs)
+            assert pred.hand_confidence == pytest.approx(hand.confidence)
+            assert pred.object_confidence == pytest.approx(obj.confidence)
 
 
 class TestConfidence:
@@ -316,18 +366,12 @@ class TestPrune:
     def test_matches_exhaustive_scan(self, seed):
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(PAPER_GRID.h, PAPER_GRID.w, PAPER_GRID.d, LABELS.cell_channels))
-        dec = codec.decode_grid(raw, PAPER_GRID, LABELS)
-        pred = codec.prune(dec, PAPER_GRID, PAPER_CAM)
-        # brute-force scan in documented linear order
-        best, best_conf = None, -1.0
-        for u in range(PAPER_GRID.w):
-            for v in range(PAPER_GRID.h):
-                for z in range(PAPER_GRID.d):
-                    c = dec.object_conf[v, u, z]
-                    if c > best_conf:
-                        best, best_conf = (u, v, z), c
-        assert pred.object_cell == best
-        assert pred.object_confidence == pytest.approx(best_conf)
+        pred = _prune(raw)
+        hand, obj, hand_cell, object_cell = reference_prediction(raw, PAPER_GRID, LABELS,
+                                                                 PAPER_CAM)
+        assert (pred.hand_cell, pred.object_cell) == (hand_cell, object_cell)
+        assert pred.hand_confidence == pytest.approx(hand.confidence)
+        assert pred.object_confidence == pytest.approx(obj.confidence)
 
 
 TOY = config.toy_preset()
@@ -344,7 +388,8 @@ def decode_dense(raw, grid, cam, labels=LABELS):
 
 
 class TestDecodeBest:
-    """The batched decoder against decode_grid + prune, frame by frame."""
+    """The batched decoder against the exhaustive scan and decode_cell, frame
+    by frame."""
 
     @staticmethod
     def _batch(rng, grid, n):
@@ -354,14 +399,18 @@ class TestDecodeBest:
         batch = decode_dense(raw, grid, cam)
         assert len(batch) == len(raw)
         for frame, got in zip(raw, batch):
-            want = codec.prune(codec.decode_grid(frame, grid, LABELS), grid, cam)
-            assert (got.hand_cell, got.object_cell) == (want.hand_cell, want.object_cell)
+            hand, obj, hand_cell, object_cell = reference_prediction(frame, grid, LABELS, cam)
+            assert (got.hand_cell, got.object_cell) == (hand_cell, object_cell)
             assert all(type(i) is int for i in got.hand_cell + got.object_cell)
+            for name, want in (("hand_confidence", hand.confidence),
+                               ("object_confidence", obj.confidence),
+                               ("hand_points", hand.points), ("object_points", obj.points),
+                               ("action_probs", hand.probs), ("object_probs", obj.probs)):
+                np.testing.assert_allclose(getattr(got, name), want, rtol=1e-13, atol=1e-13,
+                                           err_msg=name)
             for name in ("hand_confidence", "object_confidence"):
                 assert type(getattr(got, name)) is float
-                np.testing.assert_equal(getattr(got, name), getattr(want, name))
             for name in ("hand_points", "object_points", "action_probs", "object_probs"):
-                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
                 assert not np.shares_memory(getattr(got, name), raw)
         return batch
 

@@ -12,7 +12,7 @@ from gridpose import interaction as ia
 from gridpose.errors import ConfigError, EmptySequence, NonFiniteLoss, WidthMismatch
 from gridpose.geometry import HAND_PARTS
 
-from conftest import float64, tanh
+from conftest import float64, grad_check, tanh
 
 
 CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16, lstm_layers=2)
@@ -72,7 +72,7 @@ def grad_check_sequences(model, batch, labels, eps=1e-5, n_samples=150, seed=0):
         return float(ia._loss_graph(pt, model.cfg, batch, labels).data), []
 
     _, grads = ia.sequence_loss(model, batch, labels)
-    return ad.grad_check(model.params, grads, value, eps, n_samples, seed)
+    return grad_check(model.params, grads, value, eps, n_samples, seed)
 
 
 def assert_close(actual, expected, name):

@@ -78,6 +78,16 @@ class TestPck3d:
         with pytest.raises(LengthMismatch):
             metrics.mean_frame_errors(np.zeros((3, 21, 3)), np.zeros((4, 21, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_joint_scores_inf_and_misses(self, value):
+        rng = np.random.default_rng(6)
+        gt = rng.normal(size=(4, 21, 3))
+        pred = gt + 0.001
+        pred[2, 7, 1] = value
+        errors = metrics.mean_frame_errors(pred, gt)
+        assert errors[2] == np.inf and np.all(np.isfinite(errors[[0, 1, 3]]))
+        np.testing.assert_array_equal(pck3d(pred, gt, [0.01, 1e9]), [0.75, 0.75])
+
 
 class TestAdd:
     def test_identical_poses(self):
@@ -222,6 +232,17 @@ class TestMeanJointErrorMm:
         flat = np.mean([np.linalg.norm(pred[f, j] - gt[f, j])
                         for f in range(7) for j in range(21)]) * 1000
         assert metrics.mean_joint_error_mm(pred, gt) == pytest.approx(flat, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_frames_with_a_non_finite_joint_are_left_out(self, value):
+        rng = np.random.default_rng(3)
+        gt = rng.normal(size=(5, 21, 3))
+        pred = gt + rng.normal(scale=0.02, size=gt.shape)
+        healthy = metrics.mean_joint_error_mm(pred[[0, 2, 4]], gt[[0, 2, 4]])
+        pred[[1, 3], 4, 0] = value
+        assert metrics.mean_joint_error_mm(pred, gt) == healthy
+        pred[:, 0, 2] = value
+        assert metrics.mean_joint_error_mm(pred, gt) == np.inf
 
 
 class TestReports:

@@ -13,7 +13,7 @@ from gridpose import geometry as geo
 from gridpose import network as net
 from gridpose.errors import ConfigError, GridposeError, NonFiniteLoss, OutOfVolume, ShapeMismatch
 
-from conftest import float64, logit, random_scene
+from conftest import float64, grad_check as array_grad_check, logit, random_scene
 
 # Micro configuration: 12x12 image over a 3x3x2 grid of 4px cells.
 GRID = geo.GridSpec(h=3, w=3, d=2, cell_u_px=4.0, cell_v_px=4.0, cell_z_m=0.3,
@@ -63,7 +63,7 @@ def grad_check(params, targets, weights, bb, grid, labels, eps=1e-4, n_samples=2
         return float(loss.data), signs
 
     _, grads, _ = net.multitask_loss(params, targets, weights, bb, grid, labels, conf_targets)
-    return ad.grad_check(params.tensors, grads, value, eps, n_samples, seed)
+    return array_grad_check(params.tensors, grads, value, eps, n_samples, seed)
 
 
 class TestForward:
@@ -74,9 +74,12 @@ class TestForward:
         img = np.zeros((1, 3, 12, 12))
         raw = net.forward(params, img, BB, GRID, LABELS)
         assert np.all(raw == 0.0)
-        dec = codec.decode_grid(raw[0], GRID, LABELS)
-        assert np.all(dec.hand_conf == 0.5)
-        assert np.all(dec.object_conf == 0.5)
+        # every cell ties at confidence 1/2, so the first cell wins
+        pred = codec.prune(codec.decode_grid(raw[0], GRID, LABELS), GRID, CAM)
+        assert pred.hand_cell == pred.object_cell == (0, 0, 0)
+        assert pred.hand_confidence == pred.object_confidence == 0.5
+        np.testing.assert_array_equal(pred.action_probs, np.full(LABELS.n_actions, 1 / 3))
+        np.testing.assert_array_equal(pred.object_probs, np.full(LABELS.n_objects, 1 / 2))
 
     def test_deterministic_bitwise(self):
         params = net.init_params(BB, GRID, LABELS, seed=7)

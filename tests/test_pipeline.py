@@ -472,6 +472,33 @@ class TestSequenceDataset:
             pipeline._sequence_dataset(cfg, params, "seq_train")
 
 
+    @pytest.mark.parametrize("field", ["action_id", "object_id"])
+    def test_frames_of_a_sequence_that_disagree_on_a_label_are_named(self, tmp_path, field):
+        cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
+        seq = synth.sample_sequence(1, 2, 1, cfg.scene)
+        frames = seq.frames[:3] + [replace(seq.frames[3], **{field: 0})]
+        synth.save_frames(tmp_path / "seq_train", frames, [5] * 4)
+        params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
+        with pytest.raises(ConfigError, match=rf"'seq_train'.*sequence 5 disagree on {field}: "
+                                              rf"\[0, [12]\]"):
+            pipeline._sequence_dataset(cfg, params, "seq_train")
+
+
+class TestSplitLabels:
+    @pytest.mark.parametrize("field", ["action_id", "object_id"])
+    def test_label_outside_the_label_space_is_named(self, tmp_path, field):
+        # -1 would index the last class and n a wrong pair, without an error
+        cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
+        n = {"action_id": cfg.labels.n_actions, "object_id": cfg.labels.n_objects}[field]
+        seq = synth.sample_sequence(1, 2, 1, cfg.scene)
+        for value in (-1, n):
+            frames = seq.frames[:2] + [replace(f, **{field: value}) for f in seq.frames[2:]]
+            synth.save_frames(tmp_path / "seq_train", frames, [0] * 4)
+            with pytest.raises(ConfigError, match=rf"'seq_train'.*record 2 has {field} {value}, "
+                                                  rf"not in \[0, {n}\)"):
+                pipeline._load_split(cfg, "seq_train")
+
+
 class TestPoseNoiseSweep:
     @pytest.fixture(scope="class")
     def rows(self):
