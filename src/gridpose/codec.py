@@ -19,15 +19,16 @@ cells only; every other cell is trained towards confidence 0. Points on a
 cell boundary belong to the lower-index cell.
 
 At inference decode_best takes a batch's confidence logits of every cell,
-picks each frame's most confident hand cell and object cell from them and
-asks for the raw channels of those two cells only, so the network's head
-runs in full at two cells per frame (network.predict). decode_grid and
-prune are its one-frame case on a dense raw grid: decode_grid checks the
-grid's shape and prune runs decode_best on a batch of one.
+picks each frame's most confident hand and object cell, asks for the raw
+channels of those two cells only (network.predict runs the head in full
+there) and returns one FramePrediction whose fields are batch columns.
+decode_grid and prune are its one-frame case on a dense raw grid:
+decode_grid checks its shape and prune takes frame 0 of a batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,30 +97,41 @@ class DecodedGrid:
 
 @dataclass(frozen=True, eq=False)
 class FramePrediction:
-    """Best hand and object slots of a decoded frame."""
+    """Best hand and object slot of one frame, or of a stack of frames with
+    leading axes (...); len() and an index count and take frames on axis 0."""
 
-    hand_points: np.ndarray
-    hand_confidence: float
-    action_probs: np.ndarray
-    hand_cell: tuple[int, int, int]
+    hand_points: np.ndarray         # (..., NUM_CONTROL_POINTS, 3) camera frame
+    hand_confidence: np.ndarray     # (...)
+    action_probs: np.ndarray        # (..., n_actions)
+    hand_cell: np.ndarray           # (..., 3) int (u, v, z)
     object_points: np.ndarray
-    object_confidence: float
-    object_probs: np.ndarray
-    object_cell: tuple[int, int, int]
+    object_confidence: np.ndarray
+    object_probs: np.ndarray        # (..., n_objects)
+    object_cell: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hand_confidence)
+
+    def __getitem__(self, idx) -> "FramePrediction":
+        return FramePrediction(*(column[idx] for column in vars(self).values()))
+
+    @staticmethod
+    def join(records) -> "FramePrediction":
+        return FramePrediction(*map(np.concatenate, zip(*(vars(r).values() for r in records))))
 
     @property
-    def action_id(self) -> int:
+    def action_id(self) -> np.ndarray:
         """The most probable action, or -1 if a probability is not finite (class_ids)."""
-        return int(class_ids(self.action_probs))
+        return class_ids(self.action_probs)
 
     @property
-    def object_id(self) -> int:
-        return int(class_ids(self.object_probs))
+    def object_id(self) -> np.ndarray:
+        return class_ids(self.object_probs)
 
-    def interaction_id(self, labels: LabelSpec) -> int:
+    def interaction_id(self, labels: LabelSpec) -> np.ndarray:
         """The (action, object) pair index, or -1 if either class is -1."""
         a, o = self.action_id, self.object_id
-        return -1 if min(a, o) < 0 else labels.interaction_index(a, o)
+        return np.where((a < 0) | (o < 0), -1, labels.interaction_index(a, o))
 
 
 def class_ids(scores) -> np.ndarray:
@@ -210,23 +222,22 @@ def _best_cell(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and the first NaN in that order wins.
     """
     swapped = conf.transpose(0, 2, 1, 3)  # (B, w, h, d)
-    best = np.argmax(swapped.reshape(len(conf), -1), axis=1)
+    best = np.argmax(swapped.reshape(len(conf), math.prod(swapped.shape[1:])), axis=1)
     return np.unravel_index(best, swapped.shape[1:])
 
 
 def prune(decoded: DecodedGrid, grid: GridSpec, cam: CameraIntrinsics) -> FramePrediction:
     """decode_best on a batch of one: the frame's best hand and object slot."""
     raw, labels = decoded.raw, decoded.labels
-    (pred,) = decode_best(raw[None, ..., [labels.hand_slot - 1, labels.cell_channels - 1]],
-                          lambda cells: raw[cells[..., 1], cells[..., 0], cells[..., 2]],
-                          grid, labels, cam)
-    return pred
+    return decode_best(raw[None, ..., [labels.hand_slot - 1, labels.cell_channels - 1]],
+                       lambda cells: raw[cells[..., 1], cells[..., 0], cells[..., 2]],
+                       grid, labels, cam)[0]
 
 
 def decode_best(conf_logits: np.ndarray, read_cells, grid: GridSpec, labels: LabelSpec,
-                cam: CameraIntrinsics) -> list[FramePrediction]:
-    """The most confident hand and object slot of each of B frames, reading
-    and decoding only those two cells per frame.
+                cam: CameraIntrinsics) -> FramePrediction:
+    """The most confident hand and object slot of each of B >= 0 frames, as
+    one FramePrediction of length B, from only those two cells per frame.
 
     conf_logits (B, h, w, d, 2) holds the hand and object confidence logits
     of every cell. read_cells(cells), for a (B, 2, 3) int array of the
@@ -254,18 +265,12 @@ def decode_best(conf_logits: np.ndarray, read_cells, grid: GridSpec, labels: Lab
     offsets = np.stack([decode_offsets(hand[:, :COORD_CHANNELS], HAND),
                         decode_offsets(obj[:, :COORD_CHANNELS], OBJECT)], axis=1)
     points = grid_to_camera_unchecked(offsets + cells[:, :, None, :], cam, grid)
-    best = conf[np.arange(b)[:, None], v, u, z, [0, 1]].tolist()
-    action_probs = softmax(hand[:, COORD_CHANNELS:-1])
-    object_probs = softmax(obj[:, COORD_CHANNELS:-1])
-    return [
-        FramePrediction(
-            hand_points=points[i, 0], hand_confidence=c_h, action_probs=action_probs[i],
-            hand_cell=tuple(cell_h),
-            object_points=points[i, 1], object_confidence=c_o, object_probs=object_probs[i],
-            object_cell=tuple(cell_o),
-        )
-        for i, ((c_h, c_o), (cell_h, cell_o)) in enumerate(zip(best, cells.tolist()))
-    ]
+    best = conf[np.arange(b)[:, None], v, u, z, [0, 1]]
+    return FramePrediction(
+        hand_points=points[:, 0], hand_confidence=best[:, 0],
+        action_probs=softmax(hand[:, COORD_CHANNELS:-1]), hand_cell=cells[:, 0],
+        object_points=points[:, 1], object_confidence=best[:, 1],
+        object_probs=softmax(obj[:, COORD_CHANNELS:-1]), object_cell=cells[:, 1])
 
 
 def confidence_component(distance, cutoff: float, sharpness: float):

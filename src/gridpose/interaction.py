@@ -11,8 +11,8 @@ The map runs once over all B·T frames of a batch, and each LSTM layer is
 one autodiff node over the whole sequence (autodiff.lstm), not a graph
 built step by step.
 
-Each frame's input is its hand and object control points, relative to
-the hand root so the classifier sees relative geometry, times
+Each frame's input (pose_rows) is its hand and object control points,
+relative to the hand root so the classifier sees relative geometry, times
 INPUT_SCALE. There is no option to add stage 1's class probabilities.
 
 Training runs the minibatch loop in autodiff (sgd_epoch), which both stages
@@ -102,15 +102,13 @@ def init_interaction(cfg: InteractionConfig, seed: int) -> InteractionModel:
     return InteractionModel(cfg, {k: v.astype(ad.COMPUTE_DTYPE) for k, v in p.items()})
 
 
-def sequence_inputs(cfg: InteractionConfig, preds: list[FramePrediction]) -> np.ndarray:
-    """(T, input_width) array from pruned per-frame predictions: row t holds
-    frame t's hand and then object points, relative to its hand root, times
-    INPUT_SCALE. The layout is the same for every config; cfg is not read.
-    """
-    points = np.asarray([(p.hand_points, p.object_points) for p in preds], dtype=float)
-    points = points.reshape(len(preds), 2 * NUM_CONTROL_POINTS, 3)
-    r = root_index(HAND)
-    return ((points - points[:, r: r + 1]) * INPUT_SCALE).reshape(len(preds), 2 * COORD_CHANNELS)
+def pose_rows(hand_points, object_points) -> np.ndarray:
+    """(..., input_width) inputs of (..., NUM_CONTROL_POINTS, 3) hand and
+    object points: hand, then object points, relative to the hand root,
+    times INPUT_SCALE. The layout is the same for every config."""
+    points = np.concatenate([hand_points, object_points], axis=-2, dtype=float)
+    rows = (points - points[..., root_index(HAND), None, :]) * INPUT_SCALE
+    return rows.reshape(*rows.shape[:-2], 2 * COORD_CHANNELS)
 
 
 def _features_graph(pt: dict[str, ad.Tensor], x: ad.Tensor) -> ad.Tensor:
@@ -142,11 +140,16 @@ def logits_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig,
 
 def classify_sequence(model: InteractionModel, inputs: np.ndarray) -> np.ndarray:
     """Probability vector over interaction classes for one (T, input_width)
-    sequence, as sequence_inputs makes it; zero frames raise EmptySequence
-    (from logits_graph)."""
+    sequence of pose_rows; zero frames raise EmptySequence (from logits_graph)."""
     pt = ad.wrap(model.params, requires_grad=False)
     logits = logits_graph(pt, model.cfg, inputs[None, ...])
     return softmax(logits.data[0])
+
+
+def sequence_inputs(cfg: InteractionConfig, preds: list[FramePrediction]) -> np.ndarray:
+    """(T, input_width) pose_rows of a list of T one-frame predictions; cfg is not read."""
+    return pose_rows(*np.reshape([(p.hand_points, p.object_points) for p in preds],
+                                 (-1, 2, NUM_CONTROL_POINTS, 3)).swapaxes(0, 1))
 
 
 def _loss_graph(pt: dict[str, ad.Tensor], cfg: InteractionConfig, batch: np.ndarray,

@@ -2,12 +2,14 @@
 
 Every curve is fraction_below over one error per frame. write_csv and
 write_json write every report, log and manifest as text with "\\n" line
-ends: CSV numbers as %.10g, JSON keys sorted and indented by 2.
+ends: CSV numbers as %.10g, JSON keys sorted and indented by 2, with a
+non-finite float as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +134,17 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _finite_or_none(value):
+    """value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json(path, doc: dict) -> None:
-    """doc as JSON, keys sorted and indented by 2, with a final line end."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", newline="\n")
+    """doc as strict JSON, keys sorted and indented by 2, with a final line
+    end; a non-finite float is written as null."""
+    text = json.dumps(_finite_or_none(doc), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n", newline="\n")

@@ -268,8 +268,8 @@ def forward(
 
 
 def predict(params: ModelParams, images: np.ndarray, bb: BackboneConfig, grid: GridSpec,
-            labels: LabelSpec, cam: CameraIntrinsics) -> list[codec.FramePrediction]:
-    """Best hand and object slot of each image (codec.decode_best).
+            labels: LabelSpec, cam: CameraIntrinsics) -> codec.FramePrediction:
+    """Best hand and object slot of each image, as one record (codec.decode_best).
 
     The head gives the confidence channels at every cell, then the full
     cell channels only at each frame's winning hand and object cell.

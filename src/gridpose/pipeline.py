@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -170,70 +171,61 @@ def load_backbone(cfg: RunConfig, ckpt_path) -> net.ModelParams:
 # -- per-frame predictions -------------------------------------------------------
 
 def _stack_rasters(cfg: RunConfig, frames, start: int, dtype) -> np.ndarray:
-    """The rasters of frames as one image batch of dtype; a frame without a
-    raster of the backbone's input shape is a ShapeMismatch that names its
-    index, counted from start (synth.check_rasters)."""
-    synth.check_rasters(frames, (IMAGE_CHANNELS, cfg.grid.image_h, cfg.grid.image_w), start)
-    return np.stack([f.raster for f in frames], dtype=dtype)
+    """The rasters of frames as one (N, C, H, W) image batch of dtype, N >= 0;
+    a frame without a raster of the backbone's input shape is a ShapeMismatch
+    that names its index, counted from start (synth.check_rasters)."""
+    shape = (IMAGE_CHANNELS, cfg.grid.image_h, cfg.grid.image_w)
+    synth.check_rasters(frames, shape, start)
+    return np.array([f.raster for f in frames], dtype=dtype).reshape(-1, *shape)
 
 
 def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
-                   batch_size: int = 64) -> list[codec.FramePrediction]:
-    """Run the backbone on batches of batch_size frames and keep each frame's
-    best hand and object slot (network.predict, once per batch: the head's
-    confidence channels at every cell, then its full channels only at each
-    frame's winning cells, through codec.decode_best). Each batch's images
-    are stacked when it runs, so memory grows with the batch, not with the
-    frame list, and they are stacked in the parameters' dtype, so no wider
-    copy of the batch is made.
+                   batch_size: int = 64) -> codec.FramePrediction:
+    """Each frame's best hand and object slot, as one codec.FramePrediction
+    of len(frames): network.predict runs once per batch of batch_size frames
+    (the head's confidence channels at every cell, then its full channels
+    only at each frame's winning cells, through codec.decode_best), and the
+    batches' records are joined. Each batch's images are stacked when it
+    runs, so memory grows with the batch, not with the frame list, and in
+    the parameters' dtype, so no wider copy of the batch is made.
 
-    An empty frame list gives [] without running the network; batch_size
-    below 1 is a ConfigError; a frame without a raster of the backbone's
-    input shape is a ShapeMismatch that names the frame's index.
+    An empty frame list gives a record of length 0; batch_size below 1 is a
+    ConfigError; a frame without a raster of the backbone's input shape is a
+    ShapeMismatch that names the frame's index.
     """
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if not frames:
-        return []
-    preds = []
     dtype = params.tensors["conv0.w"].dtype
-    for start in range(0, len(frames), batch_size):
-        images = _stack_rasters(cfg, frames[start: start + batch_size], start, dtype)
-        preds.extend(net.predict(params, images, cfg.backbone, cfg.grid, cfg.labels, cfg.camera))
-    return preds
+    return codec.FramePrediction.join([
+        net.predict(params, _stack_rasters(cfg, frames[start: start + batch_size], start, dtype),
+                    cfg.backbone, cfg.grid, cfg.labels, cfg.camera)
+        for start in range(0, max(len(frames), 1), batch_size)])
 
 
 def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
     """Pruned per-frame predictions grouped into (N, T, width) inputs, in
-    sequence id order, and each sequence's label. Sequences of unequal
-    length, or a sequence whose frames disagree on action_id or object_id,
-    are a ConfigError that names them."""
+    sequence id order (frames in file order), and each sequence's label.
+    Sequences of unequal length, or a sequence whose frames disagree on
+    action_id or object_id, are a ConfigError that names them."""
     frames, seq_ids = _load_split(cfg, split)
-    by_seq: dict[int, list[int]] = {}
-    for i, sid in enumerate(seq_ids):
-        by_seq.setdefault(sid, []).append(i)
-    ids = sorted(by_seq)
-    groups = [by_seq[sid] for sid in ids]
-    lengths = [len(g) for g in groups]
+    ids, lengths = (a.tolist() for a in np.unique(seq_ids, return_counts=True))
     common = max(lengths, key=lengths.count)
     odd = {sid: n for sid, n in zip(ids, lengths) if n != common}
     if odd:
         raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: sequences (id: frames) "
-                          f"{odd} differ in length from the other {len(groups) - len(odd)}, "
+                          f"{odd} differ in length from the other {len(ids) - len(odd)}, "
                           f"which hold {common} frames each")
-    for sid, g in zip(ids, groups):
-        for field in ("action_id", "object_id"):
-            values = sorted({getattr(frames[i], field) for i in g})
-            if len(values) > 1:
-                raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: the frames of "
-                                  f"sequence {sid} disagree on {field}: {values}")
+    order = np.argsort(seq_ids, kind="stable").reshape(len(ids), common)   # (N, T) frame indices
+    classes = np.array([(f.action_id, f.object_id) for f in frames])[order]   # (N, T, 2)
+    disagree = np.argwhere((classes != classes[:, :1]).any(axis=1))
+    if disagree.size:
+        row, k = disagree[0]
+        raise ConfigError(f"dataset split {split!r} in {cfg.data.dir}: the frames of sequence "
+                          f"{ids[row]} disagree on {('action_id', 'object_id')[k]}: "
+                          f"{sorted(set(classes[row, :, k].tolist()))}")
     preds = predict_frames(cfg, params, frames)
-    icfg = cfg.interaction_model_config()
-    inputs = np.stack([ia.sequence_inputs(icfg, [preds[i] for i in g]) for g in groups])
-    firsts = [frames[g[0]] for g in groups]
-    labels = np.array([cfg.labels.interaction_index(f.action_id, f.object_id) for f in firsts],
-                      dtype=int)
-    return inputs, labels
+    inputs = ia.pose_rows(preds.hand_points[order], preds.object_points[order])
+    return inputs, cfg.labels.interaction_index(classes[:, 0, 0], classes[:, 0, 1])
 
 
 # -- stage 2 ---------------------------------------------------------------------
@@ -352,17 +344,19 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
 
     frames, _ = _load_split(cfg, "val")
     preds = predict_frames(cfg, params, frames)
+    truth = SimpleNamespace(**{k: np.array([getattr(f, k) for f in frames]) for k in (
+        "hand_points", "object_points", "action_id", "object_id")})
+    cells = codec.frame_targets(truth, cfg.grid, cfg.labels, cfg.camera).cells
 
-    pred_hand = np.stack([p.hand_points for p in preds])
-    gt_hand = np.stack([f.hand_points for f in frames])
     adds, projs, adds_pnp = np.array([
-        metrics.object_pose_errors(cuboid_control_points(f.cuboid).points, p.object_points,
+        metrics.object_pose_errors(cuboid_control_points(f.cuboid).points, points,
                                    f.object_pose, cfg.camera)
-        for f, p in zip(frames, preds)]).T
+        for f, points in zip(frames, preds.object_points)]).T
     diag = cell_diagonal_m(cfg.grid, cfg.camera)
     diameter = float(np.mean([f.cuboid.diameter() for f in frames]))
+    hand_errors = metrics.mean_frame_errors(preds.hand_points, truth.hand_points)
     curves = {}   # one value per val frame under each of 41 thresholds from 0 to top
-    for name, values, top in (("pck3d", metrics.mean_frame_errors(pred_hand, gt_hand), 2.0 * diag),
+    for name, values, top in (("pck3d", hand_errors, 2.0 * diag),
                               ("add_sweep", adds, diameter), ("proj2d_sweep", projs, 20.0)):
         thresholds = np.linspace(0.0, top, 41)
         curves[name] = (thresholds, metrics.fraction_below(values, thresholds))
@@ -371,17 +365,17 @@ def evaluate(cfg: RunConfig, backbone_ckpt, report_dir,
     summary = {
         "frames": len(frames),
         "cell_diagonal_m": diag,
-        "mean_joint_error_mm": metrics.mean_joint_error_mm(pred_hand, gt_hand),
+        "mean_joint_error_mm": metrics.mean_joint_error_mm(preds.hand_points, truth.hand_points),
         "pck_at_cell_diagonal": float(np.interp(diag, *curves["pck3d"])),
         "object_add_mean_m": metrics.finite_mean(adds),
         "object_add_pnp_mean_m": metrics.finite_mean(adds_pnp),
-        "action_accuracy": metrics.classification_accuracy(
-            [p.action_id for p in preds], [f.action_id for f in frames]),
-        "object_accuracy": metrics.classification_accuracy(
-            [p.object_id for p in preds], [f.object_id for f in frames]),
+        "action_accuracy": metrics.classification_accuracy(preds.action_id, truth.action_id),
+        "object_accuracy": metrics.classification_accuracy(preds.object_id, truth.object_id),
         "single_image_interaction_accuracy": metrics.classification_accuracy(
-            [p.interaction_id(cfg.labels) for p in preds],
-            [cfg.labels.interaction_index(f.action_id, f.object_id) for f in frames]),
+            preds.interaction_id(cfg.labels),
+            cfg.labels.interaction_index(truth.action_id, truth.object_id)),
+        "hand_cell_accuracy": float(np.mean((preds.hand_cell == cells[:, 0]).all(axis=-1))),
+        "object_cell_accuracy": float(np.mean((preds.object_cell == cells[:, 1]).all(axis=-1))),
         "noise_sweep_direct_never_worse": all(r["procrustes_add"] <= r["pnp_add"] for r in sweep),
     }
     metrics.write_csv(report / "pose_noise_sweep.csv", ("level", "procrustes_add", "pnp_add"),

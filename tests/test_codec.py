@@ -94,6 +94,12 @@ def reference_prediction(raw, grid, labels, cam) -> tuple[Slot, Slot, tuple, tup
     return hand, obj, *cells
 
 
+def cells_of(pred) -> tuple[tuple, tuple]:
+    """The (u, v, z) hand and object cell of a one-frame prediction, as the
+    tuples of int that reference_prediction gives."""
+    return tuple(pred.hand_cell.tolist()), tuple(pred.object_cell.tolist())
+
+
 def point_set_confidence(pred, gt, grid, cam) -> float:
     """Reference confidence of camera-frame points (N, 3) against truth: mean
     pixel distance of the projections and mean depth distance, through the
@@ -155,6 +161,19 @@ class TestFramePrediction:
         assert (p.action_id, p.object_id, p.interaction_id(self.LABELS)) == (-1, 0, -1)
         p = self.prediction([0.1, 0.2, 0.6, 0.1], [0.7, value, 0.1])
         assert (p.action_id, p.object_id, p.interaction_id(self.LABELS)) == (2, -1, -1)
+
+    def test_stacked_ids_are_minus_one_on_exactly_the_non_finite_rows(self):
+        action = np.array([[0.1, 0.2, 0.6, 0.1], [np.nan, 0.2, 0.6, 0.1],
+                           [0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7], [0.1, 0.1, 0.1, 0.7]])
+        obj = np.array([[0.2, 0.2, 0.6], [0.7, 0.2, 0.1], [0.7, np.inf, 0.1],
+                        [0.1, 0.8, 0.1], [np.nan, np.nan, np.nan]])
+        points = np.zeros((5, geo.NUM_CONTROL_POINTS, 3))
+        p = codec.FramePrediction(points, np.ones(5), action, np.zeros((5, 3), int),
+                                  points, np.ones(5), obj, np.zeros((5, 3), int))
+        assert p.action_id.tolist() == [2, -1, 0, 3, 3]
+        assert p.object_id.tolist() == [2, 0, -1, 1, -1]
+        assert p.interaction_id(self.LABELS).tolist() == [8, -1, -1, 10, -1]
+        assert [p[i].interaction_id(self.LABELS) for i in range(len(p))] == [8, -1, -1, 10, -1]
 
     def test_class_ids_of_rows(self):
         z = np.array([[0.0, 3.0, 1.0], [np.nan, 0.0, 0.0], [2.0, -np.inf, 1.0]])
@@ -248,7 +267,7 @@ def _grid_coords(points):
 class TestDecodeCell:
     def test_zero_root_offsets_decode_to_cell_center(self):
         pred = _prune(_only_confident_cell(_raw_grid(), 3, 4, 3))
-        assert pred.hand_cell == pred.object_cell == (3, 4, 3)
+        assert cells_of(pred) == ((3, 4, 3), (3, 4, 3))
         np.testing.assert_allclose(_grid_coords(pred.hand_points[0]), [3.5, 4.5, 3.5])
         np.testing.assert_allclose(_grid_coords(pred.object_points[20]), [3.5, 4.5, 3.5])
         # zero logits: uniform classes, confidence 1/2
@@ -286,7 +305,7 @@ class TestRoundTrip:
         t = codec.frame_targets(scene, PAPER_GRID, LABELS, PAPER_CAM)
         raw = raw_grid_from_targets(t, PAPER_GRID, LABELS)
         pred = _prune(raw)
-        assert (pred.hand_cell, pred.object_cell) == tuple(map(tuple, t.cells.tolist()))
+        assert cells_of(pred) == tuple(map(tuple, t.cells.tolist()))
         assert np.abs(pred.hand_points - scene.hand_points).max() < 1e-9
         assert np.abs(pred.object_points - scene.object_points).max() < 1e-9
         assert pred.action_id == scene.action_id
@@ -296,7 +315,7 @@ class TestRoundTrip:
         raw = _raw_grid(np.random.default_rng(0))
         for u, v, z in [(0, 0, 0), (3, 4, 2), (12, 12, 4)]:
             pred = _prune(_only_confident_cell(raw, u, v, z))
-            assert pred.hand_cell == pred.object_cell == (u, v, z)
+            assert cells_of(pred) == ((u, v, z), (u, v, z))
             hand, obj = decode_cell(raw[v, u, z], (u, v, z), PAPER_GRID, LABELS, PAPER_CAM)
             np.testing.assert_allclose(pred.hand_points, hand.points)
             np.testing.assert_allclose(pred.object_points, obj.points)
@@ -351,7 +370,7 @@ class TestPrune:
         logits[4, 7, 2] = 10.0   # (u=7, v=4, z=2)
         dec = self._grid_with_conf(logits)
         pred = codec.prune(dec, PAPER_GRID, PAPER_CAM)
-        assert pred.hand_cell == (7, 4, 2)
+        assert cells_of(pred)[0] == (7, 4, 2)
 
     def test_tie_breaks_to_lowest_linear_index(self):
         logits = np.full((13, 13, 5), -10.0)
@@ -359,7 +378,7 @@ class TestPrune:
         logits[1, 0, 0] = 10.0   # (u=0, v=1, z=0), linear (0*13+1)*5+0 = 5
         dec = self._grid_with_conf(logits)
         pred = codec.prune(dec, PAPER_GRID, PAPER_CAM)
-        assert pred.hand_cell == (0, 1, 0)
+        assert cells_of(pred)[0] == (0, 1, 0)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1))
@@ -369,7 +388,7 @@ class TestPrune:
         pred = _prune(raw)
         hand, obj, hand_cell, object_cell = reference_prediction(raw, PAPER_GRID, LABELS,
                                                                  PAPER_CAM)
-        assert (pred.hand_cell, pred.object_cell) == (hand_cell, object_cell)
+        assert cells_of(pred) == (hand_cell, object_cell)
         assert pred.hand_confidence == pytest.approx(hand.confidence)
         assert pred.object_confidence == pytest.approx(obj.confidence)
 
@@ -397,19 +416,22 @@ class TestDecodeBest:
 
     def _assert_matches_per_frame(self, raw, grid, cam):
         batch = decode_dense(raw, grid, cam)
-        assert len(batch) == len(raw)
+        n = len(raw)
+        assert len(batch) == n
+        for name, shape, kind in (("hand_cell", (n, 3), "i"), ("object_cell", (n, 3), "i"),
+                                  ("hand_confidence", (n,), "f"),
+                                  ("object_confidence", (n,), "f")):
+            column = getattr(batch, name)
+            assert (column.shape, column.dtype.kind) == (shape, kind), name
         for frame, got in zip(raw, batch):
             hand, obj, hand_cell, object_cell = reference_prediction(frame, grid, LABELS, cam)
-            assert (got.hand_cell, got.object_cell) == (hand_cell, object_cell)
-            assert all(type(i) is int for i in got.hand_cell + got.object_cell)
+            assert cells_of(got) == (hand_cell, object_cell)
             for name, want in (("hand_confidence", hand.confidence),
                                ("object_confidence", obj.confidence),
                                ("hand_points", hand.points), ("object_points", obj.points),
                                ("action_probs", hand.probs), ("object_probs", obj.probs)):
                 np.testing.assert_allclose(getattr(got, name), want, rtol=1e-13, atol=1e-13,
                                            err_msg=name)
-            for name in ("hand_confidence", "object_confidence"):
-                assert type(getattr(got, name)) is float
             for name in ("hand_points", "object_points", "action_probs", "object_probs"):
                 assert not np.shares_memory(getattr(got, name), raw)
         return batch
@@ -433,9 +455,9 @@ class TestDecodeBest:
         raw[1, 0, 3, 2, obj_conf] = 41.0    # (u=3, v=0, z=2): same u, lower v, wins
         raw[2, :, :, :, hand_conf] = 45.0   # every cell ties: (0, 0, 0) wins
         preds = self._assert_matches_per_frame(raw, TOY_GRID, TOY_CAM)
-        assert preds[0].hand_cell == (1, 6, 2) and preds[0].hand_confidence == 1.0
-        assert preds[1].object_cell == (3, 0, 2)
-        assert preds[2].hand_cell == (0, 0, 0)
+        assert cells_of(preds[0])[0] == (1, 6, 2) and preds[0].hand_confidence == 1.0
+        assert cells_of(preds[1])[1] == (3, 0, 2)
+        assert cells_of(preds[2])[0] == (0, 0, 0)
 
     def test_first_nan_confidence_wins(self):
         rng = np.random.default_rng(4)
@@ -445,8 +467,17 @@ class TestDecodeBest:
         raw[1, 1, 3, 1, hand_conf] = np.nan   # (u=3, v=1, z=1): later in u-major order
         raw[1, 0, 0, 0, hand_conf] = 80.0
         preds = self._assert_matches_per_frame(raw, TOY_GRID, TOY_CAM)
-        assert preds[1].hand_cell == (2, 4, 0)
+        assert cells_of(preds[1])[0] == (2, 4, 0)
         assert np.isnan(preds[1].hand_confidence)
+
+    def test_no_frames_give_a_record_of_length_zero(self):
+        preds = decode_dense(self._batch(np.random.default_rng(0), TOY_GRID, 0),
+                             TOY_GRID, TOY_CAM)
+        assert len(preds) == 0
+        assert preds.hand_points.shape == preds.object_points.shape == (0, 21, 3)
+        assert preds.hand_cell.shape == preds.object_cell.shape == (0, 3)
+        assert preds.action_probs.shape == (0, LABELS.n_actions)
+        assert preds.interaction_id(LABELS).shape == (0,)
 
     def test_wrong_shape_rejected(self):
         raw = np.zeros((1, TOY_GRID.h, TOY_GRID.w, TOY_GRID.d, LABELS.cell_channels))

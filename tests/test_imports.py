@@ -126,6 +126,8 @@ UNREAD_IN_PACKAGE = {
                      "synth.render_entities"),
                     "bench/workloads.py times it; retiring it waits for the next benchmark "
                     "revision"),
+    "interaction.sequence_inputs": "bench/workloads.py builds stage-2 inputs from lists of "
+                                   "one-frame predictions with it; the package calls pose_rows",
     "config.toy_preset": "the configuration the bench and the tests run",
     **dict.fromkeys(("config.paper_preset", "config.load_config", "config.save_config",
                      "pipeline.gen_data", "pipeline.train_stage1", "pipeline.train_stage2",

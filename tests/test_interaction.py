@@ -162,6 +162,14 @@ class TestSequenceInputs:
         assert got.shape == (7, CFG.input_width)
         assert np.array_equal(got, want)
 
+    def test_pose_rows_of_a_stack_are_frame_inputs_to_the_bit(self):
+        rng = np.random.default_rng(6)
+        hand, obj = rng.normal(size=(2, 3, 5, 21, 3))
+        got = ia.pose_rows(hand, obj)
+        assert got.shape == (3, 5, CFG.input_width)
+        for i, t in np.ndindex(3, 5):
+            assert np.array_equal(got[i, t], frame_input(hand[i, t], obj[i, t]))
+
 
 def features(model, hand, obj):
     """The interaction map of one frame's input, as the classifier applies it."""

@@ -1,5 +1,7 @@
 """PCK / ADD / projection / accuracy metric tests against brute-force recounts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,15 @@ class TestReports:
         text = (tmp_path / "s.json").read_text()
         assert text.index('"a"') < text.index('"b"')
         assert (tmp_path / "s.json").read_bytes() == b'{\n  "a": 2,\n  "b": 1\n}\n'
+
+    def test_non_finite_floats_are_written_as_null_at_any_depth(self, tmp_path):
+        def no_constants(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = {"add": float("inf"), "pnp": -np.inf, "mje": np.float64("nan"), "ok": 0.5,
+               "nested": {"curve": [1.0, float("nan"), (float("-inf"), 2)], "n": 3}}
+        metrics.write_json(tmp_path / "s.json", doc)
+        got = json.loads((tmp_path / "s.json").read_text(), parse_constant=no_constants)
+        assert got == {"add": None, "pnp": None, "mje": None, "ok": 0.5,
+                       "nested": {"curve": [1.0, None, [None, 2]], "n": 3}}
+        assert doc["add"] == float("inf")   # the caller's document is not changed

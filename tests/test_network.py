@@ -76,7 +76,7 @@ class TestForward:
         assert np.all(raw == 0.0)
         # every cell ties at confidence 1/2, so the first cell wins
         pred = codec.prune(codec.decode_grid(raw[0], GRID, LABELS), GRID, CAM)
-        assert pred.hand_cell == pred.object_cell == (0, 0, 0)
+        assert pred.hand_cell.tolist() == pred.object_cell.tolist() == [0, 0, 0]
         assert pred.hand_confidence == pred.object_confidence == 0.5
         np.testing.assert_array_equal(pred.action_probs, np.full(LABELS.n_actions, 1 / 3))
         np.testing.assert_array_equal(pred.object_probs, np.full(LABELS.n_objects, 1 / 2))

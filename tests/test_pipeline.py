@@ -1,12 +1,13 @@
 """Stage orchestration: identical seeds must give identical bytes."""
 
 import hashlib
+import json
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,12 @@ def tiny_config():
         data=replace(cfg.data, train_frames=16, val_frames=4,
                      train_sequences=2, val_sequences=2),
     )
+
+
+def stacked(preds) -> codec.FramePrediction:
+    """One record of a list of one-frame predictions, as predict_frames gives it."""
+    return codec.FramePrediction(*(np.array([getattr(p, f.name) for p in preds])
+                                   for f in fields(codec.FramePrediction)))
 
 
 def run_every_stage() -> None:
@@ -356,7 +363,13 @@ class TestPredictFrames:
 
     def test_no_frames_give_no_predictions(self, model):
         cfg, params, _ = model
-        assert pipeline.predict_frames(cfg, params, []) == []
+        preds = pipeline.predict_frames(cfg, params, [])
+        assert isinstance(preds, codec.FramePrediction) and len(preds) == 0
+        assert {f.name: getattr(preds, f.name).shape for f in fields(preds)} == {
+            "hand_points": (0, 21, 3), "hand_confidence": (0,), "hand_cell": (0, 3),
+            "action_probs": (0, cfg.labels.n_actions),
+            "object_points": (0, 21, 3), "object_confidence": (0,), "object_cell": (0, 3),
+            "object_probs": (0, cfg.labels.n_objects)}
 
     def test_predictions_do_not_depend_on_batch_size(self, model):
         # 20 frames at batch 7 leave a ragged last batch of 6
@@ -366,11 +379,11 @@ class TestPredictFrames:
         assert len(ref) == len(frames)
         for preds in others:
             assert len(preds) == len(ref)
-            for got, want in zip(preds, ref):
-                assert (got.hand_cell, got.object_cell) == (want.hand_cell, want.object_cell)
-                for name in ("hand_points", "object_points", "action_probs", "object_probs"):
-                    np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                               rtol=1e-8, atol=1e-8)
+            for name in ("hand_cell", "object_cell"):
+                np.testing.assert_array_equal(getattr(preds, name), getattr(ref, name))
+            for name in ("hand_points", "object_points", "action_probs", "object_probs"):
+                np.testing.assert_allclose(getattr(preds, name), getattr(ref, name),
+                                           rtol=1e-8, atol=1e-8)
 
     @pytest.mark.parametrize("saturated", [False, True])
     @pytest.mark.parametrize("batch_size", [1, 7, 64])
@@ -393,19 +406,22 @@ class TestPredictFrames:
         raw = net.forward(params, np.stack([f.raster for f in frames]),
                           cfg.backbone, cfg.grid, labels)
         assert len(got) == len(frames)
-        for i, (g, frame) in enumerate(zip(got, raw)):
+        for i, frame in enumerate(raw):
             want = codec.prune(codec.decode_grid(frame, cfg.grid, labels), cfg.grid, cfg.camera)
-            assert (g.hand_cell, g.object_cell) == (want.hand_cell, want.object_cell), i
+            for name in ("hand_cell", "object_cell"):
+                np.testing.assert_array_equal(getattr(got[i], name), getattr(want, name),
+                                              err_msg=f"{name} {i}")
             for name in ("hand_points", "object_points", "action_probs", "object_probs",
                          "hand_confidence", "object_confidence"):
-                np.testing.assert_allclose(getattr(g, name), getattr(want, name),
+                np.testing.assert_allclose(getattr(got[i], name), getattr(want, name),
                                            rtol=1e-12, atol=1e-12, err_msg=f"{name} {i}")
         assert np.isnan(got[1].hand_confidence) and np.isnan(got[1].object_confidence)
         if saturated:
             # among the tied cells the lowest u-major index wins; NaN beats them
-            for p in got[:1] + got[2:]:
-                assert (p.hand_cell, p.hand_confidence) == ((0, 0, 1), 1.0)
-                assert (p.object_cell, p.object_confidence) == ((0, 0, 2), 1.0)
+            rest = np.arange(len(got)) != 1
+            for name, cell in (("hand", [0, 0, 1]), ("object", [0, 0, 2])):
+                assert (getattr(got, f"{name}_cell")[rest] == cell).all(), name
+                assert (getattr(got, f"{name}_confidence")[rest] == 1.0).all(), name
 
     def test_training_and_prediction_never_run_the_dense_head(self, model, monkeypatch):
         cfg, params, frames = model
@@ -453,14 +469,18 @@ class TestSequenceDataset:
         cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
         late = synth.sample_sequence(1, 2, 1, cfg.scene)
         early = synth.sample_sequence(2, 0, 2, cfg.scene)
-        synth.save_frames(tmp_path / "seq_val", late.frames + early.frames, [7] * 4 + [3] * 4)
         params = net.init_params(cfg.backbone, cfg.grid, cfg.labels, cfg.seed)
-        inputs, labels = pipeline._sequence_dataset(cfg, params, "seq_val")
-        preds = pipeline.predict_frames(cfg, params, synth.load_frames(tmp_path / "seq_val")[0])
-        icfg = cfg.interaction_model_config()
-        np.testing.assert_array_equal(inputs, np.stack([ia.sequence_inputs(icfg, preds[4:]),
-                                                        ia.sequence_inputs(icfg, preds[:4])]))
-        assert labels.tolist() == [early.interaction_id, late.interaction_id]
+        alternating = [f for pair in zip(late.frames, early.frames) for f in pair]
+        for frames, seq_ids in ((late.frames + early.frames, [7] * 4 + [3] * 4),
+                                (alternating, [7, 3] * 4)):
+            synth.save_frames(tmp_path / "seq_val", frames, seq_ids)
+            inputs, labels = pipeline._sequence_dataset(cfg, params, "seq_val")
+            preds = pipeline.predict_frames(cfg, params,
+                                            synth.load_frames(tmp_path / "seq_val")[0])
+            rows = ia.pose_rows(preds.hand_points, preds.object_points)
+            ids = np.array(seq_ids)
+            np.testing.assert_array_equal(inputs, np.stack([rows[ids == 3], rows[ids == 7]]))
+            assert labels.tolist() == [early.interaction_id, late.interaction_id]
 
     def test_sequences_of_unequal_length_are_named(self, tmp_path):
         cfg = replace(tiny_config(), data=replace(tiny_config().data, dir=str(tmp_path)))
@@ -528,6 +548,30 @@ class TestPoseNoiseSweep:
 
 
 class TestEvaluate:
+    def test_cell_accuracy_is_the_share_of_frames_at_their_responsible_cell(self, tmp_path,
+                                                                            monkeypatch):
+        cfg = config.toy_preset()
+        frames = [synth.sample_scene((4, i), cfg.scene) for i in range(5)]
+        targets = [codec.frame_targets(f, cfg.grid, cfg.labels, cfg.camera) for f in frames]
+        preds = [codec.FramePrediction(f.hand_points, 1.0, np.eye(cfg.labels.n_actions)[0],
+                                       t.cells[0], f.object_points, 1.0,
+                                       np.eye(cfg.labels.n_objects)[0], t.cells[1])
+                 for f, t in zip(frames, targets)]
+        monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
+        monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0] * 5))
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: stacked(preds))
+        ckpt = tmp_path / "stage1.ckpt"
+        ckpt.write_bytes(b"unread")
+
+        summary = pipeline.evaluate(cfg, ckpt, tmp_path / "report", noise_trials=2)
+        assert summary["hand_cell_accuracy"] == summary["object_cell_accuracy"] == 1.0
+        preds[3] = replace(preds[3], object_cell=preds[3].object_cell + [0, 1, 0])
+        summary = pipeline.evaluate(cfg, ckpt, tmp_path / "report", noise_trials=2)
+        assert summary["hand_cell_accuracy"] == 1.0
+        assert summary["object_cell_accuracy"] == 4 / 5
+        written = json.loads((tmp_path / "report" / "summary.json").read_text())
+        assert (written["hand_cell_accuracy"], written["object_cell_accuracy"]) == (1.0, 0.8)
+
     def test_baseline_without_stage2_writes_no_report(self, tmp_path):
         with pytest.raises(ConfigError, match="baseline_ckpt is scored only beside stage2_ckpt"):
             pipeline.evaluate(tiny_config(), tmp_path / "stage1.ckpt", tmp_path / "report",
@@ -552,7 +596,7 @@ class TestEvaluate:
         assert labels[0] == 0
         monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
         monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0, 1]))
-        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: preds)
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: stacked(preds))
         monkeypatch.setattr(pipeline, "load_interaction", lambda cfg, ckpt, backbone: model)
         monkeypatch.setattr(pipeline, "_sequence_dataset",
                             lambda cfg, params, split: (inputs, labels))
@@ -579,7 +623,7 @@ class TestEvaluate:
         preds[1] = replace(preds[1], object_probs=np.full(cfg.labels.n_objects, np.nan))
         monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
         monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0, 1, 2, 3]))
-        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: preds)
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: stacked(preds))
         ckpt = tmp_path / "stage1.ckpt"
         ckpt.write_bytes(b"unread")
 
@@ -602,7 +646,7 @@ class TestEvaluate:
         preds[1] = replace(preds[1], object_points=shifted)
         monkeypatch.setattr(pipeline, "load_backbone", lambda cfg, ckpt: None)
         monkeypatch.setattr(pipeline, "_load_split", lambda cfg, split: (frames, [0, 1, 2]))
-        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: preds)
+        monkeypatch.setattr(pipeline, "predict_frames", lambda cfg, params, frames: stacked(preds))
         ckpt = tmp_path / "stage1.ckpt"
         ckpt.write_bytes(b"unread")
 
