@@ -273,21 +273,25 @@ def decode_best(conf_logits: np.ndarray, read_cells, grid: GridSpec, labels: Lab
         object_probs=softmax(obj[:, COORD_CHANNELS:-1]), object_cell=cells[:, 1])
 
 
-def confidence_component(distance, cutoff: float, sharpness: float):
+CONFIDENCE_SHARPNESS = 2.0   # the confidence law's exponent a
+DEPTH_CUTOFF_M = 0.075       # its depth cutoff; GridSpec.cutoff_px scales with the image
+
+
+def confidence_component(distance, cutoff: float):
     """Normalized exponential confidence law on one distance axis.
 
     Equals 1 at distance 0, decreases strictly, and clamps to 0 at and
-    beyond the cutoff: (e^(a*(1 - D/cutoff)) - 1) / (e^a - 1).
+    beyond the cutoff: (e^(a*(1 - D/cutoff)) - 1) / (e^a - 1), a = CONFIDENCE_SHARPNESS.
     """
     d = np.asarray(distance, dtype=float)
-    scaled = np.expm1(sharpness * (1.0 - d / cutoff)) / np.expm1(sharpness)
+    scaled = np.expm1(CONFIDENCE_SHARPNESS * (1.0 - d / cutoff)) / np.expm1(CONFIDENCE_SHARPNESS)
     return np.where(d < cutoff, scaled, 0.0)
 
 
 def confidence_from_distances(d_px, d_m, grid: GridSpec):
-    """Fused confidence: equal-weight mix of the image-space and depth laws."""
-    c_uv = confidence_component(d_px, grid.cutoff_px, grid.sharpness)
-    c_z = confidence_component(d_m, grid.cutoff_m, grid.sharpness)
+    """Fused confidence: equal-weight mix of the image-space and depth (DEPTH_CUTOFF_M) laws."""
+    c_uv = confidence_component(d_px, grid.cutoff_px)
+    c_z = confidence_component(d_m, DEPTH_CUTOFF_M)
     return 0.5 * c_uv + 0.5 * c_z
 
 

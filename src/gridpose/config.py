@@ -8,6 +8,9 @@ read by its field's type hint, which is int, float, str or a tuple of
 them: lists are comma-separated (`backbone.channels = 16,32,64`) and
 the object size table separates triples with semicolons
 (`synth.object_sizes = 0.02,0.03,0.04;...`).
+Fixed properties of the method are constants, not keys: BackboneConfig.kernel
+and .leak, InteractionConfig.lstm_layers, OptimConfig.conf_targets, the
+tenfold drop of lr_at, and codec.CONFIDENCE_SHARPNESS and DEPTH_CUTOFF_M.
 A string holding `#`, a line break or outer spaces cannot be read back,
 so config_to_text raises ConfigError for one; the hash does not.
 The config hash is the SHA-256 of the canonicalized serialization
@@ -22,7 +25,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
-from typing import get_args, get_origin, get_type_hints
+from typing import ClassVar, get_args, get_origin, get_type_hints
 
 from .codec import LabelSpec
 from .errors import ConfigError
@@ -34,51 +37,45 @@ from .synth import SceneParams
 
 class _StepSchedule:
     """Range checks and the step learning-rate schedule shared by both
-    training stages: lr drops by schedule_factor at each schedule epoch."""
+    training stages: lr drops tenfold at each schedule epoch."""
 
     def _check_schedule(self, what: str) -> None:
         if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError(f"{what} settings out of range")
         if any(not 0 <= e < self.epochs for e in self.schedule_epochs):
             raise ConfigError(f"{what} schedule epochs must lie in [0, total epochs)")
-        if self.schedule_factor < 0:
-            raise ConfigError(f"{what} schedule_factor must be >= 0")
 
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for e in self.schedule_epochs if epoch >= e)
-        return self.lr * self.schedule_factor ** drops
+        return self.lr * 0.1 ** drops
 
 
 @dataclass(frozen=True)
 class OptimConfig(_StepSchedule):
+    """Stage-1 SGD settings; the benchmark reads the class constant conf_targets."""
+    conf_targets: ClassVar[str] = "online"   # network.multitask_loss's targets
     lr: float = 1e-4
     epochs: int = 200
     batch_size: int = 16
     schedule_epochs: tuple[int, ...] = (80, 160)
-    schedule_factor: float = 0.1
-    conf_targets: str = "online"
 
     def __post_init__(self):
         self._check_schedule("optimizer")
-        if self.conf_targets not in ("online", "fixed"):
-            raise ConfigError("conf_targets must be 'online' or 'fixed'")
 
 
 @dataclass(frozen=True)
 class InteractionTrainConfig(_StepSchedule):
     feature_width: int = 512
     lstm_width: int = 512
-    lstm_layers: int = 2
     lr: float = 0.05
     epochs: int = 150
     batch_size: int = 16
     schedule_epochs: tuple[int, ...] = (100,)
-    schedule_factor: float = 0.1
 
     def __post_init__(self):
         self._check_schedule("interaction training")
-        if self.feature_width < 1 or self.lstm_width < 1 or self.lstm_layers < 1:
-            raise ConfigError("interaction widths and layer counts must be >= 1")
+        if self.feature_width < 1 or self.lstm_width < 1:
+            raise ConfigError("interaction widths must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,6 @@ class RunConfig:
             n_classes=self.labels.n_interactions,
             feature_width=it.feature_width,
             lstm_width=it.lstm_width,
-            lstm_layers=it.lstm_layers,
             use_pair_map=use_pair_map,
         )
 
@@ -131,18 +127,16 @@ class RunConfig:
 def toy_preset(seed: int = 0, out_dir: str = "runs/toy", data_dir: str = "data/toy") -> RunConfig:
     """Desk-scale preset used by the acceptance suite: 7x7x3 grid, 56px."""
     grid = GridSpec(h=7, w=7, d=3, cell_u_px=8.0, cell_v_px=8.0, cell_z_m=0.15,
-                    z_min=0.3, sharpness=2.0, cutoff_px=12.0, cutoff_m=0.075)
+                    z_min=0.3, cutoff_px=12.0)
     cam = CameraIntrinsics(fx=80.0, fy=80.0, cx=28.0, cy=28.0)
     labels = LabelSpec(n_objects=3, n_actions=4)
     return RunConfig(
         scene=SceneParams(grid=grid, cam=cam, labels=labels),
         backbone=BackboneConfig(channels=(16, 32, 64, 64, 96), strides=(2, 2, 2, 1, 1)),
         loss=LossWeights(),
-        optim=OptimConfig(lr=5e-3, epochs=30, batch_size=16,
-                          schedule_epochs=(12, 24), schedule_factor=0.1),
-        interaction=InteractionTrainConfig(
-            feature_width=64, lstm_width=48, lstm_layers=2,
-            lr=0.08, epochs=120, batch_size=16, schedule_epochs=(80,)),
+        optim=OptimConfig(lr=5e-3, epochs=30, batch_size=16, schedule_epochs=(12, 24)),
+        interaction=InteractionTrainConfig(feature_width=64, lstm_width=48, lr=0.08, epochs=120,
+                                           batch_size=16, schedule_epochs=(80,)),
         data=DataConfig(dir=data_dir, train_frames=500, val_frames=100,
                         train_sequences=200, val_sequences=60),
         seed=seed,
@@ -161,7 +155,7 @@ def paper_preset(seed: int = 0, out_dir: str = "runs/paper", data_dir: str = "da
     paper's colour and translation jitter.
     """
     grid = GridSpec(h=13, w=13, d=5, cell_u_px=32.0, cell_v_px=32.0, cell_z_m=0.15,
-                    z_min=0.0, sharpness=2.0, cutoff_px=75.0, cutoff_m=0.075)
+                    z_min=0.0, cutoff_px=75.0)
     cam = CameraIntrinsics(fx=600.0, fy=600.0, cx=208.0, cy=208.0)
     labels = LabelSpec(n_objects=4, n_actions=10)
     return RunConfig(
@@ -173,10 +167,8 @@ def paper_preset(seed: int = 0, out_dir: str = "runs/paper", data_dir: str = "da
         ),
         backbone=BackboneConfig(channels=(32, 64, 128, 256, 512), strides=(2, 2, 2, 2, 2)),
         loss=LossWeights(),
-        optim=OptimConfig(lr=1e-4, epochs=200, batch_size=16,
-                          schedule_epochs=(80, 160), schedule_factor=0.1),
-        interaction=InteractionTrainConfig(feature_width=512, lstm_width=512,
-                                           lstm_layers=2),
+        optim=OptimConfig(lr=1e-4, epochs=200, batch_size=16, schedule_epochs=(80, 160)),
+        interaction=InteractionTrainConfig(feature_width=512, lstm_width=512),
         data=DataConfig(dir=data_dir),
         seed=seed,
         out_dir=out_dir,

@@ -74,13 +74,13 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid geometry plus the confidence-law constants.
+    """Grid geometry plus the image-space cutoff of the confidence law.
 
     h, w, d: cell counts along v, u and depth.
     cell_u_px, cell_v_px: cell size in pixels; cell_z_m: cell size in meters.
     z_min: depth where bin 0 starts (meters from the camera center).
-    sharpness: exponent steepness of the confidence law.
-    cutoff_px / cutoff_m: distances beyond which confidence is zero.
+    cutoff_px: pixel distance beyond which confidence is zero (the law's
+    exponent and depth cutoff are codec constants).
     """
 
     h: int
@@ -90,17 +90,13 @@ class GridSpec:
     cell_v_px: float
     cell_z_m: float
     z_min: float = 0.0
-    sharpness: float = 2.0
     cutoff_px: float = 75.0
-    cutoff_m: float = 0.075
 
     def __post_init__(self):
         if min(self.h, self.w, self.d) < 1:
             raise ConfigError(f"cell counts must be >= 1, got {self.h}x{self.w}x{self.d}")
-        if min(self.cell_u_px, self.cell_v_px, self.cell_z_m) <= 0:
-            raise ConfigError("cell sizes must be positive")
-        if self.cutoff_px <= 0 or self.cutoff_m <= 0 or self.sharpness <= 0:
-            raise ConfigError("confidence constants must be positive")
+        if min(self.cell_u_px, self.cell_v_px, self.cell_z_m, self.cutoff_px) <= 0:
+            raise ConfigError("cell sizes and cutoff_px must be positive")
 
     @property
     def image_w(self) -> int:

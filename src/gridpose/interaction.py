@@ -22,6 +22,7 @@ share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,17 +37,17 @@ INPUT_SCALE = 10.0
 
 @dataclass(frozen=True)
 class InteractionConfig:
+    lstm_layers: ClassVar[int] = 2
     n_classes: int
     feature_width: int = 512
     lstm_width: int = 512
-    lstm_layers: int = 2
     use_pair_map: bool = True
 
     def __post_init__(self):
         if self.n_classes < 1:
             raise ConfigError("class count must be >= 1")
-        if self.lstm_layers < 1 or self.lstm_width < 1 or self.feature_width < 1:
-            raise ConfigError("widths and layer counts must be >= 1")
+        if self.lstm_width < 1 or self.feature_width < 1:
+            raise ConfigError("widths must be >= 1")
 
     @property
     def input_width(self) -> int:

@@ -41,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
+from typing import ClassVar
 
 import numpy as np
 
@@ -58,12 +59,12 @@ Array = ad.Tensor | np.ndarray
 
 @dataclass(frozen=True)
 class BackboneConfig:
-    """Conv stack layout; strides must multiply to the pixel cell size."""
-
+    """Conv stack layout; strides must multiply to the pixel cell size. The
+    kernel size and rectifier slope are class constants the benchmark reads."""
+    kernel: ClassVar[int] = 3
+    leak: ClassVar[float] = 0.1   # autodiff.leaky_relu is max(x, leak·x)
     channels: tuple[int, ...] = (16, 32, 64, 64, 96)
     strides: tuple[int, ...] = (2, 2, 2, 1, 1)
-    kernel: int = 3
-    leak: float = 0.1
 
     def __post_init__(self):
         if len(self.channels) != len(self.strides):
@@ -72,8 +73,6 @@ class BackboneConfig:
             raise ConfigError("backbone needs at least one conv layer")
         if any(c < 1 for c in self.channels) or any(s < 1 for s in self.strides):
             raise ConfigError("channels and strides must be >= 1")
-        if not 0.0 <= self.leak <= 1.0:   # autodiff.leaky_relu is max(x, leak·x)
-            raise ConfigError(f"leak must be in [0, 1], got {self.leak}")
 
 
 @dataclass(frozen=True)

@@ -126,8 +126,7 @@ def train_stage1(cfg: RunConfig) -> Path:
         lr = cfg.optim.lr_at(epoch)
         loss = net.sgd_epoch(params, dataset, lr, cfg.loss, cfg.backbone,
                              cfg.grid, cfg.labels, rng,
-                             batch_size=cfg.optim.batch_size,
-                             conf_targets=cfg.optim.conf_targets)
+                             batch_size=cfg.optim.batch_size)
         log.append((epoch, lr, loss))
 
     ckpt = out / "stage1.ckpt"

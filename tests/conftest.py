@@ -25,8 +25,7 @@ class SceneStub:
 
 
 PAPER_GRID = geo.GridSpec(h=13, w=13, d=5, cell_u_px=32.0, cell_v_px=32.0,
-                          cell_z_m=0.15, z_min=0.0, sharpness=2.0,
-                          cutoff_px=75.0, cutoff_m=0.075)
+                          cell_z_m=0.15, z_min=0.0, cutoff_px=75.0)
 PAPER_CAM = geo.CameraIntrinsics(fx=600.0, fy=600.0, cx=208.0, cy=208.0)
 
 

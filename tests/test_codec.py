@@ -340,7 +340,7 @@ class TestConfidence:
 
     def test_strictly_decreasing(self):
         d = np.linspace(0.0, 74.999, 100)
-        c = codec.confidence_component(d, 75.0, 2.0)
+        c = codec.confidence_component(d, 75.0)
         assert np.all(np.diff(c) < 0)
         assert c[0] == pytest.approx(1.0)
 

@@ -18,7 +18,7 @@ from gridpose.rigidpose import Pose6D, random_rotation
 
 IDENTITY_CAM = geo.CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0)
 UNIT_GRID = geo.GridSpec(h=8, w=8, d=8, cell_u_px=1.0, cell_v_px=1.0, cell_z_m=1.0,
-                         z_min=0.0, cutoff_px=10.0, cutoff_m=1.0)
+                         z_min=0.0, cutoff_px=10.0)
 
 
 class TestProject:

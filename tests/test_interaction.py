@@ -15,9 +15,9 @@ from gridpose.geometry import HAND_PARTS
 from conftest import float64, grad_check, tanh
 
 
-CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16, lstm_layers=2)
+CFG = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16)
 BASELINE = ia.InteractionConfig(n_classes=6, feature_width=24, lstm_width=16,
-                                lstm_layers=2, use_pair_map=False)
+                                use_pair_map=False)
 
 
 # -- reference: the LSTM composed step by step from elementwise graph ops ------
@@ -122,8 +122,7 @@ def init_drawn_block_by_block(cfg, seed):
     return {k: v.astype(ad.COMPUTE_DTYPE) for k, v in p.items()}
 
 
-@pytest.mark.parametrize("cfg", [CFG, BASELINE, ia.InteractionConfig(5, 7, 9, 3)],
-                         ids=["pair-map", "baseline", "three-layers"])
+@pytest.mark.parametrize("cfg", [CFG, BASELINE], ids=["pair-map", "baseline"])
 def test_init_draws_the_shapes_in_order_with_the_same_bits(cfg):
     model = ia.init_interaction(cfg, 4)
     want = init_drawn_block_by_block(cfg, 4)
@@ -417,7 +416,7 @@ class TestGradients:
     def test_training_reduces_loss_on_separable_toy(self):
         # two constant-signal classes must be trivially separable
         rng = np.random.default_rng(12)
-        cfg = ia.InteractionConfig(n_classes=2, feature_width=16, lstm_width=12, lstm_layers=2)
+        cfg = ia.InteractionConfig(n_classes=2, feature_width=16, lstm_width=12)
         model = ia.init_interaction(cfg, seed=7)
         n = 24
         labels = np.arange(n) % 2

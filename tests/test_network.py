@@ -17,7 +17,7 @@ from conftest import float64, grad_check as array_grad_check, logit, random_scen
 
 # Micro configuration: 12x12 image over a 3x3x2 grid of 4px cells.
 GRID = geo.GridSpec(h=3, w=3, d=2, cell_u_px=4.0, cell_v_px=4.0, cell_z_m=0.3,
-                    z_min=0.2, cutoff_px=6.0, cutoff_m=0.15)
+                    z_min=0.2, cutoff_px=6.0)
 CAM = geo.CameraIntrinsics(fx=20.0, fy=20.0, cx=6.0, cy=6.0)
 LABELS = codec.LabelSpec(n_objects=2, n_actions=3)
 BB = net.BackboneConfig(channels=(6, 8), strides=(2, 2))
@@ -142,8 +142,7 @@ def init_params_drawn_layer_by_layer(bb, grid, labels, seed):
 
 
 class TestParamShapes:
-    @pytest.mark.parametrize("bb", [BB, net.BackboneConfig(channels=(4, 5, 6), strides=(1, 2, 2),
-                                                          kernel=5)])
+    @pytest.mark.parametrize("bb", [BB, net.BackboneConfig(channels=(4, 5, 6), strides=(1, 2, 2))])
     @pytest.mark.parametrize("seed", [0, 9])
     def test_init_draws_the_shapes_in_order_with_the_same_bits(self, bb, seed):
         params = net.init_params(bb, GRID, LABELS, seed)

@@ -19,7 +19,7 @@ from conftest import rotation_geodesic
 
 
 GRID = geo.GridSpec(h=7, w=7, d=3, cell_u_px=8.0, cell_v_px=8.0, cell_z_m=0.15,
-                    z_min=0.3, cutoff_px=12.0, cutoff_m=0.075)
+                    z_min=0.3, cutoff_px=12.0)
 CAM = geo.CameraIntrinsics(fx=80.0, fy=80.0, cx=28.0, cy=28.0)
 LABELS = LabelSpec(n_objects=3, n_actions=4)
 PARAMS = synth.SceneParams(grid=GRID, cam=CAM, labels=LABELS)
