@@ -195,10 +195,11 @@ def predict_frames(cfg: RunConfig, params: net.ModelParams, frames,
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     dtype = params.tensors["conv0.w"].dtype
-    return codec.FramePrediction.join([
+    records = [
         net.predict(params, _stack_rasters(cfg, frames[start: start + batch_size], start, dtype),
                     cfg.backbone, cfg.grid, cfg.labels, cfg.camera)
-        for start in range(0, max(len(frames), 1), batch_size)])
+        for start in range(0, max(len(frames), 1), batch_size)]
+    return records[0] if len(records) == 1 else codec.FramePrediction.join(records)
 
 
 def _sequence_dataset(cfg: RunConfig, params: net.ModelParams, split: str):
