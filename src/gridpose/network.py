@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import ClassVar
@@ -461,7 +462,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint as writable COMPUTE_DTYPE arrays; a malformed header
-    or body, a non-finite tensor or bytes after the last tensor raise ConfigError."""
+    or body, a non-finite tensor or bytes after the last tensor raise ConfigError,
+    the header's sizes before any tensor is read."""
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode())
@@ -473,7 +475,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ConfigError(f"unsupported checkpoint format {header.get('format')}")
         if not isinstance(header.get("tensors"), list):
             raise ConfigError("checkpoint header has no tensors list")
-        tensors = {}
+        shapes, left = {}, os.fstat(f.fileno()).st_size - f.tell()
         for entry in header["tensors"]:
             try:
                 name, shape = entry["name"], tuple(int(s) for s in entry["shape"])
@@ -481,15 +483,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
                 raise ConfigError(f"malformed checkpoint tensor entry {entry!r}") from e
             if any(d < 0 for d in shape):
                 raise ConfigError(f"malformed checkpoint tensor entry {entry!r}: negative dimension")
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 4)
-            if len(buf) != count * 4:
+            if name in shapes:
+                raise ConfigError(f"checkpoint lists tensor {name} twice")
+            left -= 4 * math.prod(shape)   # a Python int: no shape overflows it
+            if left < 0:
                 raise ConfigError(f"checkpoint truncated at tensor {name}")
+            shapes[name] = shape
+        if left:
+            raise ConfigError("checkpoint has bytes after its last tensor")
+        tensors = {}
+        for name, shape in shapes.items():
+            buf = f.read(4 * math.prod(shape))
             tensors[name] = np.frombuffer(buf, "<f4").reshape(shape).astype(ad.COMPUTE_DTYPE)
             if not np.all(np.isfinite(tensors[name])):
                 raise ConfigError(f"checkpoint tensor {name} holds non-finite values")
-        if f.read(1):
-            raise ConfigError("checkpoint has bytes after its last tensor")
     return tensors, header
 
 

@@ -517,6 +517,23 @@ class TestCheckpoint:
         with pytest.raises(ConfigError, match="negative dimension"):
             net.load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape", [[2 ** 40], [2 ** 32, 2 ** 32], [3, 2 ** 62]])
+    def test_shape_larger_than_the_file_is_config_error(self, tmp_path, shape):
+        # checked with Python ints before reading: np.prod of [2**32, 2**32]
+        # wraps to 0, and reading 4·2**40 bytes asks for 4 TiB
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b'{"format": 1, "tensors": [{"name": "w", "shape": %s}]}\n'
+                         % str(shape).encode() + bytes(64))
+        with pytest.raises(ConfigError, match="truncated at tensor w"):
+            net.load_checkpoint(path)
+
+    def test_tensor_listed_twice_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b'{"format": 1, "tensors": [{"name": "w", "shape": [2]}, '
+                         b'{"name": "w", "shape": [2]}]}\n' + bytes(16))
+        with pytest.raises(ConfigError, match="lists tensor w twice"):
+            net.load_checkpoint(path)
+
     def test_header_without_tensor_list_is_config_error(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b'{"format": 1, "kind": "backbone"}\n')
