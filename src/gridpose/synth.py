@@ -568,12 +568,17 @@ def save_frames(directory, frames: list[SceneFrame], seq_ids: list[int]) -> None
 
 
 def _load_array(path: Path) -> np.ndarray:
-    """One .npy array; a missing, truncated, malformed, pickled or .npz file is a ConfigError."""
+    """One .npy array; a missing, truncated, malformed, pickled or .npz file is a
+    ConfigError. Mapping the file first, without touching its pages, checks that
+    the header's shape fits the file before np.load allocates that shape."""
     try:
-        array = np.load(path, allow_pickle=False)
+        with np.errstate(over="raise"):   # numpy sizes the map in int64
+            array = np.load(path, mmap_mode="r", allow_pickle=False)
+        if isinstance(array, np.ndarray):
+            array = np.load(path, allow_pickle=False)
     except FileNotFoundError as e:
         raise ConfigError(f"{path}: no dataset file") from e
-    except (OSError, ValueError, EOFError) as e:
+    except (OSError, ValueError, EOFError, ArithmeticError) as e:
         raise ConfigError(f"{path}: unreadable dataset file: {e}") from e
     if not isinstance(array, np.ndarray):   # an .npz archive
         array.close()

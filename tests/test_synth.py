@@ -1,6 +1,7 @@
 """Scene/sequence generators, renderer and dataset file round trips."""
 
 import hashlib
+import mmap
 import re
 import tracemalloc
 from dataclasses import replace
@@ -667,6 +668,32 @@ class TestDatasetFiles:
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ConfigError, match=re.escape(f"{path}: unreadable dataset file")):
             synth.load_frames(tmp_path)
+
+    @pytest.mark.parametrize("name,shape", [("frames.npy", (2 ** 40,)),
+                                            ("rasters.npy", (2, 3, 56, 2 ** 40)),
+                                            ("rasters.npy", (2 ** 70,))])
+    def test_header_declaring_more_data_than_the_file_is_config_error(self, tmp_path, name,
+                                                                       shape):
+        # the declared sizes run to hundreds of TiB, and none of it may be allocated
+        two_frame_split(tmp_path)
+        path = tmp_path / name
+        descr = np.lib.format.dtype_to_descr(np.load(path).dtype)
+        with open(path, "wb") as f:
+            np.lib.format.write_array_header_1_0(
+                f, {"descr": descr, "fortran_order": False, "shape": shape})
+            f.write(bytes(4096))
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: unreadable dataset file")):
+            synth.load_frames(tmp_path)
+
+    def test_loaded_frames_hold_no_map_of_the_files(self, tmp_path):
+        # the files are memory-mapped before they are read; a later save_frames
+        # truncates them, which must not take pages from under a loaded frame
+        two_frame_split(tmp_path)
+        frames, _ = synth.load_frames(tmp_path)
+        array = frames[1].hand_points
+        while isinstance(array, np.ndarray):
+            array = array.base
+        assert not isinstance(array, mmap.mmap)
 
     @pytest.mark.parametrize("name", ["frames.npy", "rasters.npy"])
     def test_pickled_file_is_config_error(self, tmp_path, name):
