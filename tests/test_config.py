@@ -189,7 +189,7 @@ class TestFlatText:
         ("interaction.lstm_layers", "2"), ("grid.sharpness", "2.0"), ("grid.cutoff_m", "0.075"),
     ])
     def test_method_constant_cannot_be_set(self, key, value):
-        # each was a key with one value in both presets and the benchmark
+        # properties of the method are constants, not keys (see the config module)
         with pytest.raises(ConfigError, match=rf"unknown config keys: \['{key}'\]"):
             config.config_from_flat(config.parse_flat_text(toy_text() + f"{key} = {value}\n"))
 

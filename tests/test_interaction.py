@@ -122,8 +122,12 @@ def init_drawn_block_by_block(cfg, seed):
     return {k: v.astype(ad.COMPUTE_DTYPE) for k, v in p.items()}
 
 
-@pytest.mark.parametrize("cfg", [CFG, BASELINE], ids=["pair-map", "baseline"])
-def test_init_draws_the_shapes_in_order_with_the_same_bits(cfg):
+@pytest.mark.parametrize("cfg,layers", [(CFG, 2), (BASELINE, 2),
+                                        (ia.InteractionConfig(5, 7, 9), 3)],
+                         ids=["pair-map", "baseline", "three-layers"])
+def test_init_draws_the_shapes_in_order_with_the_same_bits(cfg, layers, monkeypatch):
+    # the LSTM depth is a class constant; the draw order must hold at any depth
+    monkeypatch.setattr(ia.InteractionConfig, "lstm_layers", layers)
     model = ia.init_interaction(cfg, 4)
     want = init_drawn_block_by_block(cfg, 4)
     assert list(model.params) == list(want) == list(ia.param_shapes(cfg))
