@@ -53,6 +53,7 @@ class _StepSchedule:
 @dataclass(frozen=True)
 class OptimConfig(_StepSchedule):
     """Stage-1 SGD settings; the benchmark reads the class constant conf_targets."""
+
     conf_targets: ClassVar[str] = "online"   # stage 1's targets in network.multitask_loss
     lr: float = 1e-4
     epochs: int = 200

@@ -62,6 +62,7 @@ Array = ad.Tensor | np.ndarray
 class BackboneConfig:
     """Conv stack layout; strides must multiply to the pixel cell size. The
     kernel size and rectifier slope are class constants the benchmark reads."""
+
     kernel: ClassVar[int] = 3
     leak: ClassVar[float] = 0.1   # autodiff.leaky_relu is max(x, leak·x)
     channels: tuple[int, ...] = (16, 32, 64, 64, 96)
@@ -462,8 +463,8 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a checkpoint as writable COMPUTE_DTYPE arrays; a malformed header
-    or body, a non-finite tensor or bytes after the last tensor raise ConfigError,
-    the header's sizes before any tensor is read."""
+    or body, a non-finite tensor or bytes after the last tensor raise ConfigError.
+    The header's shapes are checked against the file's size before any tensor is read."""
     with open(path, "rb") as f:
         try:
             header = json.loads(f.readline().decode())
