@@ -674,7 +674,7 @@ class TestDatasetFiles:
                                             ("rasters.npy", (2 ** 70,))])
     def test_header_declaring_more_data_than_the_file_is_config_error(self, tmp_path, name,
                                                                        shape):
-        # the declared sizes run to hundreds of TiB, and none of it may be allocated
+        # the declared sizes run to hundreds of TiB and beyond; none of it may be allocated
         two_frame_split(tmp_path)
         path = tmp_path / name
         descr = np.lib.format.dtype_to_descr(np.load(path).dtype)
